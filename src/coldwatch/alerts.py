@@ -26,6 +26,7 @@ from pathlib import Path
 from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, ts_to_iso
 
 DISPLAY_HOLD_S = 10  # display shows the last message this long, then dims
+MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
 
 
 class UnsupportedEvent(ValueError):
@@ -128,18 +129,16 @@ class MessengerSink(Sink):
 
     name = "messenger"
 
-    def __init__(self, seed: int = 0, chat_id: str = "owner", min_latency: int = 2, max_latency: int = 4):
+    def __init__(self, seed: int = 0, chat_id: str = "owner"):
         super().__init__()
         self.chat_id = chat_id
-        self.min_latency = min_latency
-        self.max_latency = max_latency
         self._rng = random.Random(f"{seed}:messenger")
         self.captured: list[dict] = []
 
     def deliver(self, text: str, now: Timestamp) -> Timestamp:
         if not self.available(now):
             raise SinkUnavailable(f"{self.name} unavailable at {now}")
-        delivered = now + self._rng.randint(self.min_latency, self.max_latency)
+        delivered = now + self._rng.randint(*MESSENGER_LATENCY_S)
         self.captured.append(
             {"chat_id": self.chat_id, "text": text, "dispatched_at": now, "delivered_at": delivered}
         )

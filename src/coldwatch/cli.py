@@ -12,6 +12,7 @@ addition to the offline capture file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -37,15 +38,17 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-_DURATION_RE = re.compile(r"^(\d+)([smhd]?)$")
+_DURATION_RE = re.compile(r"(?:\d+[smhd])+|\d+")
+_DURATION_PART_RE = re.compile(r"(\d+)([smhd]?)")
 _DURATION_UNITS = {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400}
 
 
 def parse_duration(text: str) -> int:
-    m = _DURATION_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad duration {text!r} (use e.g. 45s, 20m, 24h, 2d)")
-    return int(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    """Seconds in a duration such as 90, 45s, 24h or 8h30m."""
+    text = text.strip()
+    if not _DURATION_RE.fullmatch(text):
+        raise ValueError(f"bad duration {text!r} (use e.g. 45s, 20m, 24h, 2d, 8h30m)")
+    return sum(int(n) * _DURATION_UNITS[unit] for n, unit in _DURATION_PART_RE.findall(text))
 
 
 def _parse_fault(text: str, start: int) -> FaultSpec:
@@ -117,7 +120,7 @@ def cmd_simulate(args) -> int:
         scenario = None
     else:
         base = scenario_for(args.scenario, start, horizon, args.seed)
-        scenario = base if not faults else _with_faults(base, faults)
+        scenario = dataclasses.replace(base, noise=cfg_file.noise, faults=faults)
 
     run_cfg = RunConfig(
         out_dir=args.out,
@@ -143,12 +146,6 @@ def cmd_simulate(args) -> int:
     )
     print(f"artifacts in {result.out_dir}")
     return EXIT_OK
-
-
-def _with_faults(scenario, faults):
-    import dataclasses
-
-    return dataclasses.replace(scenario, faults=faults)
 
 
 def cmd_verify(args) -> int:

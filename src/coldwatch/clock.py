@@ -32,21 +32,6 @@ class VirtualClock:
         heapq.heappush(self._queue, (at, self._seq, tag))
         self._seq += 1
 
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def advance_to(self, target: Timestamp) -> list[tuple[Timestamp, object]]:
-        """Fire every event with time <= target, in order; now becomes target."""
-        if target < self._now:
-            raise SchedulingInPast(f"cannot advance to {target}, now is {self._now}")
-        fired: list[tuple[Timestamp, object]] = []
-        while self._queue and self._queue[0][0] <= target:
-            at, _, tag = heapq.heappop(self._queue)
-            self._now = at
-            fired.append((at, tag))
-        self._now = target
-        return fired
-
     def run(self, until: Timestamp) -> Iterator[tuple[Timestamp, object]]:
         """Fire events one at a time up to `until`, allowing new events to be
         scheduled mid-iteration (the usual discrete-event loop)."""

@@ -15,10 +15,8 @@ from pathlib import Path
 
 from .energy import ComponentPower, DutyPolicy, PowerProfile, COMPONENTS
 from .ledger import GasSchedule, LedgerKind
-from .model import ModelError, Thresholds, Timestamp, date_to_ts
+from .model import DEFAULT_START, ModelError, Thresholds, Timestamp, date_to_ts
 from .sensor import NoiseModel
-
-DEFAULT_START = 1735689600  # 2025-01-01
 
 
 class ConfigError(ValueError):

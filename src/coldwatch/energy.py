@@ -182,15 +182,6 @@ def energy_for_interval(
     return EnergyBreakdown(start=start, end=end, per_component=per)
 
 
-def energy_for_day(
-    events: Iterable[MonitorEvent],
-    profile: PowerProfile,
-    policy: DutyPolicy,
-    day: Timestamp,
-) -> EnergyBreakdown:
-    return energy_for_interval(events, profile, policy, day, day + 86400)
-
-
 def baseline_energy(
     profile: PowerProfile, start: Timestamp, end: Timestamp
 ) -> dict[str, int]:

@@ -136,22 +136,21 @@ class LedgerEntry:
     prev_hash: bytes
     entry_hash: bytes
 
-    @property
-    def entry_hash_hex(self) -> str:
-        return self.entry_hash.hex()
-
 
 # -- canonical encoding ------------------------------------------------------
 
 
-def _enc_str(value: str) -> bytes:
+def enc_str(value: str) -> bytes:
+    """A u16-length-prefixed UTF-8 string; Cursor.string reads it back."""
     raw = value.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise MalformedPayload("string field too long")
     return struct.pack(">H", len(raw)) + raw
 
 
-class _Cursor:
+class Cursor:
+    """Bounds-checked reader: running off the end raises MalformedPayload."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -193,12 +192,12 @@ def encode_payload(kind: LedgerKind, payload: Payload) -> bytes:
         return struct.pack(">q", payload.day) + payload.digest + struct.pack(">I", payload.row_count)
     if kind is LedgerKind.ADMIN_CHANGE:
         assert isinstance(payload, AdminChangePayload)
-        return struct.pack(">B", payload.action.value) + _enc_str(payload.key)
+        return struct.pack(">B", payload.action.value) + enc_str(payload.key)
     raise MalformedPayload(f"unknown kind {kind}")
 
 
 def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
-    cur = _Cursor(data)
+    cur = Cursor(data)
     if kind is LedgerKind.READING_BATCH:
         (count,) = cur.unpack(">H")
         readings = []
@@ -228,15 +227,14 @@ def encode_request(req: EntryRequest) -> bytes:
     payload = encode_payload(req.kind, req.payload)
     return (
         struct.pack(">B", req.kind.value)
-        + _enc_str(req.device_id)
+        + enc_str(req.device_id)
         + struct.pack(">Qq", req.seq, req.at)
         + struct.pack(">I", len(payload))
         + payload
     )
 
 
-def decode_request(data: bytes) -> EntryRequest:
-    cur = _Cursor(data)
+def _read_request(cur: Cursor) -> EntryRequest:
     (kind_code,) = cur.unpack(">B")
     try:
         kind = LedgerKind(kind_code)
@@ -249,59 +247,27 @@ def decode_request(data: bytes) -> EntryRequest:
     return EntryRequest(kind=kind, device_id=device_id, seq=seq, at=at, payload=payload)
 
 
-def encode_entry_body(
-    index: int,
-    kind: LedgerKind,
-    device_id: str,
-    seq: int,
-    at: Timestamp,
-    payload_bytes: bytes,
-    prev_hash: bytes,
-) -> bytes:
-    return (
-        struct.pack(">Q", index)
-        + struct.pack(">B", kind.value)
-        + _enc_str(device_id)
-        + struct.pack(">Qq", seq, at)
-        + struct.pack(">I", len(payload_bytes))
-        + payload_bytes
-        + prev_hash
-    )
+def decode_request(data: bytes) -> EntryRequest:
+    return _read_request(Cursor(data))
 
 
-def entry_body(entry: LedgerEntry) -> bytes:
-    return encode_entry_body(
-        entry.index,
-        entry.kind,
-        entry.device_id,
-        entry.seq,
-        entry.at,
-        encode_payload(entry.kind, entry.payload),
-        entry.prev_hash,
-    )
+def entry_body(index: int, request: EntryRequest, prev_hash: bytes) -> bytes:
+    """The hashed bytes of a ledger entry."""
+    return struct.pack(">Q", index) + encode_request(request) + prev_hash
 
 
 def _decode_entry(body: bytes, entry_hash: bytes) -> LedgerEntry:
-    cur = _Cursor(body)
+    cur = Cursor(body)
     (index,) = cur.unpack(">Q")
-    (kind_code,) = cur.unpack(">B")
-    try:
-        kind = LedgerKind(kind_code)
-    except ValueError as exc:
-        raise MalformedPayload(f"unknown kind code {kind_code}") from exc
-    device_id = cur.string()
-    seq, at = cur.unpack(">Qq")
-    (n,) = cur.unpack(">I")
-    payload = decode_payload(kind, cur.take(n), device_id)
-    prev_hash = cur.take(32)
+    req = _read_request(cur)
     return LedgerEntry(
         index=index,
-        kind=kind,
-        device_id=device_id,
-        seq=seq,
-        at=at,
-        payload=payload,
-        prev_hash=prev_hash,
+        kind=req.kind,
+        device_id=req.device_id,
+        seq=req.seq,
+        at=req.at,
+        payload=req.payload,
+        prev_hash=cur.take(32),
         entry_hash=entry_hash,
     )
 
@@ -324,8 +290,9 @@ def verify_entries(entries: list[LedgerEntry]) -> ChainReport:
             return ChainReport(False, i, f"index {entry.index} at position {i}")
         if entry.prev_hash != prev:
             return ChainReport(False, i, "broken predecessor link")
+        request = EntryRequest(entry.kind, entry.device_id, entry.seq, entry.at, entry.payload)
         try:
-            recomputed = hashlib.sha256(entry_body(entry)).digest()
+            recomputed = hashlib.sha256(entry_body(entry.index, request, prev)).digest()
         except LedgerError as exc:
             return ChainReport(False, i, f"unencodable entry: {exc}")
         if recomputed != entry.entry_hash:
@@ -416,22 +383,6 @@ def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -
 # -- access policy and the ledger ---------------------------------------------
 
 
-class AtRestCipher:
-    """Optional hook for encrypting ledger file records at rest.
-
-    Default-off: no cipher ships with the package and the integrity model
-    (hash chain over plaintext canonical bytes) does not depend on one.
-    Implementations must be length-preserving-or-not, but decrypt(encrypt(x))
-    must equal x.
-    """
-
-    def encrypt(self, data: bytes) -> bytes:
-        raise NotImplementedError
-
-    def decrypt(self, data: bytes) -> bytes:
-        raise NotImplementedError
-
-
 @dataclass
 class AccessPolicy:
     owner: str
@@ -452,7 +403,6 @@ class Ledger:
         gas: GasSchedule | None = None,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         authorized_writers: set[str] | None = None,
-        at_rest_cipher: AtRestCipher | None = None,
     ):
         self.policy = AccessPolicy(owner=owner, authorized_writers=set(authorized_writers or ()))
         self.gas = gas or GasSchedule()
@@ -461,7 +411,6 @@ class Ledger:
         self.entries: list[LedgerEntry] = []
         self._by_key: dict[tuple[str, int], int] = {}
         self._path = path
-        self._cipher = at_rest_cipher
         if path is not None:
             with open(path, "wb") as f:
                 f.write(LEDGER_MAGIC + bytes([LEDGER_VERSION]))
@@ -486,12 +435,9 @@ class Ledger:
         existing = self._by_key.get(key)
         if existing is not None:
             return self.entries[existing]
-        payload_bytes = encode_payload(request.kind, request.payload)  # validates bounds
         prev = self.entries[-1].entry_hash if self.entries else ZERO_DIGEST
         index = len(self.entries)
-        body = encode_entry_body(
-            index, request.kind, request.device_id, request.seq, request.at, payload_bytes, prev
-        )
+        body = entry_body(index, request, prev)  # validates bounds
         entry = LedgerEntry(
             index=index,
             kind=request.kind,
@@ -512,28 +458,12 @@ class Ledger:
                 self.policy.authorized_writers.discard(request.payload.key)
         if self._path is not None:
             record = body + entry.entry_hash
-            if self._cipher is not None:
-                record = self._cipher.encrypt(record)
             with open(self._path, "ab") as f:
                 f.write(struct.pack(">I", len(record)) + record)
         return entry
 
-    def submit_reading_batch(
-        self,
-        readings: list[Reading],
-        credential: str,
-        seq: int,
-        at: Timestamp | None = None,
-        now: Timestamp | None = None,
-    ) -> LedgerEntry:
-        request = build_batch_request(readings, seq, at, batch_limit=self.batch_limit)
-        return self.submit(request, credential, now=now)
-
     def verify_chain(self) -> ChainReport:
         return verify_entries(self.entries)
-
-    def cost_report(self, day: Timestamp) -> CostTally:
-        return cost_report(self.entries, day, self.gas)
 
 
 def build_batch_request(
@@ -563,7 +493,7 @@ def build_batch_request(
 # -- file format ---------------------------------------------------------------
 
 
-def load_ledger_entries(path: Path, cipher: AtRestCipher | None = None) -> list[LedgerEntry]:
+def load_ledger_entries(path: Path) -> list[LedgerEntry]:
     """Strict parse of the append-only ledger file. Any framing anomaly is
     a LedgerFileError; whole-entry truncation at the tail still parses
     (detectable only via external anchors)."""
@@ -583,11 +513,6 @@ def load_ledger_entries(path: Path, cipher: AtRestCipher | None = None) -> list[
             raise LedgerFileError(f"torn record at offset {pos - 4}")
         record = data[pos : pos + n]
         pos += n
-        if cipher is not None:
-            try:
-                record = cipher.decrypt(record)
-            except Exception as exc:
-                raise LedgerFileError(f"undecryptable record at entry {len(entries)}") from exc
         if len(record) < 33:
             raise LedgerFileError(f"record too short at entry {len(entries)}")
         body, digest = record[:-32], record[-32:]

@@ -17,6 +17,8 @@ Timestamp = int
 
 DAY_SECONDS = 86400
 
+DEFAULT_START = 1735689600  # 2025-01-01T00:00:00Z, the default run start
+
 # DHT11-style physical envelope, in tenths.
 TEMP_MIN_DECIC = -400
 TEMP_MAX_DECIC = 1250
@@ -33,20 +35,6 @@ def format_tenths(value: int) -> str:
     sign = "-" if value < 0 else ""
     mag = abs(value)
     return f"{sign}{mag // 10}.{mag % 10}"
-
-
-def parse_tenths(text: str) -> int:
-    """Inverse of format_tenths; accepts plain integers as whole units."""
-    text = text.strip()
-    if "." in text:
-        whole, _, frac = text.partition(".")
-        if len(frac) != 1 or not frac.isdigit():
-            raise ModelError(f"expected one decimal place: {text!r}")
-        neg = whole.startswith("-")
-        base = int(whole) if whole not in ("", "-") else 0
-        tenths = abs(base) * 10 + int(frac)
-        return -tenths if neg else tenths
-    return int(text) * 10
 
 
 def ts_to_iso(ts: Timestamp) -> str:

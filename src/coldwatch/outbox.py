@@ -23,7 +23,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .ledger import EntryRequest, Ledger, LedgerEntry, LedgerOutage, decode_request, encode_request
+from .ledger import (
+    Cursor,
+    EntryRequest,
+    Ledger,
+    LedgerEntry,
+    LedgerOutage,
+    decode_request,
+    enc_str,
+    encode_request,
+)
 from .model import Timestamp
 from .storage import RecordFile, RecoveryReport
 
@@ -198,37 +207,31 @@ class Outbox:
 
     def _append_mark(self, state: ItemState, key: tuple[str, int]) -> None:
         device_id, seq = key
-        raw = device_id.encode("utf-8")
-        body = struct.pack(">BH", state.value, len(raw)) + raw + struct.pack(">Q", seq)
+        body = bytes([state.value]) + enc_str(device_id) + struct.pack(">Q", seq)
         self._file.append(bytes([_REC_MARK]) + body)
 
     @staticmethod
     def _decode_mark(body: bytes) -> tuple[ItemState, tuple[str, int]]:
-        state, n = struct.unpack(">BH", body[:3])
-        device = body[3 : 3 + n].decode("utf-8")
-        (seq,) = struct.unpack(">Q", body[3 + n : 11 + n])
+        cur = Cursor(body)
+        (state,) = cur.unpack(">B")
+        device = cur.string()
+        (seq,) = cur.unpack(">Q")
         return ItemState(state), (device, seq)
 
     def _encode_watermark(self) -> bytes:
         parts = [struct.pack(">H", len(self._next_seq))]
         for device in sorted(self._next_seq):
-            raw = device.encode("utf-8")
-            parts.append(struct.pack(">H", len(raw)) + raw)
-            parts.append(struct.pack(">Q", self._next_seq[device]))
+            parts.append(enc_str(device) + struct.pack(">Q", self._next_seq[device]))
         return b"".join(parts)
 
     @staticmethod
     def _decode_watermark(body: bytes) -> list[tuple[str, int]]:
-        (count,) = struct.unpack(">H", body[:2])
-        pos = 2
+        cur = Cursor(body)
+        (count,) = cur.unpack(">H")
         out = []
         for _ in range(count):
-            (n,) = struct.unpack(">H", body[pos : pos + 2])
-            pos += 2
-            device = body[pos : pos + n].decode("utf-8")
-            pos += n
-            (seq,) = struct.unpack(">Q", body[pos : pos + 8])
-            pos += 8
+            device = cur.string()
+            (seq,) = cur.unpack(">Q")
             out.append((device, seq))
         return out
 

@@ -18,16 +18,16 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from .ledger import (
+    Cursor,
     EntryRequest,
-    Ledger,
     LedgerEntry,
     LedgerKind,
     ReportAnchorPayload,
+    enc_str,
 )
-from .model import DAY_SECONDS, Timestamp, format_tenths, ts_to_date, ts_to_iso
+from .model import DAY_SECONDS, Timestamp, day_start, format_tenths, iso_to_ts, ts_to_date, ts_to_iso
 from .outbox import Outbox
 
 REPORT_HEADER = "timestamp,device_id,temp_c,hum_pct,mode,event"
@@ -56,21 +56,19 @@ class ReportRow:
 
 def encode_row(row: ReportRow) -> bytes:
     """Store encoding; starts with the i64 timestamp the store relies on."""
-    raw = row.device_id.encode("utf-8")
     return (
         struct.pack(">q", row.at)
-        + struct.pack(">H", len(raw))
-        + raw
+        + enc_str(row.device_id)
         + struct.pack(">hHBB", row.temp_decic, row.hum_decip,
                       _MODE_CODES[row.mode], _EVENT_CODES[row.event])
     )
 
 
 def decode_row(data: bytes) -> ReportRow:
-    (at,) = struct.unpack(">q", data[:8])
-    (n,) = struct.unpack(">H", data[8:10])
-    device = data[10 : 10 + n].decode("utf-8")
-    temp, hum, mode, event = struct.unpack(">hHBB", data[10 + n : 16 + n])
+    cur = Cursor(data)
+    (at,) = cur.unpack(">q")
+    device = cur.string()
+    temp, hum, mode, event = cur.unpack(">hHBB")
     return ReportRow(
         at=at,
         device_id=device,
@@ -137,16 +135,6 @@ def anchor_request(report: DailyReport, seq: int, at: Timestamp) -> EntryRequest
     )
 
 
-def anchor_report(
-    report: DailyReport, ledger: Ledger, credential: str, seq: int, at: Timestamp | None = None
-) -> LedgerEntry:
-    """Direct (non-outbox) anchoring, one transaction at the day boundary."""
-    return ledger.submit(
-        anchor_request(report, seq, report.day + DAY_SECONDS if at is None else at),
-        credential,
-    )
-
-
 def report_notice_text(report: DailyReport) -> str:
     return (
         f"REPORT|dev={report.device_id}|day={ts_to_date(report.day)}"
@@ -160,13 +148,10 @@ def _infer_day(csv_bytes: bytes) -> Timestamp | None:
     except UnicodeDecodeError:
         return None
     for line in text.splitlines()[1:]:
-        first = line.split(",", 1)[0]
         try:
-            dt = datetime.strptime(first, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+            return day_start(iso_to_ts(line.split(",", 1)[0]))
         except ValueError:
             return None
-        ts = int(dt.timestamp())
-        return ts - ts % DAY_SECONDS
     return None
 
 

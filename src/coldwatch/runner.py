@@ -55,6 +55,7 @@ from .ledger import (
 )
 from .model import (
     DAY_SECONDS,
+    DEFAULT_START,
     EventKind,
     MonitorEvent,
     Reading,
@@ -73,7 +74,6 @@ from .reports import (
 )
 from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, write_trace
 
-DEFAULT_START = 1735689600  # 2025-01-01T00:00:00Z
 OWNER_KEY = "owner-key"
 
 
@@ -156,6 +156,7 @@ class _Run:
         scenario = cfg.scenario
         if cfg.trace_path is not None:
             self.readings = replay_trace(cfg.trace_path)
+            _check_replayed(self.readings, cfg.start, cfg.horizon, cfg.thresholds.sample_period)
             devices = {r.device_id for r in self.readings}
             if len(devices) > 1:
                 raise ValueError(f"trace contains multiple devices: {sorted(devices)}")
@@ -172,6 +173,12 @@ class _Run:
         self.by_tick = {r.at: r for r in self.readings}
         (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
 
+        # Sinks first: a missing live-messenger credential fails before any
+        # file handle is open.
+        self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
+        self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
+        if cfg.live_messenger:
+            self._sinks.append(_live_messenger_from_env())
         self.ledger = Ledger(cfg.owner_key, path=self.out / "ledger.bin", gas=cfg.gas)
         self.ledger.set_fault_windows(
             [(f.start, f.end) for f in self.faults if f.kind is FaultKind.LEDGER_OUTAGE]
@@ -183,10 +190,6 @@ class _Run:
         self.engine = MonitorEngine(
             cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed
         )
-        self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
-        self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
-        if cfg.live_messenger:
-            self._sinks.append(_live_messenger_from_env())
         self.dispatcher = AlertDispatcher(list(self._sinks))
         self.deliveries: list[DeliveryRecord] = []
         self.reports: list[DailyReport] = []
@@ -445,6 +448,24 @@ def _live_messenger_from_env():
             "live messenger needs MONITOR_BOT_TOKEN and MONITOR_CHAT_ID in the environment"
         )
     return TelegramHTTPSink(token=token, chat_id=chat)
+
+
+def _check_replayed(
+    readings: list[Reading], start: Timestamp, horizon: int, period: int
+) -> None:
+    """Every replayed row must fall on its own sample tick of the run; the
+    first row that does not is an error, never a silent drop."""
+    prev = None
+    for r in readings:
+        if not start < r.at <= start + horizon:
+            raise ValueError(
+                f"replayed row at {r.at} is outside the run ({start}, {start + horizon}]"
+            )
+        if (r.at - start) % period:
+            raise ValueError(f"replayed row at {r.at} is off the {period} s sample grid")
+        if r.at == prev:
+            raise ValueError(f"replayed rows repeat timestamp {r.at}")
+        prev = r.at
 
 
 def _record_row(record: LocalRecord) -> ReportRow:

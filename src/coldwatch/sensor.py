@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     HUM_MAX_DECIP,
@@ -213,15 +212,6 @@ def write_trace(readings: Iterable[Reading], path: Path) -> int:
     return n
 
 
-def trace_to_bytes(readings: Iterable[Reading]) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRACE_HEADER)
-    for r in readings:
-        w.writerow([r.at, r.device_id, r.temp_decic, r.hum_decip])
-    return buf.getvalue().encode("utf-8")
-
-
 def replay_trace(source: Path | Iterable[str]) -> list[Reading]:
     """Parse a trace CSV back into Readings.
 
@@ -312,6 +302,3 @@ def scenario_for(
         return peak_hours(start, seed)
     raise InvalidScenario(f"unknown scenario {name!r}")
 
-
-def readings_by_tick(readings: Sequence[Reading]) -> dict[Timestamp, Reading]:
-    return {r.at: r for r in readings}

@@ -19,6 +19,10 @@ STORE_VERSION = 1
 _HEADER = STORE_MAGIC + bytes([STORE_VERSION])
 
 
+def _frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
+
+
 class StoreFormatError(Exception):
     """File does not start with the expected magic header."""
 
@@ -65,8 +69,7 @@ class RecordFile:
         return RecoveryReport(records=len(self.records), dropped_bytes=dropped)
 
     def append(self, payload: bytes) -> None:
-        frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
-        self._f.write(frame)
+        self._f.write(_frame(payload))
         self._f.flush()
         self.records.append(payload)
 
@@ -80,11 +83,7 @@ class RecordFile:
         with open(tmp, "wb") as f:
             f.write(_HEADER)
             for payload in payloads:
-                f.write(
-                    struct.pack(">I", len(payload))
-                    + payload
-                    + struct.pack(">I", zlib.crc32(payload))
-                )
+                f.write(_frame(payload))
         tmp.replace(self.path)
         self.records = list(payloads)
         self._f = open(self.path, "ab")

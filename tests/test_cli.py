@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coldwatch.cli import main, parse_duration
+from coldwatch.model import DEFAULT_START as START
 
 CONFIG = """
 [run]
@@ -24,12 +25,13 @@ fee_per_gas_usd = 107/120000
 class TestParseDuration:
     @pytest.mark.parametrize(
         "text,expected",
-        [("45s", 45), ("20m", 1200), ("24h", 86400), ("2d", 172800), ("90", 90), ("0s", 0)],
+        [("45s", 45), ("20m", 1200), ("24h", 86400), ("2d", 172800), ("90", 90), ("0s", 0),
+         ("8h30m", 30600)],
     )
     def test_units(self, text, expected):
         assert parse_duration(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "h", "4.5h", "-30s", "10w"])
+    @pytest.mark.parametrize("text", ["", "h", "4.5h", "-30s", "10w", "8h30", "30x"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_duration(text)
@@ -107,6 +109,21 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["counters"]["txs"] == 12
 
+    def test_compound_fault_offsets(self, tmp_path):
+        # The README's crash example.
+        assert main(["simulate", "--duration", "24h", "--out", str(tmp_path / "crash"),
+                     "--fault", "process_crash:8h:8h30m"]) == 0
+
+    def test_noise_config_reaches_the_scenario(self, tmp_path):
+        cfg = tmp_path / "quiet.ini"
+        cfg.write_text("[noise]\ntemp_bound_decic = 0\nhum_bound_decip = 0\n")
+        out = tmp_path / "noiseless"
+        assert main(["simulate", "--duration", "2h", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 240
+        assert all(r[2:] == ["40", "520"] for r in rows)
+
     def test_realtime_flag_paces_the_clock(self, tmp_path):
         out = tmp_path / "rt"
         assert main(["simulate", "--duration", "5m", "--out", str(out),
@@ -119,6 +136,25 @@ class TestSimulate:
                      "--out", str(out)]) == 0
         assert (out / "ledger.bin").read_bytes() == (sim_dir / "ledger.bin").read_bytes()
         assert (out / "events.log").read_bytes() == (sim_dir / "events.log").read_bytes()
+
+    @pytest.mark.parametrize(
+        "case,duration,offending",
+        [("off_grid", "24h", START + 31), ("beyond_horizon", "12h", START + 43230),
+         ("repeated", "24h", START + 60)],
+    )
+    def test_replay_rejects_rows_it_cannot_use(
+        self, sim_dir, tmp_path, capsys, case, duration, offending
+    ):
+        header, *rows = (sim_dir / "trace.csv").read_text().splitlines()
+        if case == "off_grid":
+            rows = [f"{int(at) + 1},{rest}" for at, rest in (r.split(",", 1) for r in rows)]
+        elif case == "repeated":
+            rows.insert(2, rows[1])
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["simulate", "--scenario", "replay", "--trace", str(trace),
+                     "--duration", duration, "--out", str(tmp_path / "x")]) == 2
+        assert str(offending) in capsys.readouterr().err
 
     def test_replay_requires_a_trace(self, tmp_path):
         assert main(["simulate", "--scenario", "replay", "--out", str(tmp_path / "x")]) == 2

@@ -7,14 +7,13 @@ from coldwatch.clock import SchedulingInPast, VirtualClock
 def test_first_sample_tick():
     clock = VirtualClock(0)
     clock.schedule(30, "sample")
-    assert clock.pending() == 1
-    assert clock.advance_to(30) == [(30, "sample")]
+    assert list(clock.run(30)) == [(30, "sample")]
 
 
 def test_zero_delay_fires_without_time_passing():
     clock = VirtualClock(0)
     clock.schedule(0, "sample")
-    assert clock.advance_to(0) == [(0, "sample")]
+    assert list(clock.run(0)) == [(0, "sample")]
     assert clock.now == 0
 
 
@@ -28,14 +27,14 @@ def test_advance_partial():
     clock = VirtualClock(0)
     for at in (30, 60, 90):
         clock.schedule(at, at)
-    assert clock.advance_to(60) == [(30, 30), (60, 60)]
-    assert clock.pending() == 1
+    assert list(clock.run(60)) == [(30, 30), (60, 60)]
     assert clock.now == 60
+    assert list(clock.run(90)) == [(90, 90)]
 
 
 def test_advance_to_now_is_empty():
     clock = VirtualClock(10)
-    assert clock.advance_to(10) == []
+    assert list(clock.run(10)) == []
 
 
 def test_full_day_of_sample_ticks():
@@ -43,7 +42,7 @@ def test_full_day_of_sample_ticks():
     clock = VirtualClock(0)
     for k in range(1, 2881):
         clock.schedule(30 * k, k)
-    fired = clock.advance_to(86400)
+    fired = list(clock.run(86400))
     assert len(fired) == 2880
     assert [at for at, _ in fired] == [30 * k for k in range(1, 2881)]
 
@@ -65,7 +64,7 @@ def test_firing_order_matches_stable_sort(items):
     clock = VirtualClock(0)
     for at, tag in items:
         clock.schedule(at, tag)
-    fired = clock.advance_to(1000)
+    fired = list(clock.run(1000))
     # Stable sort by timestamp preserves insertion order on ties.
     assert fired == sorted(items, key=lambda p: p[0])
 
@@ -75,4 +74,4 @@ def test_ties_fire_in_insertion_order():
     clock.schedule(50, "first")
     clock.schedule(50, "second")
     clock.schedule(50, "third")
-    assert clock.advance_to(50) == [(50, "first"), (50, "second"), (50, "third")]
+    assert list(clock.run(50)) == [(50, "first"), (50, "second"), (50, "third")]

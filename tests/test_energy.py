@@ -9,7 +9,6 @@ from coldwatch.energy import (
     PowerProfile,
     activity_windows,
     baseline_energy,
-    energy_for_day,
     energy_for_interval,
     saving_ratio,
 )
@@ -53,7 +52,7 @@ class TestDisplaySaving:
     def test_dimmed_display_with_72_wake_events(self):
         # 72 ten-second wakes at 200 mW; dim at 20 mW (10%) the rest of the day.
         events = [ev(EventKind.LOCAL_LOG_WRITTEN, 30 + 1200 * k) for k in range(72)]
-        duty = energy_for_day(events, PowerProfile(), DutyPolicy(), 0)
+        duty = energy_for_interval(events, PowerProfile(), DutyPolicy(), 0, DAY)
         active = 72 * 10
         expected_mj = active * 200 + (DAY - active) * 20
         assert duty.per_component["display"].energy_uj == expected_mj * 1000
@@ -69,12 +68,12 @@ class TestDisplaySaving:
 class TestController:
     def test_constant_2500_mw_is_216_kj(self):
         profile = PowerProfile(controller=ComponentPower(active_mw=2500, idle_mw=2500))
-        duty = energy_for_day([], profile, DutyPolicy(), 0)
+        duty = energy_for_interval([], profile, DutyPolicy(), 0, DAY)
         assert duty.per_component["controller"].energy_j == 216_000.0
 
     def test_default_band_bounds_daily_energy(self):
         events = sample_events()
-        duty = energy_for_day(events, PowerProfile(), DutyPolicy(), 0)
+        duty = energy_for_interval(events, PowerProfile(), DutyPolicy(), 0, DAY)
         controller_j = duty.per_component["controller"].energy_j
         assert 2.5 * DAY <= controller_j <= 6.0 * DAY
 
@@ -82,7 +81,7 @@ class TestController:
 def test_zero_events_only_controller_idle_energy():
     profile = PowerProfile(display=ComponentPower(active_mw=200, idle_mw=0))
     policy = DutyPolicy(display_dim=False)
-    duty = energy_for_day([], profile, policy, 0)
+    duty = energy_for_interval([], profile, policy, 0, DAY)
     assert duty.per_component["sensor"].energy_uj == 0
     assert duty.per_component["display"].energy_uj == 0
     assert duty.per_component["camera"].energy_uj == 0

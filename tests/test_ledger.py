@@ -147,7 +147,7 @@ class TestBatch:
     def test_batch_appends_one_entry(self):
         ledger = Ledger(OWNER)
         readings = [rd(at) for at in (1200, 2400, 3600, 4800)]
-        entry = ledger.submit_reading_batch(readings, OWNER, seq=0)
+        entry = ledger.submit(build_batch_request(readings, seq=0), OWNER)
         assert entry.kind is LedgerKind.READING_BATCH
         assert len(ledger.entries) == 1
         assert len(entry.payload.readings) == 4
@@ -185,7 +185,7 @@ class TestCost:
     def _quiet_day(self, path=None):
         ledger = Ledger(OWNER, path=path)
         for k in range(11):
-            ledger.submit_reading_batch([rd(7200 * (k + 1))], OWNER, seq=k)
+            ledger.submit(build_batch_request([rd(7200 * (k + 1))], seq=k), OWNER)
         anchor = EntryRequest(
             kind=LedgerKind.REPORT_ANCHOR,
             device_id=DEV,
@@ -236,29 +236,6 @@ class TestFile:
         req = build_batch_request([rd(100), rd(200, temp=-5)], seq=7)
         assert decode_request(encode_request(req)) == req
 
-    def test_at_rest_cipher_hook_round_trips(self, tmp_path):
-        from coldwatch.ledger import AtRestCipher
-
-        class ReverseCipher(AtRestCipher):
-            def encrypt(self, data):
-                return data[::-1]
-
-            def decrypt(self, data):
-                return data[::-1]
-
-        plain_path = tmp_path / "plain.bin"
-        cipher_path = tmp_path / "cipher.bin"
-        for path, cipher in ((plain_path, None), (cipher_path, ReverseCipher())):
-            ledger = Ledger(OWNER, path=path, at_rest_cipher=cipher)
-            for seq in range(3):
-                ledger.submit(alert_request(seq, at=1000 + seq), OWNER)
-        assert plain_path.read_bytes() != cipher_path.read_bytes()
-        loaded = load_ledger_entries(cipher_path, cipher=ReverseCipher())
-        assert verify_entries(loaded).ok
-        assert len(loaded) == 3
-        # Default-off: a plain file needs no cipher.
-        assert load_ledger_entries(plain_path) == loaded
-
 
 def test_exactly_five_externally_callable_kinds():
     assert len(LedgerKind) == 5
@@ -286,7 +263,7 @@ def test_chain_verifies_after_any_submit_sequence(specs):
     for kind_idx, temp, hum in specs:
         at += 30
         if kind_idx == 0:
-            ledger.submit_reading_batch([rd(at, temp, hum)], OWNER, seq=seq)
+            ledger.submit(build_batch_request([rd(at, temp, hum)], seq=seq), OWNER)
         elif kind_idx == 1:
             ledger.submit(
                 EntryRequest(

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from coldwatch.model import (
     ModelError,
@@ -9,7 +8,6 @@ from coldwatch.model import (
     date_to_ts,
     format_tenths,
     iso_to_ts,
-    parse_tenths,
     ts_to_iso,
 )
 
@@ -20,11 +18,6 @@ def test_format_tenths_examples():
     assert format_tenths(-5) == "-0.5"
     assert format_tenths(0) == "0.0"
     assert format_tenths(1250) == "125.0"
-
-
-@given(st.integers(min_value=-5000, max_value=5000))
-def test_tenths_round_trip(value):
-    assert parse_tenths(format_tenths(value)) == value
 
 
 def test_iso_round_trip():

@@ -18,32 +18,46 @@ def payload(at):
     return AlertPayload(episode_id=at, temp_decic=85, hum_decip=520)
 
 
+@pytest.fixture
+def open_outbox(tmp_path):
+    """Opens outboxes (default path tmp_path/outbox.bin) and closes them all."""
+    opened = []
+
+    def open_(path=tmp_path / "outbox.bin", **kwargs):
+        box = Outbox(path, **kwargs)
+        opened.append(box)
+        return box
+
+    yield open_
+    for box in opened:
+        box.close()
+
+
 def enqueue_n(box, n, t0=1000):
     for k in range(n):
         box.enqueue(LedgerKind.ALERT, DEV, t0 + k, payload(t0 + k))
 
 
 class TestEnqueue:
-    def test_seq_assignment_is_dense(self, tmp_path):
-        box = Outbox(tmp_path / "outbox.bin")
+    def test_seq_assignment_is_dense(self, open_outbox):
+        box = open_outbox()
         a = box.enqueue(LedgerKind.ALERT, DEV, 100, payload(100))
         b = box.enqueue(LedgerKind.ALERT, DEV, 200, payload(200))
         assert (a.request.seq, b.request.seq) == (0, 1)
         assert a.state is ItemState.PENDING
 
-    def test_items_are_durable_before_any_submission(self, tmp_path):
-        path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+    def test_items_are_durable_before_any_submission(self, open_outbox):
+        box = open_outbox()
         enqueue_n(box, 3)
         box.close()
-        reopened = Outbox(path)
+        reopened = open_outbox()
         assert [i.request.seq for i in reopened.items()] == [0, 1, 2]
         assert all(i.state is ItemState.PENDING for i in reopened.items())
 
 
 class TestDrain:
-    def test_healthy_ledger_confirms_everything(self, tmp_path):
-        box = Outbox(tmp_path / "outbox.bin")
+    def test_healthy_ledger_confirms_everything(self, open_outbox):
+        box = open_outbox()
         ledger = Ledger(OWNER)
         enqueue_n(box, 5)
         result = box.drain(ledger, OWNER, now=2000)
@@ -52,8 +66,8 @@ class TestDrain:
         assert len(ledger.entries) == 5
         assert box.pending_count() == 0
 
-    def test_outage_backoff_schedule(self, tmp_path):
-        box = Outbox(tmp_path / "outbox.bin")
+    def test_outage_backoff_schedule(self, open_outbox):
+        box = open_outbox()
         ledger = Ledger(OWNER)
         ledger.set_fault_windows([(0, 10_000)])
         enqueue_n(box, 2)
@@ -70,8 +84,8 @@ class TestDrain:
         assert result.retry_at is None
         assert [e.seq for e in ledger.entries] == [0, 1]
 
-    def test_items_confirm_in_seq_order(self, tmp_path):
-        box = Outbox(tmp_path / "outbox.bin")
+    def test_items_confirm_in_seq_order(self, open_outbox):
+        box = open_outbox()
         ledger = Ledger(OWNER)
         enqueue_n(box, 8)
         box.drain(ledger, OWNER, now=5000)
@@ -79,21 +93,19 @@ class TestDrain:
 
 
 class TestRecovery:
-    def test_clean_reopen_preserves_state(self, tmp_path):
-        path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+    def test_clean_reopen_preserves_state(self, open_outbox):
+        box = open_outbox()
         ledger = Ledger(OWNER)
         enqueue_n(box, 4)
         box.drain(ledger, OWNER, now=2000)
         enqueue_n(box, 2, t0=3000)
         box.close()
-        reopened = Outbox(path)
+        reopened = open_outbox()
         states = [i.state for i in reopened.items()]
         assert states.count(ItemState.CONFIRMED) == 4
         assert states.count(ItemState.PENDING) == 2
 
-    def test_crash_between_ack_and_confirm_is_idempotent(self, tmp_path):
-        path = tmp_path / "outbox.bin"
+    def test_crash_between_ack_and_confirm_is_idempotent(self, open_outbox):
         calls = {"n": 0}
 
         def crash_before_confirm(stage, device, seq):
@@ -101,7 +113,7 @@ class TestRecovery:
                 calls["n"] += 1
                 raise SimulatedCrash
 
-        box = Outbox(path, fault_hook=crash_before_confirm)
+        box = open_outbox(fault_hook=crash_before_confirm)
         ledger = Ledger(OWNER)
         enqueue_n(box, 1)
         with pytest.raises(SimulatedCrash):
@@ -109,40 +121,40 @@ class TestRecovery:
         assert len(ledger.entries) == 1  # the ledger acked before the crash
         box.close()
 
-        recovered = Outbox(path)
+        recovered = open_outbox()
         assert recovered.items()[0].state is ItemState.PENDING  # downgraded
         result = recovered.drain(ledger, OWNER, now=2100)
         assert len(result.confirmed) == 1
         assert len(ledger.entries) == 1  # idempotent resubmission, no duplicate
         assert recovered.items()[0].state is ItemState.CONFIRMED
 
-    def test_torn_trailing_record_is_truncated(self, tmp_path):
+    def test_torn_trailing_record_is_truncated(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+        box = open_outbox()
         enqueue_n(box, 3)
         box.close()
         with open(path, "ab") as f:
             f.write(struct.pack(">I", 500) + b"torn")  # claims 500 bytes, has 4
-        recovered = Outbox(path)
+        recovered = open_outbox()
         assert recovered.recovery.dropped_bytes == 8
         assert len(recovered.items()) == 3
 
-    def test_corrupt_crc_truncates_from_that_record(self, tmp_path):
+    def test_corrupt_crc_truncates_from_that_record(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+        box = open_outbox()
         enqueue_n(box, 3)
         box.close()
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01  # flip a bit in the last record's crc
         path.write_bytes(bytes(data))
-        recovered = Outbox(path)
+        recovered = open_outbox()
         assert recovered.recovery.dropped_bytes > 0
         assert len(recovered.items()) == 2
 
-    def test_empty_file_is_an_empty_outbox(self, tmp_path):
+    def test_empty_file_is_an_empty_outbox(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
         path.touch()
-        box = Outbox(path)
+        box = open_outbox()
         assert box.items() == []
         assert box.recovery.dropped_bytes == 0
 
@@ -152,24 +164,23 @@ class TestRows:
     def row(at):
         return struct.pack(">q", at) + b"row-body"
 
-    def test_rows_filter_by_window(self, tmp_path):
-        box = Outbox(tmp_path / "outbox.bin")
+    def test_rows_filter_by_window(self, open_outbox):
+        box = open_outbox()
         for at in (100, 200, 300):
             box.add_row(self.row(at))
         assert box.rows(150, 300) == [self.row(200)]
 
-    def test_rows_survive_reopen(self, tmp_path):
-        path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+    def test_rows_survive_reopen(self, open_outbox):
+        box = open_outbox()
         box.add_row(self.row(100))
         box.close()
-        assert Outbox(path).rows(0, 1000) == [self.row(100)]
+        assert open_outbox().rows(0, 1000) == [self.row(100)]
 
 
 class TestCompaction:
-    def test_compaction_drops_confirmed_and_old_rows(self, tmp_path):
+    def test_compaction_drops_confirmed_and_old_rows(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+        box = open_outbox()
         ledger = Ledger(OWNER)
         enqueue_n(box, 5)
         for at in (100, 200, 90_000):
@@ -184,13 +195,12 @@ class TestCompaction:
         item = box.enqueue(LedgerKind.ALERT, DEV, 90_100, payload(90_100))
         assert item.request.seq == 5
         box.close()
-        reopened = Outbox(path)
+        reopened = open_outbox()
         item2 = reopened.enqueue(LedgerKind.ALERT, DEV, 90_200, payload(90_200))
         assert item2.request.seq == 6
 
-    def test_unconfirmed_items_survive_compaction(self, tmp_path):
-        path = tmp_path / "outbox.bin"
-        box = Outbox(path)
+    def test_unconfirmed_items_survive_compaction(self, open_outbox):
+        box = open_outbox()
         enqueue_n(box, 2)
         box.compact(keep_rows_from=0)
         assert [i.request.seq for i in box.items()] == [0, 1]

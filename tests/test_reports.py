@@ -2,14 +2,14 @@ import hashlib
 
 import pytest
 
-from coldwatch.ledger import Ledger, Unauthorized
+from coldwatch.ledger import Ledger, MalformedPayload, Unauthorized
 from coldwatch.model import DAY_SECONDS
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
     ReportRow,
     Verdict,
-    anchor_report,
+    anchor_request,
     build_report,
     decode_row,
     encode_row,
@@ -27,12 +27,18 @@ def row(at, temp=40, hum=520, mode="Normal", event=""):
 
 @pytest.fixture
 def store(tmp_path):
-    return Outbox(tmp_path / "store.bin")
+    box = Outbox(tmp_path / "store.bin")
+    yield box
+    box.close()
 
 
 def populate(store, rows):
     for r in rows:
         store.add_row(encode_row(r))
+
+
+def anchor(report, ledger, credential=OWNER):
+    return ledger.submit(anchor_request(report, seq=0, at=DAY + DAY_SECONDS), credential)
 
 
 class TestCanonicalForm:
@@ -87,13 +93,19 @@ class TestCanonicalForm:
         ):
             assert decode_row(encode_row(r)) == r
 
+    def test_truncated_row_is_malformed(self):
+        data = encode_row(row(DAY + 30))
+        for cut in (4, 9, 12, len(data) - 1):
+            with pytest.raises(MalformedPayload):
+                decode_row(data[:cut])
+
 
 class TestAnchorAndVerify:
     def _anchored(self, store):
         populate(store, [row(DAY + 30 + 1200 * k) for k in range(6)])
         report = build_report(store, DAY, DEV)
         ledger = Ledger(OWNER)
-        anchor_report(report, ledger, OWNER, seq=0)
+        anchor(report, ledger)
         return report, ledger
 
     def test_round_trip_is_authentic(self, store):
@@ -127,13 +139,13 @@ class TestAnchorAndVerify:
     def test_header_only_report_verified_by_digest_search(self, store):
         report = build_report(store, DAY, DEV)
         ledger = Ledger(OWNER)
-        anchor_report(report, ledger, OWNER, seq=0)
+        anchor(report, ledger)
         assert verify_report(report.csv_bytes, ledger.entries) is Verdict.AUTHENTIC
 
     def test_duplicate_anchor_is_idempotent(self, store):
         report, ledger = self._anchored(store)
         before = len(ledger.entries)
-        anchor_report(report, ledger, OWNER, seq=0)
+        anchor(report, ledger)
         assert len(ledger.entries) == before
 
     def test_unauthorized_anchor_rejected(self, store):
@@ -141,7 +153,7 @@ class TestAnchorAndVerify:
         report = build_report(store, DAY, DEV)
         ledger = Ledger(OWNER)
         with pytest.raises(Unauthorized):
-            anchor_report(report, ledger, "intruder", seq=0)
+            anchor(report, ledger, "intruder")
 
 
 def test_quiet_day_report_from_full_run(quiet_run):

@@ -19,7 +19,6 @@ from coldwatch.sensor import (
     normal_day,
     peak_hours,
     replay_trace,
-    trace_to_bytes,
     write_trace,
 )
 
@@ -54,10 +53,14 @@ def test_breach_window_forces_out_of_range_values():
         assert classify(r, TH) is Classification.OUT_OF_RANGE
 
 
-def test_seed_determinism_and_divergence():
-    a = trace_to_bytes(generate_trace(normal_day(seed=9), TH, 86400))
-    b = trace_to_bytes(generate_trace(normal_day(seed=9), TH, 86400))
-    c = trace_to_bytes(generate_trace(normal_day(seed=10), TH, 86400))
+def test_seed_determinism_and_divergence(tmp_path):
+    def trace_bytes(name, seed):
+        write_trace(generate_trace(normal_day(seed=seed), TH, 86400), tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    a = trace_bytes("a.csv", 9)
+    b = trace_bytes("b.csv", 9)
+    c = trace_bytes("c.csv", 10)
     assert a == b
     assert a != c
 
