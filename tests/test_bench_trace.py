@@ -1,0 +1,52 @@
+"""The benchmark's traced run must still see every layer of a simulation.
+
+bench/tracer.py patches coldwatch entry points by name. If the run loop
+stops calling one of them, or calls it under another name, the per-layer
+metrics silently read 0; this test fails instead.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+from coldwatch import runner  # noqa: E402
+
+# Span names of tracer.ENTRY_POINTS that a simulation (not an audit) calls.
+SIMULATE_SPANS = [
+    "runner.run_simulation",
+    "sensor.generate_trace",
+    "sensor.write_trace",
+    "runner.event_to_json",
+    "reports.build_report",
+    "clock.schedule",
+    "engine.step",
+    "outbox.open",
+    "outbox.add_row",
+    "outbox.enqueue",
+    "outbox.drain",
+    "outbox.compact",
+    "storage.append",
+    "storage.rewrite",
+    "ledger.submit",
+    "alerts.dispatch",
+    "alerts.flush",
+]
+
+
+def test_traced_incident_day_sees_every_simulate_layer(tmp_path):
+    # One incident day: excursions, alerts, an outage (retries) and a crash.
+    wl = workloads.Workload("incident", days=1, simulates=True)
+    run_dir = tmp_path / "run"
+    tr = tracer.Tracer(run_id="test")
+    with tr:
+        result = runner.run_simulation(workloads.run_config(wl, seed=1, out_dir=run_dir))
+
+    assert [name for name in SIMULATE_SPANS if tr.calls[name] == 0] == []
+    assert tr.counts["sensor.readings"] == result.manifest["counters"]["samples"]
+    lines = (run_dir / "events.log").read_text(encoding="utf-8").splitlines()
+    assert tr.calls["runner.event_to_json"] == len(lines)
+    assert not tr.errors.keys() - {"ledger.submit:LedgerOutage"}

@@ -7,6 +7,11 @@ artifact on purpose updates the affected digests and says why.
 
 Runs: {normal, breach, peak} x seeds {1, 7} x {no fault, a ledger outage
 from 2 h to 3 h, a process crash at 30000 s for 30 s}.
+
+Those 18 runs use the default grid, where every day-end and every outbox
+retry lands on a sample tick. The off-grid runs below do not: their
+day-ends and retries fall between ticks or tie with one, so they pin the
+order in which the run loop fires events at and between ticks.
 """
 
 import dataclasses
@@ -14,9 +19,20 @@ import hashlib
 
 import pytest
 
-from coldwatch.model import DAY_SECONDS
+from coldwatch.model import DAY_SECONDS, Thresholds
 from coldwatch.runner import DEFAULT_START, RunConfig, run_simulation
-from coldwatch.sensor import FaultKind, FaultSpec, scenario_for
+from coldwatch.sensor import (
+    FaultKind,
+    FaultSpec,
+    ScenarioKind,
+    ScenarioSpec,
+    SpikeWindow,
+    breach_day,
+    normal_day,
+    scenario_for,
+)
+
+H = 3600
 
 FAULTS = {
     "none": (),
@@ -197,9 +213,150 @@ def test_artifact_digests(tmp_path, name, seed, fault):
     )
     out = tmp_path / "run"
     run_simulation(RunConfig(out_dir=out, scenario=scenario, seed=seed, scenario_name=name))
-    digests = {
+    assert _digests(out) == GOLDEN[(name, seed, fault)]
+
+
+def _digests(out):
+    return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
-    assert digests == GOLDEN[(name, seed, fault)]
+
+
+def _fault(kind, start, end):
+    return FaultSpec(kind, DEFAULT_START + start, DEFAULT_START + end)
+
+
+def _off_grid_runs():
+    s10 = DEFAULT_START + 10
+    return {
+        # Ticks at 10 s past each 30 s step; the outage spans the midnight
+        # day-end, whose retries then run off the tick grid.
+        "start-10s-25h": dict(
+            start=s10,
+            horizon=25 * H,
+            seed=3,
+            scenario=dataclasses.replace(
+                breach_day(s10, seed=3),
+                faults=(_fault(FaultKind.LEDGER_OUTAGE, 23 * H + 50 * 60, 24 * H + 10 * 60),),
+            ),
+            scenario_name="breach",
+        ),
+        # 30 s retries after the alert's failed submit land between 60 s ticks.
+        "period-60": dict(
+            thresholds=Thresholds(sample_period=60, critical_log_period=60),
+            seed=4,
+            scenario=dataclasses.replace(
+                breach_day(DEFAULT_START, seed=4),
+                faults=(_fault(FaultKind.LEDGER_OUTAGE, 31000, 32000),),
+            ),
+            scenario_name="breach",
+        ),
+        # The last tick (24 h 30 s) ties with a retry; the run ends between ticks.
+        "horizon-24h45s": dict(
+            horizon=DAY_SECONDS + 45,
+            seed=5,
+            scenario=dataclasses.replace(
+                normal_day(seed=5),
+                faults=(_fault(FaultKind.LEDGER_OUTAGE, 23 * H + 50 * 60, DAY_SECONDS + 40),),
+            ),
+        ),
+        # A 7 s period divides neither 86400 s nor 30 s.
+        "period-7": dict(
+            thresholds=Thresholds(
+                sample_period=7,
+                normal_log_period=1197,
+                critical_log_period=35,
+                batch_anchor_period=7203,
+            ),
+            horizon=2 * DAY_SECONDS,
+            seed=6,
+            scenario=dataclasses.replace(
+                breach_day(DEFAULT_START, seed=6),
+                faults=(
+                    _fault(FaultKind.PROCESS_CRASH, 31800, 31830),
+                    _fault(FaultKind.SENSOR_DROPOUT, 12 * H, 13 * H),
+                    _fault(FaultKind.LEDGER_OUTAGE, 23 * H + 50 * 60, 24 * H + 10 * 60),
+                ),
+            ),
+            scenario_name="breach",
+        ),
+        # Two spikes overlap (their deltas add up to a breach); the second
+        # dropout runs past the end of the run.
+        "overlapping-spikes": dict(
+            seed=8,
+            scenario=ScenarioSpec(
+                kind=ScenarioKind.PEAK_HOURS,
+                seed=8,
+                spike_windows=(
+                    SpikeWindow(DEFAULT_START + H, DEFAULT_START + 3 * H, 12, 80),
+                    SpikeWindow(DEFAULT_START + 2 * H, DEFAULT_START + 4 * H, 30, 50),
+                ),
+                faults=(
+                    _fault(FaultKind.SENSOR_DROPOUT, 20000, 21000),
+                    _fault(FaultKind.SENSOR_DROPOUT, 85000, 90000),
+                ),
+            ),
+            scenario_name="peak",
+        ),
+    }
+
+
+OFF_GRID = {
+    "start-10s-25h": {
+        "events.log": "20df3e20a80df76000a3756caa545d7be8d0bfb994eb615a2d61d1f9cd962784",
+        "ledger.bin": "c727083491a53545fa61c9d588d2a1a7dd2c6eb0823b8e10e893c31213f02c92",
+        "manifest.json": "dea4d77f38366f673240d37cbd87462ab6b67d9c2778b7760607ef47be7dd3af",
+        "messenger.jsonl": "2de4324141be9c4db2ec85c9cfe41ca4eb12dce8c2512beca059584ddb897e28",
+        "outbox.bin": "66485e2e36b2592e0c239b7715d888d78e29aa5b93a3d521f05c57e118a3149a",
+        "reports/fridge-1/2025-01-01.csv": "449d7ccabc4083dfc129f31e3fd1d774b47475a8349023200875d543ca94b486",
+        "reports/fridge-1/2025-01-02.csv": "1471616ca5e444cb1f00b4e95a2cc88ae39367bed1291086721cc62d0c7fee85",
+        "trace.csv": "632169b96f999a6e42247b15b54300e874bee47a1d9dbe5db78f86d0a1a49e9f",
+    },
+    "period-60": {
+        "events.log": "6c365821b4a92b2ef719767fb73ce23948aeb11c04971e5159e5399568123871",
+        "ledger.bin": "efa957c140787e0bbf0e3ef9f865a27a8b7842c979c3968f7cbf46475246297b",
+        "manifest.json": "d5326e833eaa7eb5bc965d1cf7db3bfc769427fc0b1ca5cd11b5e833a8e8a327",
+        "messenger.jsonl": "10e5178a462e3349a903fa05b6e52026bb07dc52de40dd323aa0be215bca339a",
+        "outbox.bin": "d5fd089367fd661bc18e1d2dd468cef9f82b5adb3009eb875affd4402b0b52a5",
+        "reports/fridge-1/2025-01-01.csv": "ae2bf7ef163c601b88e4f41e21ce6ed314ac14163590c233591db91282c689c2",
+        "trace.csv": "3c70b9a5c92b995d75cbb913b03551d2d545a1891a0718a360d5a4a068e5bdad",
+    },
+    "horizon-24h45s": {
+        "events.log": "163574169c413088b4b0f2a16f9874ad8763d7788ec8c7aa8a3ecf556aa83f61",
+        "ledger.bin": "cb1d63346fb1960c760dceab1866d26a3aa54a9d004a7cd2fd13218e9ec7bd1c",
+        "manifest.json": "62dcff5c05f585cc4cce6f176f4864ebcd53005c098753d93f669cba116052a8",
+        "messenger.jsonl": "02f6f917d15059da19061b5d3904a73d772c3ee788ba987068d9651068c869a5",
+        "outbox.bin": "e10de06d2e75ab464d22ed07a88a47da7ca9399d6e91d5f6ca77f1300087ce76",
+        "reports/fridge-1/2025-01-01.csv": "a12e1913c5e6e7326adcdf503a19c4e7ffb84fe3134a860f9144ab4241b3f5d8",
+        "reports/fridge-1/2025-01-02.csv": "ff2cd14b773b15cf1f15ce3dc7140753d36b4fa6d90855735d829c637d988ac0",
+        "trace.csv": "2fff69f2b6fcf8bbae8a07b85ecb1aed5004778de6639a410bf66f21371dbe00",
+    },
+    "period-7": {
+        "events.log": "4cb9202d83c46cb975bd409c86ddefc40dc7f3d16140b79a8bfbc389d53619c7",
+        "ledger.bin": "1fc840a99fa149b86675ce0584acf9f6dcd7b08c4a08aba32ad1b615eb9f64eb",
+        "manifest.json": "5aeb12d53f6960b209ff2cda6338a2249fac4ff74c02cb56f4183925626c1773",
+        "messenger.jsonl": "9333a770d9dbe36544e53105be314ce98aa7d3416423dee6fc01716837a834f7",
+        "outbox.bin": "480e023bc86e23a69a1fbfe9126078a3275708f10b4959796cee3fb9599ff56d",
+        "reports/fridge-1/2025-01-01.csv": "495ed03df02abc4b82b9065fe8ed70dc681e07c27dd6c622c9e4a9b13f1b80aa",
+        "reports/fridge-1/2025-01-02.csv": "4add70f5b1ba69b5001029493fecdd35b8205f148d07318af83c131828bc2557",
+        "trace.csv": "261639bf878a683dc30f57993b1e27a73f20f833e9b63ec1d80de6808e2e6614",
+    },
+    "overlapping-spikes": {
+        "events.log": "afc02edbb4cd946a9cc4ff3ba4ded4e0367b7dbc9ea007839faa319457483ce6",
+        "ledger.bin": "65bfa380740dc82d0ac83169363dc9fa080ff83f0122a04b8e438c365d788b11",
+        "manifest.json": "1e05ab20259c1aa73a157fbabfa6738594fe09f942cab6252562051fdcf525d7",
+        "messenger.jsonl": "0e41b1b8e3841bbfcec6709c7995425a4f08c4fb1e21358e6e94aeef9d4de74e",
+        "outbox.bin": "d5fd089367fd661bc18e1d2dd468cef9f82b5adb3009eb875affd4402b0b52a5",
+        "reports/fridge-1/2025-01-01.csv": "443588f24fbb197552b5c46eb2635e3228b7855b4c5f9bdbb49b7d183d63eb12",
+        "trace.csv": "f675438e969f148a0099488265eb814300d4c058244b49dfbac9861b13c1a5c3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_off_grid_runs()))
+def test_off_grid_artifact_digests(tmp_path, name):
+    out = tmp_path / "run"
+    run_simulation(RunConfig(out_dir=out, **_off_grid_runs()[name]))
+    assert _digests(out) == OFF_GRID[name]
