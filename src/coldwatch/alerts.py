@@ -27,6 +27,7 @@ from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, t
 
 DISPLAY_HOLD_S = 10  # display shows the last message this long, then dims
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
+NOTICE_SINKS = ("messenger", "telegram")  # the remote sinks, which get report notices
 
 
 class UnsupportedEvent(ValueError):
@@ -209,12 +210,10 @@ class AlertDispatcher:
                 records.append(rec)
         return records
 
-    def dispatch_notice(
-        self, text: str, now: Timestamp, sink_names: tuple[str, ...] = ("messenger", "telegram")
-    ) -> None:
+    def dispatch_notice(self, text: str, now: Timestamp) -> None:
         """Plain text to the remote sinks only (daily report notices)."""
         for sink in self.sinks:
-            if sink.name in sink_names:
+            if sink.name in NOTICE_SINKS:
                 self._try_send(sink, text, None, now)
 
     def flush(self, now: Timestamp) -> None:

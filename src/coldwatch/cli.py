@@ -117,6 +117,8 @@ def cmd_simulate(args) -> int:
     if args.scenario == ScenarioKind.REPLAY.value:
         if args.trace is None:
             raise ConfigError("scenario=replay requires --trace")
+        if faults:
+            raise ConfigError("scenario=replay takes no --fault: the trace is used as recorded")
         scenario = None
     else:
         base = scenario_for(args.scenario, start, horizon, args.seed)

@@ -9,13 +9,13 @@ message.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .energy import ComponentPower, DutyPolicy, PowerProfile, COMPONENTS
 from .ledger import GasSchedule, LedgerKind
-from .model import DEFAULT_START, ModelError, Thresholds, Timestamp, date_to_ts
+from .model import DEFAULT_START, Thresholds, Timestamp, date_to_ts
 from .sensor import NoiseModel
 
 
@@ -35,32 +35,36 @@ class AppConfig:
     duty: DutyPolicy = field(default_factory=DutyPolicy)
 
 
-_THRESHOLD_FIELDS = (
-    "temp_min_decic",
-    "temp_max_decic",
-    "hum_min_decip",
-    "hum_max_decip",
-    "hysteresis_decic",
-    "breach_escalation",
-    "sample_period",
-    "normal_log_period",
-    "critical_log_period",
-    "batch_anchor_period",
-)
-_DUTY_INT_FIELDS = (
-    "sensor_active_s_per_sample",
-    "display_hold_s",
-    "camera_active_s_per_capture",
-    "buzzer_active_s_per_alert",
-)
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+# Field type (a string under postponed annotations) -> parser, message.
+_CONVERTERS = {
+    "int": (int, "expected integer"),
+    "float": (float, "expected number"),
+    "bool": (lambda raw: _BOOLEANS[raw.lower()], "expected boolean"),
+}
 
 
 def _get(parser, section, option, conv, errors: str):
     raw = parser.get(section, option)
     try:
         return conv(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError) as exc:
         raise ConfigError(f"[{section}] {option}: {errors} (got {raw!r})") from exc
+
+
+def _section(parser, name: str, cls):
+    """Build dataclass `cls` from section `name`: one option per field,
+    omitted options keep the field defaults."""
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for option in parser.options(name):
+        if option not in types:
+            raise ConfigError(f"[{name}] unknown option {option!r}")
+        values[option] = _get(parser, name, option, *_CONVERTERS[types[option]])
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def load_config(path: Path | None) -> AppConfig:
@@ -98,23 +102,9 @@ def load_config(path: Path | None) -> AppConfig:
                 raise ConfigError(f"[run] unknown option {option!r}")
 
     if parser.has_section("thresholds"):
-        values = {}
-        for option in parser.options("thresholds"):
-            if option not in _THRESHOLD_FIELDS:
-                raise ConfigError(f"[thresholds] unknown option {option!r}")
-            values[option] = _get(parser, "thresholds", option, int, "expected integer")
-        try:
-            cfg.thresholds = Thresholds(**values)
-        except ModelError as exc:
-            raise ConfigError(f"[thresholds] {exc}") from exc
-
+        cfg.thresholds = _section(parser, "thresholds", Thresholds)
     if parser.has_section("noise"):
-        values = {}
-        for option in parser.options("noise"):
-            if option not in ("temp_bound_decic", "hum_bound_decip"):
-                raise ConfigError(f"[noise] unknown option {option!r}")
-            values[option] = _get(parser, "noise", option, int, "expected integer")
-        cfg.noise = NoiseModel(**values)
+        cfg.noise = _section(parser, "noise", NoiseModel)
 
     if parser.has_section("gas"):
         units = dict(GasSchedule().gas)
@@ -156,20 +146,7 @@ def load_config(path: Path | None) -> AppConfig:
         cfg.power = PowerProfile(**built)
 
     if parser.has_section("duty"):
-        values = {}
-        for option in parser.options("duty"):
-            if option in _DUTY_INT_FIELDS:
-                values[option] = _get(parser, "duty", option, int, "expected integer")
-            elif option == "display_dim_mw":
-                values[option] = _get(parser, "duty", option, float, "expected number")
-            elif option == "display_dim":
-                try:
-                    values[option] = parser.getboolean("duty", option)
-                except ValueError as exc:
-                    raise ConfigError(f"[duty] display_dim: expected boolean") from exc
-            else:
-                raise ConfigError(f"[duty] unknown option {option!r}")
-        cfg.duty = DutyPolicy(**values)
+        cfg.duty = _section(parser, "duty", DutyPolicy)
 
     return cfg
 

@@ -72,6 +72,11 @@ class DutyPolicy:
     camera_active_s_per_capture: int = 5
     buzzer_active_s_per_alert: int = 10
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class ComponentEnergy:

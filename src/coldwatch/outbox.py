@@ -158,9 +158,6 @@ class Outbox:
     def items(self) -> list[OutboxItem]:
         return [self._items[k] for k in self._fifo]
 
-    def pending_count(self) -> int:
-        return sum(1 for i in self._items.values() if i.state is not ItemState.CONFIRMED)
-
     # -- day rows ------------------------------------------------------------
 
     def add_row(self, row: bytes) -> None:

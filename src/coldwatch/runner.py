@@ -29,10 +29,11 @@ new episode).
 
 from __future__ import annotations
 
-import dataclasses
+import enum
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from .alerts import (
@@ -72,7 +73,7 @@ from .reports import (
     encode_row,
     report_notice_text,
 )
-from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, write_trace
+from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, sample_ticks, write_trace
 
 OWNER_KEY = "owner-key"
 
@@ -105,35 +106,21 @@ class RunResult:
     messenger: MessengerSink
 
 
-def _jsonable(value):
-    if isinstance(value, Reading):
-        return {
-            "device_id": value.device_id,
-            "at": value.at,
-            "temp_decic": value.temp_decic,
-            "hum_decip": value.hum_decip,
-        }
-    if isinstance(value, LocalRecord):
-        return {
-            "at": value.at,
-            "reading": _jsonable(value.reading),
-            "mode": value.mode.value,
-            "window_min_temp_decic": value.window_min_temp_decic,
-            "window_max_temp_decic": value.window_max_temp_decic,
-            "window_avg_temp_decic": value.window_avg_temp_decic,
-        }
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """Enums as their value, dataclasses (events, readings, records, specs)
+    as their fields."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
 def event_to_json(event: MonitorEvent) -> str:
-    doc = {"at": event.at, "kind": event.kind.value, "payload": _jsonable(event.payload)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _EVENT_ENCODER.encode(event)
 
 
 def events_from_log(path: Path) -> list[MonitorEvent]:
@@ -154,9 +141,10 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
 
         scenario = cfg.scenario
+        self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
         if cfg.trace_path is not None:
             self.readings = replay_trace(cfg.trace_path)
-            _check_replayed(self.readings, cfg.start, cfg.horizon, cfg.thresholds.sample_period)
+            _check_replayed(self.readings, self.ticks)
             devices = {r.device_id for r in self.readings}
             if len(devices) > 1:
                 raise ValueError(f"trace contains multiple devices: {sorted(devices)}")
@@ -170,7 +158,6 @@ class _Run:
             )
             self.faults = scenario.faults
         write_trace(self.readings, self.out / "trace.csv")
-        self.by_tick = {r.at: r for r in self.readings}
         (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
 
         # Sinks first: a missing live-messenger credential fails before any
@@ -194,30 +181,15 @@ class _Run:
         self.deliveries: list[DeliveryRecord] = []
         self.reports: list[DailyReport] = []
         self.batch_pending: list[LocalRecord] = []
-        self.counters = {
-            "samples": 0,
-            "local_records": 0,
-            "batches": 0,
-            "alerts": 0,
-            "resolutions": 0,
-            "reports": 0,
-            "txs": 0,
-            "messages": 0,
-        }
+        self.event_counts: Counter[EventKind] = Counter()
+        self.resolutions = 0
         self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
 
     # -- event plumbing ----------------------------------------------------
 
     def emit(self, event: MonitorEvent) -> None:
         self.events_file.write(event_to_json(event) + "\n")
-        if event.kind is EventKind.SAMPLE_TAKEN:
-            self.counters["samples"] += 1
-        elif event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            self.counters["local_records"] += 1
-        elif event.kind is EventKind.CRITICAL_ESCALATED:
-            self.counters["alerts"] += 1
-        elif event.kind is EventKind.BATCH_ANCHORED:
-            self.counters["batches"] += 1
+        self.event_counts[event.kind] += 1
 
     def handle(self, event: MonitorEvent, now: Timestamp) -> bool:
         """Route one engine event; returns True if a ledger write was queued."""
@@ -247,7 +219,7 @@ class _Run:
         elif event.kind is EventKind.BREACH_RESOLVED:
             if event.payload["was_critical"]:
                 reading = event.payload["reading"]
-                self.counters["resolutions"] += 1
+                self.resolutions += 1
                 self.outbox.add_row(
                     encode_row(_event_row(reading, now, mode="Normal", event="RESOLVED"))
                 )
@@ -270,13 +242,13 @@ class _Run:
                 # digest covers the pending records of the closing day.
                 self.batch_pending = [r for r in self.batch_pending if r.at >= now]
             elif self.batch_pending:
-                request = build_batch_request(
-                    [r.reading for r in self.batch_pending],
-                    seq=0,  # placeholder; outbox assigns
-                    at=now,
-                    batch_limit=self.ledger.batch_limit,
-                )
-                self.outbox.enqueue(LedgerKind.READING_BATCH, cfg.device_id, now, request.payload)
+                # More than batch_limit records go out as consecutive batches;
+                # seq=0 is a placeholder, the outbox assigns the real one.
+                limit = self.ledger.batch_limit
+                for k in range(0, len(self.batch_pending), limit):
+                    chunk = [r.reading for r in self.batch_pending[k : k + limit]]
+                    request = build_batch_request(chunk, seq=0, at=now, batch_limit=limit)
+                    self.outbox.enqueue(LedgerKind.READING_BATCH, cfg.device_id, now, request.payload)
                 self.batch_pending = []
                 queued = True
         return queued
@@ -290,7 +262,6 @@ class _Run:
         path = self.out / "reports" / self.cfg.device_id / f"{ts_to_date(day)}.csv"
         path.write_bytes(report.csv_bytes)
         self.reports.append(report)
-        self.counters["reports"] += 1
         item = self.outbox.enqueue(
             LedgerKind.REPORT_ANCHOR,
             self.cfg.device_id,
@@ -315,7 +286,7 @@ class _Run:
     def drain(self, now: Timestamp, clock: VirtualClock) -> None:
         result = self.outbox.drain(self.ledger, self.cfg.owner_key, now)
         if result.retry_at is not None and result.retry_at <= self.cfg.start + self.cfg.horizon:
-            clock.schedule(result.retry_at, ("retry",))
+            clock.schedule(result.retry_at, "retry")
 
     def crash_and_recover(self) -> None:
         self.outbox.close()
@@ -339,20 +310,28 @@ class _Run:
             self.outbox.close()
             raise
 
+    def _timeline(self, clock: VirtualClock, end: Timestamp):
+        """Sample ticks merged with the clock's day-ends and retries. At a
+        shared instant the tick fires first, then the clock events in the
+        order they were scheduled."""
+        for at in self.ticks:
+            yield from clock.run(at - 1)
+            yield at, "tick"
+        yield from clock.run(end)
+
     def _run(self) -> RunResult:
         cfg = self.cfg
         clock = VirtualClock(cfg.start)
         end = cfg.start + cfg.horizon
-        for k in range(1, cfg.horizon // cfg.thresholds.sample_period + 1):
-            clock.schedule(cfg.start + k * cfg.thresholds.sample_period, ("tick",))
         boundary = cfg.start - cfg.start % DAY_SECONDS + DAY_SECONDS
         while boundary <= end:
-            clock.schedule(boundary, ("day-end", boundary))
+            clock.schedule(boundary, "day-end")
             boundary += DAY_SECONDS
 
+        readings, i = self.readings, 0
         last_wall = time.monotonic()
         last_sim = cfg.start
-        for at, tag in clock.run(end):
+        for at, tag in self._timeline(clock, end):
             if cfg.realtime_speed:
                 target = last_wall + (at - last_sim) / cfg.realtime_speed
                 delay = target - time.monotonic()
@@ -363,20 +342,23 @@ class _Run:
                 self.crash_times.pop(0)
                 self.crash_and_recover()
                 self.drain(at, clock)
-            if tag == ("tick",):
-                events = self.engine.step(self.by_tick.get(at), at)
+            if tag == "tick":
+                reading = None
+                if i < len(readings) and readings[i].at == at:
+                    reading = readings[i]
+                    i += 1
                 queued = False
-                for event in events:
+                for event in self.engine.step(reading, at):
                     self.emit(event)
                     queued = self.handle(event, at) or queued
                 if queued:
                     self.drain(at, clock)
                 self.dispatcher.flush(at)
-            elif tag == ("retry",):
+            elif tag == "retry":
                 self.drain(at, clock)
                 self.dispatcher.flush(at)
             else:  # day-end
-                self.day_end(tag[1], clock)
+                self.day_end(at, clock)
 
         # Trailing partial day, if it produced any rows.
         last_boundary = end - end % DAY_SECONDS
@@ -386,12 +368,11 @@ class _Run:
         self.dispatcher.flush(end)
 
         self.deliveries.extend(self.dispatcher.deliveries)
-        self.counters["txs"] = len(self.ledger.entries)
-        self.counters["messages"] = self.messenger.write_capture(self.out / "messenger.jsonl")
+        messages = self.messenger.write_capture(self.out / "messenger.jsonl")
         self.events_file.close()
-        manifest = self._manifest()
+        manifest = self._manifest(messages)
         with open(self.out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
-            json.dump(manifest, f, sort_keys=True, indent=2)
+            json.dump(manifest, f, sort_keys=True, indent=2, default=_json_default)
             f.write("\n")
         self.outbox.close()
         return RunResult(
@@ -403,23 +384,17 @@ class _Run:
             messenger=self.messenger,
         )
 
-    def _manifest(self) -> dict:
+    def _manifest(self, messages: int) -> dict:
         cfg = self.cfg
-        scenario: dict | None = None
-        if cfg.scenario is not None:
-            scenario = _jsonable(dataclasses.asdict(cfg.scenario))
-            scenario["kind"] = cfg.scenario.kind.value
-            scenario["faults"] = [
-                {"kind": f.kind.value, "start": f.start, "end": f.end} for f in cfg.scenario.faults
-            ]
+        counts = self.event_counts
         return {
             "device_id": cfg.device_id,
             "scenario_name": cfg.scenario_name,
-            "scenario": scenario,
+            "scenario": cfg.scenario,
             "seed": cfg.seed,
             "start": cfg.start,
             "horizon": cfg.horizon,
-            "thresholds": dataclasses.asdict(cfg.thresholds),
+            "thresholds": cfg.thresholds,
             "gas": {
                 "fee_per_gas_usd": str(cfg.gas.fee_per_gas_usd),
                 "units": {k.name.lower(): v for k, v in cfg.gas.gas.items()},
@@ -432,7 +407,16 @@ class _Run:
                 "reports": f"reports/{cfg.device_id}",
                 "messenger": "messenger.jsonl",
             },
-            "counters": self.counters,
+            "counters": {
+                "samples": counts[EventKind.SAMPLE_TAKEN],
+                "local_records": counts[EventKind.LOCAL_LOG_WRITTEN],
+                "batches": counts[EventKind.BATCH_ANCHORED],
+                "alerts": counts[EventKind.CRITICAL_ESCALATED],
+                "resolutions": self.resolutions,
+                "reports": len(self.reports),
+                "txs": len(self.ledger.entries),
+                "messages": messages,
+            },
         }
 
 
@@ -450,19 +434,16 @@ def _live_messenger_from_env():
     return TelegramHTTPSink(token=token, chat_id=chat)
 
 
-def _check_replayed(
-    readings: list[Reading], start: Timestamp, horizon: int, period: int
-) -> None:
+def _check_replayed(readings: list[Reading], ticks: range) -> None:
     """Every replayed row must fall on its own sample tick of the run; the
     first row that does not is an error, never a silent drop."""
     prev = None
     for r in readings:
-        if not start < r.at <= start + horizon:
+        if r.at not in ticks:
             raise ValueError(
-                f"replayed row at {r.at} is outside the run ({start}, {start + horizon}]"
+                f"replayed row at {r.at} is not a sample tick of the run: "
+                f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}"
             )
-        if (r.at - start) % period:
-            raise ValueError(f"replayed row at {r.at} is off the {period} s sample grid")
         if r.at == prev:
             raise ValueError(f"replayed rows repeat timestamp {r.at}")
         prev = r.at

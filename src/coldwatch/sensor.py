@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -80,6 +81,11 @@ class NoiseModel:
     temp_bound_decic: int = 5
     hum_bound_decip: int = 20
 
+    def __post_init__(self) -> None:
+        for name, bound in vars(self).items():
+            if bound < 0:
+                raise InvalidScenario(f"{name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class SpikeWindow:
@@ -119,18 +125,10 @@ class ScenarioSpec:
     breach_window: BreachWindow | None = None
     faults: tuple[FaultSpec, ...] = ()
 
-    def dropout_windows(self) -> list[tuple[Timestamp, Timestamp]]:
-        return [(f.start, f.end) for f in self.faults if f.kind is FaultKind.SENSOR_DROPOUT]
 
-
-def _in_window(ts: Timestamp, start: Timestamp, end: Timestamp) -> bool:
-    # Windows are half-open [start, end).
-    return start <= ts < end
-
-
-def sample_ticks(start: Timestamp, horizon: int, period: int) -> list[Timestamp]:
+def sample_ticks(start: Timestamp, horizon: int, period: int) -> range:
     """Sample instants for a run: one period after start, through start+horizon."""
-    return [start + period * k for k in range(1, horizon // period + 1)]
+    return range(start + period, start + horizon + 1, period)
 
 
 def generate_trace(
@@ -148,36 +146,45 @@ def generate_trace(
     if horizon < 0:
         raise InvalidScenario("horizon must be >= 0")
     end = start + horizon
-    for w in spec.spike_windows:
-        if w.start < start or w.end > end:
-            raise InvalidScenario(f"spike window {w} exceeds horizon [{start}, {end}]")
-    if spec.breach_window is not None:
-        bw = spec.breach_window
-        if bw.start < start or bw.end > end:
-            raise InvalidScenario(f"breach window {bw} exceeds horizon [{start}, {end}]")
+    for w in (*spec.spike_windows, spec.breach_window):
+        if w is not None and (w.start < start or w.end > end):
+            raise InvalidScenario(f"{w} exceeds horizon [{start}, {end}]")
+    for f in spec.faults:
+        if f.end <= start or f.start > end:
+            raise InvalidScenario(f"fault window {f} does not overlap the run [{start}, {end}]")
     if spec.kind is ScenarioKind.NORMAL_DAY and not spec.spike_windows:
         _check_normal_day_inside(spec, thresholds)
 
+    ticks = sample_ticks(start, horizon, thresholds.sample_period)
+
+    def covered(w) -> range:
+        # Windows are half-open [start, end).
+        return range(bisect_left(ticks, w.start), bisect_left(ticks, w.end))
+
+    temps: list[int | None] = [spec.base_temp_decic] * len(ticks)
+    hums = [spec.base_hum_decip] * len(ticks)
+    for w in spec.spike_windows:
+        for i in covered(w):
+            temps[i] += w.temp_delta_decic
+            hums[i] += w.hum_delta_decip
+    if spec.breach_window is not None:
+        for i in covered(spec.breach_window):
+            temps[i] = spec.breach_window.forced_temp_decic
+    for f in spec.faults:
+        if f.kind is FaultKind.SENSOR_DROPOUT:
+            for i in covered(f):
+                temps[i] = None
+
     rng = random.Random(f"{spec.seed}:trace")
-    dropouts = spec.dropout_windows()
+    t_bound, h_bound = spec.noise.temp_bound_decic, spec.noise.hum_bound_decip
     readings: list[Reading] = []
-    for ts in sample_ticks(start, horizon, thresholds.sample_period):
-        if any(_in_window(ts, s, e) for s, e in dropouts):
+    for ts, temp, hum in zip(ticks, temps, hums):
+        if temp is None:
             continue
-        temp = spec.base_temp_decic
-        hum = spec.base_hum_decip
-        for w in spec.spike_windows:
-            if _in_window(ts, w.start, w.end):
-                temp += w.temp_delta_decic
-                hum += w.hum_delta_decip
-        if spec.breach_window is not None and _in_window(
-            ts, spec.breach_window.start, spec.breach_window.end
-        ):
-            temp = spec.breach_window.forced_temp_decic
-        if spec.noise.temp_bound_decic:
-            temp += rng.randint(-spec.noise.temp_bound_decic, spec.noise.temp_bound_decic)
-        if spec.noise.hum_bound_decip:
-            hum += rng.randint(-spec.noise.hum_bound_decip, spec.noise.hum_bound_decip)
+        if t_bound:
+            temp += rng.randint(-t_bound, t_bound)
+        if h_bound:
+            hum += rng.randint(-h_bound, h_bound)
         temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
         hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
         readings.append(Reading(device_id=device_id, at=ts, temp_decic=temp, hum_decip=hum))

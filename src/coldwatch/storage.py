@@ -36,7 +36,7 @@ class RecoveryReport:
 class RecordFile:
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.records: list[bytes] = []
+        self.records: list[bytes] = []  # the valid records found at open
         self.recovery = self._open()
         self._f = open(self.path, "ab")
 
@@ -71,7 +71,6 @@ class RecordFile:
     def append(self, payload: bytes) -> None:
         self._f.write(_frame(payload))
         self._f.flush()
-        self.records.append(payload)
 
     def close(self) -> None:
         self._f.close()
@@ -85,5 +84,4 @@ class RecordFile:
             for payload in payloads:
                 f.write(_frame(payload))
         tmp.replace(self.path)
-        self.records = list(payloads)
         self._f = open(self.path, "ab")

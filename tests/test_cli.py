@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coldwatch.cli import main, parse_duration
+from coldwatch.ledger import LedgerKind, load_ledger_entries, verify_entries
 from coldwatch.model import DEFAULT_START as START
 
 CONFIG = """
@@ -109,6 +110,23 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["counters"]["txs"] == 12
 
+    def test_fault_outside_the_run_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--duration", "2h", "--out", str(tmp_path / "x"),
+                     "--fault", "ledger_outage:30h:31h"]) == 2
+        assert "does not overlap the run" in capsys.readouterr().err
+
+    def test_window_of_more_records_than_batch_limit_is_split(self, tmp_path):
+        # A 5 s critical cadence puts 485 records in the breach's 2 h window.
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text("[thresholds]\nsample_period = 5\ncritical_log_period = 5\n")
+        out = tmp_path / "fast"
+        assert main(["simulate", "--scenario", "breach", "--duration", "24h",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        entries = load_ledger_entries(out / "ledger.bin")
+        assert verify_entries(entries).ok
+        sizes = [len(e.payload.readings) for e in entries if e.kind is LedgerKind.READING_BATCH]
+        assert max(sizes) == 256
+
     def test_compound_fault_offsets(self, tmp_path):
         # The README's crash example.
         assert main(["simulate", "--duration", "24h", "--out", str(tmp_path / "crash"),
@@ -155,6 +173,11 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "replay", "--trace", str(trace),
                      "--duration", duration, "--out", str(tmp_path / "x")]) == 2
         assert str(offending) in capsys.readouterr().err
+
+    def test_replay_rejects_faults(self, sim_dir, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "replay", "--trace", str(sim_dir / "trace.csv"),
+                     "--fault", "sensor_dropout:0h:1h", "--out", str(tmp_path / "x")]) == 2
+        assert "--fault" in capsys.readouterr().err
 
     def test_replay_requires_a_trace(self, tmp_path):
         assert main(["simulate", "--scenario", "replay", "--out", str(tmp_path / "x")]) == 2

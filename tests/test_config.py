@@ -127,6 +127,8 @@ def test_start_accepts_unix_seconds(tmp_path):
         ("[thresholds]\nnormal_log_period = 1000\n", "[thresholds] sample_period must divide"),
         ("[noise]\nbound = 3\n", "[noise] unknown option 'bound'"),
         ("[noise]\ntemp_bound_decic = 0.5\n", "[noise] temp_bound_decic: expected integer"),
+        ("[noise]\ntemp_bound_decic = -3\n", "[noise] temp_bound_decic must be >= 0"),
+        ("[noise]\nhum_bound_decip = -1\n", "[noise] hum_bound_decip must be >= 0"),
         ("[gas]\nfee_per_gas_usd = cheap\n", "[gas] fee_per_gas_usd: expected decimal"),
         ("[gas]\nfee_per_gas_usd = 1/0\n", "[gas] fee_per_gas_usd: expected decimal"),
         ("[gas]\nmint = 5\n", "[gas] unknown option 'mint'"),
@@ -139,6 +141,8 @@ def test_start_accepts_unix_seconds(tmp_path):
         ("[duty]\ndisplay_hold_s = 1.5\n", "[duty] display_hold_s: expected integer"),
         ("[duty]\ndisplay_dim_mw = dim\n", "[duty] display_dim_mw: expected number"),
         ("[duty]\ndisplay_dim = maybe\n", "[duty] display_dim: expected boolean"),
+        ("[duty]\nsensor_active_s_per_sample = -1\n", "[duty] sensor_active_s_per_sample must be >= 0"),
+        ("[duty]\ndisplay_dim_mw = -20\n", "[duty] display_dim_mw must be >= 0"),
         ("[run\n", "config parse error"),
         ("[run]\n[run]\n", "config parse error"),
     ],

@@ -64,7 +64,7 @@ class TestDrain:
         assert result.retry_at is None
         assert len(result.confirmed) == 5
         assert len(ledger.entries) == 5
-        assert box.pending_count() == 0
+        assert all(i.state is ItemState.CONFIRMED for i in box.items())
 
     def test_outage_backoff_schedule(self, open_outbox):
         box = open_outbox()
@@ -235,7 +235,7 @@ def test_every_finite_fault_schedule_eventually_delivers(windows, n):
         now = result.retry_at
     else:
         pytest.fail("drain did not converge")
-    assert box.pending_count() == 0
+    assert all(i.state is ItemState.CONFIRMED for i in box.items())
     assert sorted(e.at for e in ledger.entries) == [1000 + k for k in range(n)]
     assert ledger.verify_chain().ok
     box.close()

@@ -3,7 +3,7 @@ import json
 
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.model import DAY_SECONDS, EventKind
-from coldwatch.outbox import Outbox
+from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
 from coldwatch.sensor import FaultKind, FaultSpec, NoiseModel, normal_day
@@ -131,7 +131,7 @@ class TestFaults:
         seqs = [e.seq for e in result.ledger.entries if e.device_id == "fridge-1"]
         assert seqs == sorted(seqs)
         box = Outbox(result.out_dir / "outbox.bin")
-        assert box.pending_count() == 0
+        assert all(i.state is ItemState.CONFIRMED for i in box.items())
         box.close()
 
     def test_sensor_dropout_leaves_gaps_but_keeps_anchor_cadence(self, tmp_path):
@@ -168,7 +168,7 @@ class TestFaults:
         resolutions = [e for e in result.ledger.entries if e.kind is LedgerKind.RESOLUTION]
         assert [e.at - DEFAULT_START for e in resolutions] == [36030]
         box = Outbox(result.out_dir / "outbox.bin")
-        assert box.pending_count() == 0
+        assert all(i.state is ItemState.CONFIRMED for i in box.items())
         box.close()
 
 

@@ -107,6 +107,15 @@ def test_window_exceeding_horizon_rejected():
         generate_trace(spec, TH, 86400)
 
 
+def test_fault_window_outside_the_run_rejected():
+    spec = dataclasses.replace(
+        normal_day(seed=2),
+        faults=(FaultSpec(FaultKind.LEDGER_OUTAGE, start=108000, end=111600),),
+    )
+    with pytest.raises(InvalidScenario):
+        generate_trace(spec, TH, 7200)
+
+
 def test_normal_day_too_close_to_band_rejected():
     spec = ScenarioSpec(kind=ScenarioKind.NORMAL_DAY, base_temp_decic=58)
     with pytest.raises(InvalidScenario):
