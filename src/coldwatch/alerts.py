@@ -2,9 +2,9 @@
 
 Local actuator sinks deliver instantly; the messenger models remote
 push delivery with a seeded whole-second latency drawn uniformly from
-[2 s, 4 s]. Sinks are isolated: one sink failing or being disabled
-never changes what the others deliver, and a message is re-queued only
-for the sink that missed it.
+[2 s, 4 s]. Sinks are isolated: each has its own queue of sends, so one
+sink failing or being disabled never changes what the others deliver,
+and a failed send is retried only for the sink that missed it.
 
 Message texts are byte-stable templates:
   ALERT|CRITICAL|dev=<id>|temp=<x.x>C|hum=<y.y>%|since=<iso8601>
@@ -191,8 +191,10 @@ class _PendingSend:
 
 
 class AlertDispatcher:
-    """Fan-out with per-sink re-queueing. Dispatch never raises on sink
-    failure; failed sends are retried by flush() once the sink recovers."""
+    """Fan-out with per-sink queues. Every send is queued and delivered by
+    flush(), so a send that fails stays at the head of its sink's queue and
+    is retried, in order, by a later flush. Dispatch never raises on sink
+    failure."""
 
     def __init__(self, sinks: list[Sink]):
         if not sinks:
@@ -202,28 +204,28 @@ class AlertDispatcher:
         self.failures: list[tuple[str, Timestamp, str]] = []
         self._pending: dict[str, list[_PendingSend]] = {s.name: [] for s in sinks}
 
-    def dispatch(self, message: AlertMessage, now: Timestamp) -> list[DeliveryRecord]:
-        records = []
+    def dispatch(self, message: AlertMessage, now: Timestamp) -> None:
         for sink in self.sinks:
-            rec = self._try_send(sink, message.text, message, now)
-            if rec is not None:
-                records.append(rec)
-        return records
+            self._pending[sink.name].append(_PendingSend(message.text, message, now))
+        self.flush(now)
 
     def dispatch_notice(self, text: str, now: Timestamp) -> None:
         """Plain text to the remote sinks only (daily report notices)."""
         for sink in self.sinks:
             if sink.name in NOTICE_SINKS:
-                self._try_send(sink, text, None, now)
+                self._pending[sink.name].append(_PendingSend(text, None, now))
+        self.flush(now)
 
     def flush(self, now: Timestamp) -> None:
         for sink in self.sinks:
             queue = self._pending[sink.name]
             while queue:
                 send = queue[0]
-                if not sink.available(now):
+                try:
+                    delivered = sink.deliver(send.text, now)
+                except SinkUnavailable:
+                    self.failures.append((sink.name, now, send.text))
                     break
-                delivered = sink.deliver(send.text, now)
                 if send.message is not None:
                     self.deliveries.append(
                         DeliveryRecord(
@@ -234,22 +236,3 @@ class AlertDispatcher:
                         )
                     )
                 queue.pop(0)
-
-    def _try_send(
-        self, sink: Sink, text: str, message: AlertMessage | None, now: Timestamp
-    ) -> DeliveryRecord | None:
-        try:
-            delivered = sink.deliver(text, now)
-        except SinkUnavailable:
-            self.failures.append((sink.name, now, text))
-            self._pending[sink.name].append(
-                _PendingSend(text=text, message=message, dispatched_at=now)
-            )
-            return None
-        if message is None:
-            return None
-        record = DeliveryRecord(
-            message=message, sink=sink.name, dispatched_at=now, delivered_at=delivered
-        )
-        self.deliveries.append(record)
-        return record

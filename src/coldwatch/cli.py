@@ -151,9 +151,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.ledger.exists():
-        print(f"error: no such file {args.ledger}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         entries = load_ledger_entries(args.ledger)
     except LedgerFileError as exc:
@@ -166,9 +163,6 @@ def cmd_verify(args) -> int:
     print(f"ledger ok: {len(entries)} entries")
 
     if args.report is not None:
-        if not args.report.exists():
-            print(f"error: no such file {args.report}", file=sys.stderr)
-            return EXIT_USAGE
         day = None
         if args.day is not None:
             day = date_to_ts(args.day)
@@ -188,9 +182,6 @@ def cmd_verify(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
-    if not args.ledger.exists():
-        print(f"error: no such file {args.ledger}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         entries = load_ledger_entries(args.ledger)
     except LedgerFileError as exc:
@@ -213,9 +204,6 @@ def cmd_cost(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.profile)
-    if not args.events.exists():
-        print(f"error: no such file {args.events}", file=sys.stderr)
-        return EXIT_USAGE
     events = events_from_log(args.events)
     if args.day is not None:
         start = date_to_ts(args.day)
@@ -250,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidScenario, ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigError, InvalidScenario, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:  # internal invariant violation

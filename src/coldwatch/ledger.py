@@ -26,7 +26,7 @@ from .model import Reading, Timestamp, day_start
 ZERO_DIGEST = bytes(32)
 LEDGER_MAGIC = b"CWLG"
 LEDGER_VERSION = 1
-DEFAULT_BATCH_LIMIT = 256
+BATCH_LIMIT = 256  # most readings one READING_BATCH may carry
 
 # Uniform per-transaction fee calibrated to a $0.0107 quiet day of 12 txs.
 DEFAULT_FEE_PER_GAS_USD = Fraction("0.0107") / 12
@@ -126,13 +126,10 @@ class EntryRequest:
 
 
 @dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(EntryRequest):
+    """An accepted request and its place in the chain."""
+
     index: int
-    kind: LedgerKind
-    device_id: str
-    seq: int
-    at: Timestamp
-    payload: Payload
     prev_hash: bytes
     entry_hash: bytes
 
@@ -259,17 +256,8 @@ def entry_body(index: int, request: EntryRequest, prev_hash: bytes) -> bytes:
 def _decode_entry(body: bytes, entry_hash: bytes) -> LedgerEntry:
     cur = Cursor(body)
     (index,) = cur.unpack(">Q")
-    req = _read_request(cur)
-    return LedgerEntry(
-        index=index,
-        kind=req.kind,
-        device_id=req.device_id,
-        seq=req.seq,
-        at=req.at,
-        payload=req.payload,
-        prev_hash=cur.take(32),
-        entry_hash=entry_hash,
-    )
+    request = _read_request(cur)
+    return LedgerEntry(**vars(request), index=index, prev_hash=cur.take(32), entry_hash=entry_hash)
 
 
 # -- chain verification -------------------------------------------------------
@@ -290,9 +278,8 @@ def verify_entries(entries: list[LedgerEntry]) -> ChainReport:
             return ChainReport(False, i, f"index {entry.index} at position {i}")
         if entry.prev_hash != prev:
             return ChainReport(False, i, "broken predecessor link")
-        request = EntryRequest(entry.kind, entry.device_id, entry.seq, entry.at, entry.payload)
         try:
-            recomputed = hashlib.sha256(entry_body(entry.index, request, prev)).digest()
+            recomputed = hashlib.sha256(entry_body(entry.index, entry, prev)).digest()
         except LedgerError as exc:
             return ChainReport(False, i, f"unencodable entry: {exc}")
         if recomputed != entry.entry_hash:
@@ -380,33 +367,19 @@ def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -
     return total / len(days) * 365
 
 
-# -- access policy and the ledger ---------------------------------------------
-
-
-@dataclass
-class AccessPolicy:
-    owner: str
-    authorized_writers: set[str] = field(default_factory=set)
-
-    def allows(self, credential: str) -> bool:
-        return credential == self.owner or credential in self.authorized_writers
+# -- the ledger ----------------------------------------------------------------
 
 
 class Ledger:
     """Single-writer contract state: submissions are serialized; reads may
-    snapshot the entry list freely (entries are immutable values)."""
+    snapshot the entry list freely (entries are immutable values). The
+    owner writes everything; other writers are granted and revoked only
+    through ADMIN_CHANGE entries."""
 
-    def __init__(
-        self,
-        owner: str,
-        path: Path | None = None,
-        gas: GasSchedule | None = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
-        authorized_writers: set[str] | None = None,
-    ):
-        self.policy = AccessPolicy(owner=owner, authorized_writers=set(authorized_writers or ()))
+    def __init__(self, owner: str, path: Path | None = None, gas: GasSchedule | None = None):
+        self.owner = owner
+        self.writers: set[str] = set()
         self.gas = gas or GasSchedule()
-        self.batch_limit = batch_limit
         self.fault_windows: list[tuple[Timestamp, Timestamp]] = []
         self.entries: list[LedgerEntry] = []
         self._by_key: dict[tuple[str, int], int] = {}
@@ -427,10 +400,12 @@ class Ledger:
         now = request.at if now is None else now
         if self._outage_active(now):
             raise LedgerOutage(f"ledger unavailable at {now}")
-        if not self.policy.allows(credential):
+        if credential != self.owner and credential not in self.writers:
             raise Unauthorized(f"credential {credential!r} is not an authorized writer")
-        if request.kind is LedgerKind.ADMIN_CHANGE and credential != self.policy.owner:
+        if request.kind is LedgerKind.ADMIN_CHANGE and credential != self.owner:
             raise Unauthorized("authorization changes require the owner key")
+        if request.kind is LedgerKind.READING_BATCH and len(request.payload.readings) > BATCH_LIMIT:
+            raise BatchTooLarge(f"batch of {len(request.payload.readings)} exceeds {BATCH_LIMIT}")
         key = (request.device_id, request.seq)
         existing = self._by_key.get(key)
         if existing is not None:
@@ -439,23 +414,16 @@ class Ledger:
         index = len(self.entries)
         body = entry_body(index, request, prev)  # validates bounds
         entry = LedgerEntry(
-            index=index,
-            kind=request.kind,
-            device_id=request.device_id,
-            seq=request.seq,
-            at=request.at,
-            payload=request.payload,
-            prev_hash=prev,
-            entry_hash=hashlib.sha256(body).digest(),
+            **vars(request), index=index, prev_hash=prev, entry_hash=hashlib.sha256(body).digest()
         )
         self.entries.append(entry)
         self._by_key[key] = index
         if request.kind is LedgerKind.ADMIN_CHANGE:
             assert isinstance(request.payload, AdminChangePayload)
             if request.payload.action is AdminAction.GRANT:
-                self.policy.authorized_writers.add(request.payload.key)
+                self.writers.add(request.payload.key)
             else:
-                self.policy.authorized_writers.discard(request.payload.key)
+                self.writers.discard(request.payload.key)
         if self._path is not None:
             record = body + entry.entry_hash
             with open(self._path, "ab") as f:
@@ -467,15 +435,10 @@ class Ledger:
 
 
 def build_batch_request(
-    readings: list[Reading],
-    seq: int,
-    at: Timestamp | None = None,
-    batch_limit: int = DEFAULT_BATCH_LIMIT,
+    readings: list[Reading], seq: int, at: Timestamp | None = None
 ) -> EntryRequest:
     if not readings:
         raise MalformedPayload("batch must be non-empty")
-    if len(readings) > batch_limit:
-        raise BatchTooLarge(f"batch of {len(readings)} exceeds limit {batch_limit}")
     device = readings[0].device_id
     if any(r.device_id != device for r in readings):
         raise MalformedPayload("batch must contain a single device")

@@ -54,7 +54,6 @@ class ItemState(enum.Enum):
 class OutboxItem:
     request: EntryRequest
     state: ItemState
-    created_at: Timestamp
     attempts: int = 0
 
     @property
@@ -75,8 +74,7 @@ class Outbox:
     def __init__(self, path: Path, fault_hook: FaultHook | None = None):
         self.fault_hook = fault_hook
         self._file = RecordFile(path)
-        self._items: dict[tuple[str, int], OutboxItem] = {}
-        self._fifo: list[tuple[str, int]] = []
+        self._items: dict[tuple[str, int], OutboxItem] = {}  # in enqueue order
         self._next_seq: dict[str, int] = {}
         self._rows: list[bytes] = []
         self._outage_streak = 0
@@ -94,9 +92,8 @@ class Outbox:
             body = payload[1:]
             if rec_type == _REC_ENQUEUE:
                 request = decode_request(body)
-                item = OutboxItem(request=request, state=ItemState.PENDING, created_at=request.at)
+                item = OutboxItem(request=request, state=ItemState.PENDING)
                 self._items[item.key] = item
-                self._fifo.append(item.key)
                 nxt = self._next_seq.get(request.device_id, 0)
                 self._next_seq[request.device_id] = max(nxt, request.seq + 1)
             elif rec_type == _REC_MARK:
@@ -112,27 +109,21 @@ class Outbox:
 
     # -- outbox ------------------------------------------------------------
 
-    def enqueue(
-        self, kind, device_id: str, at: Timestamp, payload, now: Timestamp | None = None
-    ) -> OutboxItem:
+    def enqueue(self, kind, device_id: str, at: Timestamp, payload) -> OutboxItem:
         seq = self._next_seq.get(device_id, 0)
         request = EntryRequest(kind=kind, device_id=device_id, seq=seq, at=at, payload=payload)
         self._hook("enqueue:pre", device_id, seq)
         self._file.append(bytes([_REC_ENQUEUE]) + encode_request(request))
         self._next_seq[device_id] = seq + 1
-        item = OutboxItem(
-            request=request, state=ItemState.PENDING, created_at=at if now is None else now
-        )
+        item = OutboxItem(request=request, state=ItemState.PENDING)
         self._items[item.key] = item
-        self._fifo.append(item.key)
         self._hook("enqueue:post", device_id, seq)
         return item
 
     def drain(self, ledger: Ledger, credential: str, now: Timestamp) -> DrainResult:
         """Submit Pending items in order; on an outage, report when to retry."""
         confirmed: list[LedgerEntry] = []
-        for key in list(self._fifo):
-            item = self._items[key]
+        for key, item in self._items.items():
             if item.state is not ItemState.PENDING:
                 continue
             device_id, seq = key
@@ -156,7 +147,7 @@ class Outbox:
         return DrainResult(confirmed=confirmed, retry_at=None)
 
     def items(self) -> list[OutboxItem]:
-        return [self._items[k] for k in self._fifo]
+        return list(self._items.values())
 
     # -- day rows ------------------------------------------------------------
 
@@ -178,14 +169,13 @@ class Outbox:
         """Drop confirmed items and rows older than keep_rows_from; a seq
         watermark record preserves per-device seq continuity."""
         payloads: list[bytes] = [bytes([_REC_WATERMARK]) + self._encode_watermark()]
-        kept_keys: list[tuple[str, int]] = []
-        for key in self._fifo:
-            item = self._items[key]
+        kept_items = {}
+        for key, item in self._items.items():
             if item.state is ItemState.CONFIRMED:
                 continue
             payloads.append(bytes([_REC_ENQUEUE]) + encode_request(item.request))
             item.state = ItemState.PENDING
-            kept_keys.append(key)
+            kept_items[key] = item
         kept_rows = []
         for row in self._rows:
             (at,) = struct.unpack(">q", row[:8])
@@ -193,8 +183,7 @@ class Outbox:
                 payloads.append(bytes([_REC_ROW]) + row)
                 kept_rows.append(row)
         self._file.rewrite(payloads)
-        self._items = {k: self._items[k] for k in kept_keys}
-        self._fifo = kept_keys
+        self._items = kept_items
         self._rows = kept_rows
 
     def close(self) -> None:

@@ -29,8 +29,10 @@ new episode).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
@@ -42,11 +44,13 @@ from .alerts import (
     DeliveryRecord,
     DisplaySink,
     MessengerSink,
+    TelegramHTTPSink,
     render_alert,
 )
 from .clock import VirtualClock
 from .engine import LocalRecord, MonitorEngine
 from .ledger import (
+    BATCH_LIMIT,
     AlertPayload,
     GasSchedule,
     Ledger,
@@ -90,7 +94,6 @@ class RunConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     gas: GasSchedule = field(default_factory=GasSchedule)
     chat_id: str = "owner"
-    owner_key: str = OWNER_KEY
     realtime_speed: float | None = None
     scenario_name: str = "normal"
     live_messenger: bool = False  # real Telegram sink from env credentials
@@ -136,54 +139,54 @@ def events_from_log(path: Path) -> list[MonitorEvent]:
 
 class _Run:
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.out = Path(cfg.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-
-        scenario = cfg.scenario
-        self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
-        if cfg.trace_path is not None:
-            self.readings = replay_trace(cfg.trace_path)
-            _check_replayed(self.readings, self.ticks)
-            devices = {r.device_id for r in self.readings}
-            if len(devices) > 1:
-                raise ValueError(f"trace contains multiple devices: {sorted(devices)}")
-            if self.readings:
-                cfg.device_id = self.readings[0].device_id
-            self.faults = ()
-        else:
-            assert scenario is not None
-            self.readings = generate_trace(
-                scenario, cfg.thresholds, cfg.horizon, start=cfg.start, device_id=cfg.device_id
-            )
-            self.faults = scenario.faults
-        write_trace(self.readings, self.out / "trace.csv")
-        (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
-
-        # Sinks first: a missing live-messenger credential fails before any
-        # file handle is open.
+        # Sinks first: a missing live-messenger credential or extra fails
+        # before the run writes anything.
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
         self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
         if cfg.live_messenger:
             self._sinks.append(_live_messenger_from_env())
-        self.ledger = Ledger(cfg.owner_key, path=self.out / "ledger.bin", gas=cfg.gas)
+        self.out = Path(cfg.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+
+        self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
+        if cfg.trace_path is not None:
+            self.readings = replay_trace(cfg.trace_path, self.ticks)
+            if self.readings:
+                cfg = dataclasses.replace(cfg, device_id=self.readings[0].device_id)
+            self.faults = ()
+        else:
+            assert cfg.scenario is not None
+            self.readings = generate_trace(
+                cfg.scenario, cfg.thresholds, cfg.horizon, start=cfg.start, device_id=cfg.device_id
+            )
+            self.faults = cfg.scenario.faults
+        self.cfg = cfg
+        write_trace(self.readings, self.out / "trace.csv")
+        (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
+        self.ledger = Ledger(OWNER_KEY, path=self.out / "ledger.bin", gas=cfg.gas)
         self.ledger.set_fault_windows(
             [(f.start, f.end) for f in self.faults if f.kind is FaultKind.LEDGER_OUTAGE]
         )
         self.crash_times = sorted(
             f.start for f in self.faults if f.kind is FaultKind.PROCESS_CRASH
         )
+        self.deliveries: list[DeliveryRecord] = []
+        self.reports: list[DailyReport] = []
+        self.event_counts: Counter[EventKind] = Counter()
+        self.resolutions = 0
+        self._start_process()
+        self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
+
+    def _start_process(self) -> None:
+        """The in-memory state of the monitoring process, rebuilt from the
+        store: at start-up and again after a crash."""
+        cfg = self.cfg
         self.outbox = Outbox(self.out / "outbox.bin")
         self.engine = MonitorEngine(
             cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed
         )
         self.dispatcher = AlertDispatcher(list(self._sinks))
-        self.deliveries: list[DeliveryRecord] = []
-        self.reports: list[DailyReport] = []
         self.batch_pending: list[LocalRecord] = []
-        self.event_counts: Counter[EventKind] = Counter()
-        self.resolutions = 0
-        self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
 
     # -- event plumbing ----------------------------------------------------
 
@@ -193,65 +196,44 @@ class _Run:
 
     def handle(self, event: MonitorEvent, now: Timestamp) -> bool:
         """Route one engine event; returns True if a ledger write was queued."""
-        cfg = self.cfg
-        queued = False
+        payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            record: LocalRecord = event.payload["record"]
+            record: LocalRecord = payload["record"]
             self.batch_pending.append(record)
-            self.outbox.add_row(encode_row(_record_row(record)))
-        elif event.kind is EventKind.CRITICAL_ESCALATED:
-            reading: Reading = event.payload["reading"]
-            self.outbox.add_row(
-                encode_row(_event_row(reading, now, mode="Critical", event="ALERT"))
-            )
-            self.outbox.enqueue(
-                LedgerKind.ALERT,
-                cfg.device_id,
-                now,
-                AlertPayload(
-                    episode_id=event.payload["episode_id"],
-                    temp_decic=reading.temp_decic,
-                    hum_decip=reading.hum_decip,
-                ),
-            )
-            self.dispatcher.dispatch(render_alert(event), now)
-            queued = True
-        elif event.kind is EventKind.BREACH_RESOLVED:
-            if event.payload["was_critical"]:
-                reading = event.payload["reading"]
+            self.outbox.add_row(encode_row(_row(record.reading, record.at, record.mode.value)))
+        elif event.kind is EventKind.CRITICAL_ESCALATED or (
+            event.kind is EventKind.BREACH_RESOLVED and payload["was_critical"]
+        ):
+            reading: Reading = payload["reading"]
+            episode, temp, hum = payload["episode_id"], reading.temp_decic, reading.hum_decip
+            if event.kind is EventKind.CRITICAL_ESCALATED:
+                kind, mode, label = LedgerKind.ALERT, "Critical", "ALERT"
+                body = AlertPayload(episode, temp, hum)
+            else:
+                kind, mode, label = LedgerKind.RESOLUTION, "Normal", "RESOLVED"
+                body = ResolutionPayload(episode, payload["duration"], temp, hum)
                 self.resolutions += 1
-                self.outbox.add_row(
-                    encode_row(_event_row(reading, now, mode="Normal", event="RESOLVED"))
-                )
-                self.outbox.enqueue(
-                    LedgerKind.RESOLUTION,
-                    cfg.device_id,
-                    now,
-                    ResolutionPayload(
-                        episode_id=event.payload["episode_id"],
-                        duration=event.payload["duration"],
-                        temp_decic=reading.temp_decic,
-                        hum_decip=reading.hum_decip,
-                    ),
-                )
-                self.dispatcher.dispatch(render_alert(event), now)
-                queued = True
+            self.outbox.add_row(encode_row(_row(reading, now, mode, label)))
+            self.outbox.enqueue(kind, self.cfg.device_id, now, body)
+            self.dispatcher.dispatch(render_alert(event), now)
+            return True
         elif event.kind is EventKind.BATCH_ANCHORED:
             if now % DAY_SECONDS == 0:
                 # Midnight: the daily report anchor replaces this batch; its
                 # digest covers the pending records of the closing day.
                 self.batch_pending = [r for r in self.batch_pending if r.at >= now]
             elif self.batch_pending:
-                # More than batch_limit records go out as consecutive batches;
+                # More than BATCH_LIMIT records go out as consecutive batches;
                 # seq=0 is a placeholder, the outbox assigns the real one.
-                limit = self.ledger.batch_limit
-                for k in range(0, len(self.batch_pending), limit):
-                    chunk = [r.reading for r in self.batch_pending[k : k + limit]]
-                    request = build_batch_request(chunk, seq=0, at=now, batch_limit=limit)
-                    self.outbox.enqueue(LedgerKind.READING_BATCH, cfg.device_id, now, request.payload)
+                for k in range(0, len(self.batch_pending), BATCH_LIMIT):
+                    chunk = [r.reading for r in self.batch_pending[k : k + BATCH_LIMIT]]
+                    request = build_batch_request(chunk, seq=0, at=now)
+                    self.outbox.enqueue(
+                        LedgerKind.READING_BATCH, self.cfg.device_id, now, request.payload
+                    )
                 self.batch_pending = []
-                queued = True
-        return queued
+                return True
+        return False
 
     def day_end(self, boundary: Timestamp, clock: VirtualClock) -> None:
         self._anchor_day_report(boundary - DAY_SECONDS, boundary, clock)
@@ -284,21 +266,16 @@ class _Run:
         self.drain(at, clock)
 
     def drain(self, now: Timestamp, clock: VirtualClock) -> None:
-        result = self.outbox.drain(self.ledger, self.cfg.owner_key, now)
+        result = self.outbox.drain(self.ledger, OWNER_KEY, now)
         if result.retry_at is not None and result.retry_at <= self.cfg.start + self.cfg.horizon:
             clock.schedule(result.retry_at, "retry")
 
     def crash_and_recover(self) -> None:
         self.outbox.close()
-        self.outbox = Outbox(self.out / "outbox.bin")
-        self.engine = MonitorEngine(
-            self.cfg.thresholds, self.cfg.device_id, origin=self.cfg.start, image_seed=self.cfg.seed
-        )
         # Already-dispatched deliveries survive (they left the process);
         # sends still queued for a down sink are lost with the process.
         self.deliveries.extend(self.dispatcher.deliveries)
-        self.dispatcher = AlertDispatcher(list(self._sinks))
-        self.batch_pending = []
+        self._start_process()
 
     # -- main loop ----------------------------------------------------------
 
@@ -420,11 +397,13 @@ class _Run:
         }
 
 
-def _live_messenger_from_env():
-    import os
-
-    from .alerts import TelegramHTTPSink
-
+def _live_messenger_from_env() -> TelegramHTTPSink:
+    try:
+        import requests  # noqa: F401  (the sink posts through it)
+    except ImportError as exc:
+        raise ValueError(
+            "live messenger needs the 'messenger' extra: pip install 'coldwatch[messenger]'"
+        ) from exc
     token = os.environ.get("MONITOR_BOT_TOKEN")
     chat = os.environ.get("MONITOR_CHAT_ID")
     if not token or not chat:
@@ -434,32 +413,7 @@ def _live_messenger_from_env():
     return TelegramHTTPSink(token=token, chat_id=chat)
 
 
-def _check_replayed(readings: list[Reading], ticks: range) -> None:
-    """Every replayed row must fall on its own sample tick of the run; the
-    first row that does not is an error, never a silent drop."""
-    prev = None
-    for r in readings:
-        if r.at not in ticks:
-            raise ValueError(
-                f"replayed row at {r.at} is not a sample tick of the run: "
-                f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}"
-            )
-        if r.at == prev:
-            raise ValueError(f"replayed rows repeat timestamp {r.at}")
-        prev = r.at
-
-
-def _record_row(record: LocalRecord) -> ReportRow:
-    return ReportRow(
-        at=record.at,
-        device_id=record.reading.device_id,
-        temp_decic=record.reading.temp_decic,
-        hum_decip=record.reading.hum_decip,
-        mode=record.mode.value,
-    )
-
-
-def _event_row(reading: Reading, at: Timestamp, mode: str, event: str) -> ReportRow:
+def _row(reading: Reading, at: Timestamp, mode: str, event: str = "") -> ReportRow:
     return ReportRow(
         at=at,
         device_id=reading.device_id,

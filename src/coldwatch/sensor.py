@@ -219,42 +219,44 @@ def write_trace(readings: Iterable[Reading], path: Path) -> int:
     return n
 
 
-def replay_trace(source: Path | Iterable[str]) -> list[Reading]:
-    """Parse a trace CSV back into Readings.
+def replay_trace(path: Path, ticks: range) -> list[Reading]:
+    """Parse a trace CSV back into the Readings of a run over `ticks`.
 
-    Raises ParseError / NonMonotonicTimestamp with the offending file line
-    number (header is line 1).
+    Every row must be strictly later than the one before, come from the
+    first row's device and fall on one of the sample ticks; a row that
+    does not is an error, never a silent drop. Errors carry the offending
+    file line number (header is line 1).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as f:
-            return _parse_trace(f)
-    return _parse_trace(source)
-
-
-def _parse_trace(lines: Iterable[str]) -> list[Reading]:
-    reader = csv.reader(lines)
     readings: list[Reading] = []
-    prev_ts: Timestamp | None = None
-    for line_no, row in enumerate(reader, start=1):
-        if line_no == 1:
-            if row != TRACE_HEADER:
-                raise ParseError(line_no, f"bad header {row!r}")
-            continue
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
-        try:
-            ts = int(row[0])
-            reading = Reading(
-                device_id=row[1], at=ts, temp_decic=int(row[2]), hum_decip=int(row[3])
-            )
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
-        if prev_ts is not None and ts < prev_ts:
-            raise NonMonotonicTimestamp(line_no, f"{ts} after {prev_ts}")
-        prev_ts = ts
-        readings.append(reading)
+    with open(path, encoding="utf-8", newline="") as f:
+        for line_no, row in enumerate(csv.reader(f), start=1):
+            if line_no == 1:
+                if row != TRACE_HEADER:
+                    raise ParseError(line_no, f"bad header {row!r}")
+                continue
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
+            try:
+                reading = Reading(
+                    device_id=row[1], at=int(row[0]), temp_decic=int(row[2]), hum_decip=int(row[3])
+                )
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from exc
+            if readings and reading.at <= readings[-1].at:
+                raise NonMonotonicTimestamp(line_no, f"{reading.at} after {readings[-1].at}")
+            if readings and reading.device_id != readings[0].device_id:
+                raise TraceError(
+                    line_no, f"device {reading.device_id!r} after {readings[0].device_id!r}"
+                )
+            if reading.at not in ticks:
+                raise TraceError(
+                    line_no,
+                    f"{reading.at} is not a sample tick of the run: "
+                    f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}",
+                )
+            readings.append(reading)
     return readings
 
 

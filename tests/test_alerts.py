@@ -8,6 +8,8 @@ from coldwatch.alerts import (
     BuzzerSink,
     DisplaySink,
     MessengerSink,
+    Sink,
+    SinkUnavailable,
     UnsupportedEvent,
     render_alert,
 )
@@ -67,7 +69,8 @@ class TestRender:
 class TestDispatch:
     def test_local_sinks_deliver_instantly(self):
         dispatcher = AlertDispatcher([BuzzerSink(), DisplaySink()])
-        records = dispatcher.dispatch(render_alert(critical_event()), now=1000)
+        dispatcher.dispatch(render_alert(critical_event()), now=1000)
+        records = dispatcher.deliveries
         assert {r.sink for r in records} == {"buzzer", "display"}
         assert all(r.delivered_at == r.dispatched_at for r in records)
 
@@ -112,6 +115,45 @@ class TestDispatch:
         assert sinks == ["buzzer", "messenger"]
         delivered = dispatcher.deliveries[-1]
         assert delivered.delivered_at >= 1060 + 2
+
+    def test_send_queued_in_an_outage_goes_before_a_newer_one(self):
+        messenger = MessengerSink(seed=1)
+        messenger.outage_windows = [(1000, 1060)]
+        dispatcher = AlertDispatcher([messenger])
+        older, newer = (render_alert(critical_event(at=t, since=t)) for t in (1000, 1060))
+        dispatcher.dispatch(older, now=1000)
+        dispatcher.dispatch(newer, now=1060)
+        assert [r.dispatched_at for r in dispatcher.deliveries] == [1000, 1060]
+        assert [m["text"] for m in messenger.captured] == [older.text, newer.text]
+
+    def test_failed_send_of_an_available_sink_stays_queued(self):
+        class Flaky(Sink):
+            """Reports itself available but fails its first two sends, like
+            an HTTP endpoint that answers 500 twice."""
+
+            name = "flaky"
+            calls = 0
+
+            def deliver(self, text, now):
+                self.calls += 1
+                if self.calls <= 2:
+                    raise SinkUnavailable("500")
+                return now
+
+        flaky = Flaky()
+        dispatcher = AlertDispatcher([BuzzerSink(), flaky])
+        dispatcher.dispatch(render_alert(critical_event()), now=1000)
+        assert [r.sink for r in dispatcher.deliveries] == ["buzzer"]
+        assert dispatcher.failures == [("flaky", 1000, render_alert(critical_event()).text)]
+        dispatcher.flush(now=1030)  # the retry fails too
+        assert [r.sink for r in dispatcher.deliveries] == ["buzzer"]
+        dispatcher.flush(now=1060)
+        assert [(r.sink, r.dispatched_at, r.delivered_at) for r in dispatcher.deliveries] == [
+            ("buzzer", 1000, 1000),
+            ("flaky", 1000, 1060),
+        ]
+        dispatcher.flush(now=1090)
+        assert flaky.calls == 3
 
     def test_sink_isolation(self):
         def messenger_records(with_buzzer):

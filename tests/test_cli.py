@@ -1,4 +1,6 @@
 import json
+import sys
+import types
 
 import pytest
 
@@ -189,6 +191,44 @@ class TestSimulate:
                      "--live-messenger"])
         assert code == 2
         assert "MONITOR_BOT_TOKEN" in capsys.readouterr().err
+
+    def test_live_messenger_without_the_extra_fails_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("MONITOR_BOT_TOKEN", "token")
+        monkeypatch.setenv("MONITOR_CHAT_ID", "chat")
+        monkeypatch.setitem(sys.modules, "requests", None)
+        out = tmp_path / "x"
+        code = main(["simulate", "--scenario", "breach", "--out", str(out), "--live-messenger"])
+        assert code == 2
+        assert "messenger" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_live_messenger_retries_failed_sends(self, tmp_path, monkeypatch):
+        posts = []
+
+        class Response:
+            def __init__(self, status_code):
+                self.status_code = status_code
+
+        def post(url, json, timeout):
+            posts.append(json["text"])
+            return Response(500 if len(posts) <= 2 else 200)
+
+        fake = types.ModuleType("requests")
+        fake.post = post
+        fake.RequestException = OSError
+        monkeypatch.setitem(sys.modules, "requests", fake)
+        monkeypatch.setenv("MONITOR_BOT_TOKEN", "token")
+        monkeypatch.setenv("MONITOR_CHAT_ID", "chat")
+        out = tmp_path / "live"
+        assert main(["simulate", "--scenario", "breach", "--out", str(out),
+                     "--live-messenger"]) == 0
+        alert = next(m for m in posts if m.startswith("ALERT|CRITICAL"))
+        # Sent at the escalation, retried on the next tick, delivered on the one after.
+        assert posts[:3] == [alert, alert, alert]
+        assert [m.split("|", 1)[0] for m in posts[3:]] == ["RESOLVED", "REPORT"]
+        assert (out / "manifest.json").exists()
 
 
 class TestVerify:

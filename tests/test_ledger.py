@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldwatch.ledger import (
+    BATCH_LIMIT,
     AdminAction,
     AdminChangePayload,
     AlertPayload,
@@ -131,12 +132,22 @@ class TestAuthorization:
             ledger.submit(alert_request(1), "device-key")
 
     def test_admin_change_requires_owner(self):
-        ledger = Ledger(OWNER, authorized_writers={"writer"})
+        ledger = Ledger(OWNER)
+        ledger.submit(
+            EntryRequest(
+                kind=LedgerKind.ADMIN_CHANGE,
+                device_id="admin",
+                seq=0,
+                at=10,
+                payload=AdminChangePayload(action=AdminAction.GRANT, key="writer"),
+            ),
+            OWNER,
+        )
         grant = EntryRequest(
             kind=LedgerKind.ADMIN_CHANGE,
             device_id="admin",
-            seq=0,
-            at=10,
+            seq=1,
+            at=20,
             payload=AdminChangePayload(action=AdminAction.GRANT, key="writer2"),
         )
         with pytest.raises(Unauthorized):
@@ -165,10 +176,17 @@ class TestBatch:
         with pytest.raises(MalformedPayload):
             build_batch_request([rd(200), rd(100)], seq=0)
 
-    def test_over_limit_rejected(self):
-        readings = [rd(30 * k) for k in range(1, 258)]
+    def test_over_limit_rejected(self, tmp_path):
+        path = tmp_path / "ledger.bin"
+        ledger = Ledger(OWNER, path=path)
+        before = path.read_bytes()
+        readings = [rd(30 * k) for k in range(1, BATCH_LIMIT + 2)]
         with pytest.raises(BatchTooLarge):
-            build_batch_request(readings, seq=0)
+            ledger.submit(build_batch_request(readings, seq=0), OWNER)
+        assert ledger.entries == []
+        assert path.read_bytes() == before
+        entry = ledger.submit(build_batch_request(readings[:BATCH_LIMIT], seq=0), OWNER)
+        assert len(entry.payload.readings) == BATCH_LIMIT
 
 
 class TestOutage:

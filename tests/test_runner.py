@@ -221,6 +221,13 @@ def test_replay_takes_the_device_id_from_the_trace(tmp_path):
     assert (replayed.out_dir / "reports" / "cooler-9" / "2025-01-01.csv").exists()
 
 
+def test_replay_leaves_the_callers_config_alone(tmp_path):
+    original = run(tmp_path, normal_day(seed=2), name="src", seed=2, device_id="cooler-9")
+    cfg = RunConfig(out_dir=tmp_path / "replayed", trace_path=original.out_dir / "trace.csv")
+    assert run_simulation(cfg).manifest["device_id"] == "cooler-9"
+    assert cfg.device_id == "fridge-1"
+
+
 def test_replay_reproduces_the_generated_run(tmp_path):
     original = run(tmp_path, normal_day(seed=11), name="gen", seed=11)
     replay_cfg = RunConfig(

@@ -15,14 +15,17 @@ from coldwatch.sensor import (
     ScenarioKind,
     ScenarioSpec,
     SpikeWindow,
+    TraceError,
     generate_trace,
     normal_day,
     peak_hours,
     replay_trace,
+    sample_ticks,
     write_trace,
 )
 
 TH = Thresholds()
+DAY_TICKS = sample_ticks(0, 86400, TH.sample_period)
 
 
 def test_normal_day_has_exactly_one_reading_per_tick():
@@ -127,12 +130,12 @@ class TestReplay:
         trace = generate_trace(normal_day(seed=4), TH, 86400)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
-        assert replay_trace(path) == trace
+        assert replay_trace(path, DAY_TICKS) == trace
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("timestamp,device_id,temp_decic,hum_decip\n")
-        assert replay_trace(path) == []
+        assert replay_trace(path, DAY_TICKS) == []
 
     def test_non_monotonic_reports_line(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -142,7 +145,7 @@ class TestReplay:
             "30,d,40,500\n"
         )
         with pytest.raises(NonMonotonicTimestamp) as err:
-            replay_trace(path)
+            replay_trace(path, DAY_TICKS)
         assert err.value.line_no == 3
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -152,14 +155,32 @@ class TestReplay:
             "30,d,not-a-number,500\n"
         )
         with pytest.raises(ParseError) as err:
-            replay_trace(path)
+            replay_trace(path, DAY_TICKS)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "rows,line_no,message",
+        [
+            (["30,d,40,500", "60,e,40,500"], 3, "device 'e'"),
+            (["30,d,40,500", "61,d,40,500"], 3, "61 is not a sample tick"),
+            (["30,d,40,500", "60,d,40,500", "60,d,40,500"], 4, "60 after 60"),
+            (["86430,d,40,500"], 2, "86430 is not a sample tick"),
+        ],
+        ids=["second_device", "off_grid", "repeated", "beyond_the_run"],
+    )
+    def test_unusable_row_reports_line(self, tmp_path, rows, line_no, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(["timestamp,device_id,temp_decic,hum_decip", *rows]) + "\n")
+        with pytest.raises(TraceError) as err:
+            replay_trace(path, DAY_TICKS)
+        assert err.value.line_no == line_no
+        assert str(err.value).startswith(f"line {line_no}: {message}")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time,dev,temp,hum\n")
         with pytest.raises(ParseError):
-            replay_trace(path)
+            replay_trace(path, DAY_TICKS)
 
 
 def test_breach_scenario_minimum_duration():
