@@ -4,7 +4,8 @@ Local actuator sinks deliver instantly; the messenger models remote
 push delivery with a seeded whole-second latency drawn uniformly from
 [2 s, 4 s]. Sinks are isolated: each has its own queue of sends, so one
 sink failing or being disabled never changes what the others deliver,
-and a failed send is retried only for the sink that missed it.
+and a failed send is retried only for the sink that missed it, on the
+outbox's 30/60/120 s backoff.
 
 Message texts are byte-stable templates:
   ALERT|CRITICAL|dev=<id>|temp=<x.x>C|hum=<y.y>%|since=<iso8601>
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, ts_to_iso
+from .outbox import BACKOFF_SCHEDULE
 
 DISPLAY_HOLD_S = 10  # display shows the last message this long, then dims
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
@@ -64,28 +66,20 @@ class DeliveryRecord:
 def render_alert(event: MonitorEvent) -> AlertMessage:
     """Deterministic message for an escalation or resolution event."""
     if event.kind is EventKind.CRITICAL_ESCALATED:
-        reading: Reading = event.payload["reading"]
-        since = event.payload["since"]
-        text = (
-            f"ALERT|CRITICAL|dev={reading.device_id}"
-            f"|temp={format_tenths(reading.temp_decic)}C"
-            f"|hum={format_tenths(reading.hum_decip)}%"
-            f"|since={ts_to_iso(since)}"
-        )
-        severity = AlertSeverity.CRITICAL
+        head, severity, tail = "ALERT|CRITICAL", AlertSeverity.CRITICAL, ""
     elif event.kind is EventKind.BREACH_RESOLVED:
-        reading = event.payload["reading"]
-        since = event.payload["since"]
-        text = (
-            f"RESOLVED|dev={reading.device_id}"
-            f"|temp={format_tenths(reading.temp_decic)}C"
-            f"|hum={format_tenths(reading.hum_decip)}%"
-            f"|since={ts_to_iso(since)}"
-            f"|duration={event.payload['duration']}s"
-        )
-        severity = AlertSeverity.RESOLVED
+        head, severity = "RESOLVED", AlertSeverity.RESOLVED
+        tail = f"|duration={event.payload['duration']}s"
     else:
         raise UnsupportedEvent(f"cannot render {event.kind.value}")
+    reading: Reading = event.payload["reading"]
+    since = event.payload["since"]
+    text = (
+        f"{head}|dev={reading.device_id}"
+        f"|temp={format_tenths(reading.temp_decic)}C"
+        f"|hum={format_tenths(reading.hum_decip)}%"
+        f"|since={ts_to_iso(since)}{tail}"
+    )
     return AlertMessage(
         episode_id=event.payload["episode_id"],
         device_id=reading.device_id,
@@ -97,21 +91,13 @@ def render_alert(event: MonitorEvent) -> AlertMessage:
 
 
 class Sink:
-    """A sink delivers message text at some latency; outage windows make
-    it temporarily unavailable."""
+    """A sink delivers message text at some latency; one that cannot
+    deliver raises SinkUnavailable."""
 
     name = "sink"
 
-    def __init__(self):
-        self.outage_windows: list[tuple[Timestamp, Timestamp]] = []
-
-    def available(self, now: Timestamp) -> bool:
-        return not any(s <= now < e for s, e in self.outage_windows)
-
     def deliver(self, text: str, now: Timestamp) -> Timestamp:
-        """Returns the delivery timestamp; raises SinkUnavailable in outage."""
-        if not self.available(now):
-            raise SinkUnavailable(f"{self.name} unavailable at {now}")
+        """Returns the delivery timestamp."""
         return now
 
 
@@ -131,14 +117,11 @@ class MessengerSink(Sink):
     name = "messenger"
 
     def __init__(self, seed: int = 0, chat_id: str = "owner"):
-        super().__init__()
         self.chat_id = chat_id
         self._rng = random.Random(f"{seed}:messenger")
         self.captured: list[dict] = []
 
     def deliver(self, text: str, now: Timestamp) -> Timestamp:
-        if not self.available(now):
-            raise SinkUnavailable(f"{self.name} unavailable at {now}")
         delivered = now + self._rng.randint(*MESSENGER_LATENCY_S)
         self.captured.append(
             {"chat_id": self.chat_id, "text": text, "dispatched_at": now, "delivered_at": delivered}
@@ -163,7 +146,6 @@ class TelegramHTTPSink(Sink):
     name = "telegram"
 
     def __init__(self, token: str, chat_id: str):
-        super().__init__()
         self.token = token
         self.chat_id = chat_id
 
@@ -193,8 +175,9 @@ class _PendingSend:
 class AlertDispatcher:
     """Fan-out with per-sink queues. Every send is queued and delivered by
     flush(), so a send that fails stays at the head of its sink's queue and
-    is retried, in order, by a later flush. Dispatch never raises on sink
-    failure."""
+    is retried, in order, by a later flush. After its k-th failure in a row
+    a sink is not tried again for BACKOFF_SCHEDULE[k - 1] seconds (the last
+    step repeats). Dispatch never raises on sink failure."""
 
     def __init__(self, sinks: list[Sink]):
         if not sinks:
@@ -203,6 +186,7 @@ class AlertDispatcher:
         self.deliveries: list[DeliveryRecord] = []
         self.failures: list[tuple[str, Timestamp, str]] = []
         self._pending: dict[str, list[_PendingSend]] = {s.name: [] for s in sinks}
+        self._backoff: dict[str, tuple[int, Timestamp]] = {}  # failures in a row, next try
 
     def dispatch(self, message: AlertMessage, now: Timestamp) -> None:
         for sink in self.sinks:
@@ -219,13 +203,19 @@ class AlertDispatcher:
     def flush(self, now: Timestamp) -> None:
         for sink in self.sinks:
             queue = self._pending[sink.name]
+            if queue and now < self._backoff.get(sink.name, (0, now))[1]:
+                continue  # backing off after a failure
             while queue:
                 send = queue[0]
                 try:
                     delivered = sink.deliver(send.text, now)
                 except SinkUnavailable:
                     self.failures.append((sink.name, now, send.text))
+                    streak = self._backoff.get(sink.name, (0, now))[0] + 1
+                    delay = BACKOFF_SCHEDULE[min(streak, len(BACKOFF_SCHEDULE)) - 1]
+                    self._backoff[sink.name] = (streak, now + delay)
                     break
+                self._backoff.pop(sink.name, None)
                 if send.message is not None:
                     self.deliveries.append(
                         DeliveryRecord(

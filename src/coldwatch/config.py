@@ -9,11 +9,11 @@ message.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .energy import ComponentPower, DutyPolicy, PowerProfile, COMPONENTS
+from .energy import COMPONENTS, DutyPolicy, PowerProfile
 from .ledger import GasSchedule, LedgerKind
 from .model import DEFAULT_START, Thresholds, Timestamp, date_to_ts
 from .sensor import NoiseModel
@@ -35,32 +35,23 @@ class AppConfig:
     duty: DutyPolicy = field(default_factory=DutyPolicy)
 
 
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
-# Field type (a string under postponed annotations) -> parser, message.
-_CONVERTERS = {
-    "int": (int, "expected integer"),
-    "float": (float, "expected number"),
-    "bool": (lambda raw: _BOOLEANS[raw.lower()], "expected boolean"),
-}
-
-
 def _get(parser, section, option, conv, errors: str):
     raw = parser.get(section, option)
     try:
         return conv(raw)
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"[{section}] {option}: {errors} (got {raw!r})") from exc
 
 
 def _section(parser, name: str, cls):
-    """Build dataclass `cls` from section `name`: one option per field,
-    omitted options keep the field defaults."""
-    types = {f.name: f.type for f in fields(cls)}
+    """Build dataclass `cls`, whose fields are all integers, from section
+    `name`: one option per field, omitted options keep the field defaults."""
+    names = {f.name for f in fields(cls)}
     values = {}
     for option in parser.options(name):
-        if option not in types:
+        if option not in names:
             raise ConfigError(f"[{name}] unknown option {option!r}")
-        values[option] = _get(parser, name, option, *_CONVERTERS[types[option]])
+        values[option] = _get(parser, name, option, int, "expected integer")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -118,32 +109,21 @@ def load_config(path: Path | None) -> AppConfig:
         cfg.gas = GasSchedule(gas=units, fee_per_gas_usd=fee)
 
     if parser.has_section("power"):
-        powers = {name: dict(active_mw=None, idle_mw=None) for name in COMPONENTS}
+        overrides: dict[str, dict[str, float]] = {}
         for option in parser.options("power"):
             # options look like controller_active_mw / controller_idle_mw
-            parts = option.rsplit("_", 2)
-            if len(parts) != 3 or parts[0] not in COMPONENTS or parts[2] != "mw":
+            component, _, field_name = option.partition("_")
+            if component not in COMPONENTS or field_name not in ("active_mw", "idle_mw"):
                 raise ConfigError(f"[power] unknown option {option!r}")
-            component, kind = parts[0], parts[1]
-            if kind not in ("active", "idle"):
-                raise ConfigError(f"[power] unknown option {option!r}")
-            powers[component][f"{kind}_mw"] = _get(
+            overrides.setdefault(component, {})[field_name] = _get(
                 parser, "power", option, float, "expected number"
             )
-        defaults = PowerProfile()
-        built = {}
-        for name in COMPONENTS:
-            base = defaults.component(name)
-            active = powers[name]["active_mw"]
-            idle = powers[name]["idle_mw"]
+        for component, values in overrides.items():
             try:
-                built[name] = ComponentPower(
-                    active_mw=base.active_mw if active is None else active,
-                    idle_mw=base.idle_mw if idle is None else idle,
-                )
+                part = replace(cfg.power.component(component), **values)
             except ValueError as exc:
-                raise ConfigError(f"[power] {name}: {exc}") from exc
-        cfg.power = PowerProfile(**built)
+                raise ConfigError(f"[power] {component}: {exc}") from exc
+            cfg.power = replace(cfg.power, **{component: part})
 
     if parser.has_section("duty"):
         cfg.duty = _section(parser, "duty", DutyPolicy)

@@ -55,7 +55,7 @@ class ComponentPower:
 class PowerProfile:
     controller: ComponentPower = ComponentPower(active_mw=6000, idle_mw=2500)
     sensor: ComponentPower = ComponentPower(active_mw=2.5, idle_mw=0)
-    display: ComponentPower = ComponentPower(active_mw=200, idle_mw=0)
+    display: ComponentPower = ComponentPower(active_mw=200, idle_mw=20)  # dimmed when idle
     camera: ComponentPower = ComponentPower(active_mw=1400, idle_mw=0)
     buzzer: ComponentPower = ComponentPower(active_mw=50, idle_mw=0)
 
@@ -66,8 +66,6 @@ class PowerProfile:
 @dataclass(frozen=True)
 class DutyPolicy:
     sensor_active_s_per_sample: int = 1
-    display_dim: bool = True
-    display_dim_mw: float = 20
     display_hold_s: int = DISPLAY_HOLD_S
     camera_active_s_per_capture: int = 5
     buzzer_active_s_per_alert: int = 10
@@ -179,10 +177,7 @@ def energy_for_interval(
         else:
             active_s = _merged_seconds(clipped)  # display holds the last message
         power = profile.component(name)
-        idle_uw = _uw(power.idle_mw)
-        if name == "display" and policy.display_dim:
-            idle_uw = _uw(policy.display_dim_mw)
-        energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * idle_uw
+        energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * _uw(power.idle_mw)
         per[name] = ComponentEnergy(active_s=active_s, energy_uj=energy_uj)
     return EnergyBreakdown(start=start, end=end, per_component=per)
 

@@ -87,7 +87,6 @@ class LocalRecord:
 class MonitorState:
     mode: MonitorMode = MonitorMode.NORMAL
     episode_start: Timestamp | None = None
-    episode_was_critical: bool = False
     consecutive_in_range: int = 0
     last_local_log: Timestamp | None = None
     last_seen: Timestamp | None = None
@@ -144,8 +143,6 @@ class MonitorEngine:
             if out:
                 st.mode = MonitorMode.BREACH_PENDING
                 st.episode_start = now
-                st.episode_was_critical = False
-                st.consecutive_in_range = 0
                 events.append(
                     MonitorEvent(
                         EventKind.BREACH_STARTED,
@@ -164,7 +161,6 @@ class MonitorEngine:
                 and now - st.episode_start >= th.breach_escalation
             ):
                 st.mode = MonitorMode.CRITICAL
-                st.episode_was_critical = True
                 episode = st.episode_start
                 events.append(
                     MonitorEvent(
@@ -207,14 +203,13 @@ class MonitorEngine:
                             "episode_id": episode,
                             "since": episode,
                             "duration": now - episode,
-                            "was_critical": st.episode_was_critical,
+                            "was_critical": st.mode is MonitorMode.CRITICAL,
                             "reading": reading,
                         },
                     )
                 )
                 st.mode = MonitorMode.NORMAL
                 st.episode_start = None
-                st.episode_was_critical = False
                 st.consecutive_in_range = 0
         else:
             # Inside the raw band but within the hysteresis margin: neutral,

@@ -167,34 +167,36 @@ class Cursor:
         return self.take(n).decode("utf-8")
 
 
+# Fixed-width payloads: one struct layout per kind, fields in dataclass order.
+_FIXED_LAYOUTS = {
+    LedgerKind.ALERT: (">qhH", AlertPayload),
+    LedgerKind.RESOLUTION: (">qIhH", ResolutionPayload),
+    LedgerKind.REPORT_ANCHOR: (">q32sI", ReportAnchorPayload),
+}
+
+
 def encode_payload(kind: LedgerKind, payload: Payload) -> bytes:
+    if kind in _FIXED_LAYOUTS:
+        fmt, cls = _FIXED_LAYOUTS[kind]
+        assert isinstance(payload, cls)
+        if kind is LedgerKind.REPORT_ANCHOR and len(payload.digest) != 32:
+            raise MalformedPayload("report digest must be 32 bytes")
+        return struct.pack(fmt, *vars(payload).values())
     if kind is LedgerKind.READING_BATCH:
         assert isinstance(payload, ReadingBatchPayload)
         parts = [struct.pack(">H", len(payload.readings))]
         for r in payload.readings:
             parts.append(struct.pack(">qhH", r.at, r.temp_decic, r.hum_decip))
         return b"".join(parts)
-    if kind is LedgerKind.ALERT:
-        assert isinstance(payload, AlertPayload)
-        return struct.pack(">qhH", payload.episode_id, payload.temp_decic, payload.hum_decip)
-    if kind is LedgerKind.RESOLUTION:
-        assert isinstance(payload, ResolutionPayload)
-        return struct.pack(
-            ">qIhH", payload.episode_id, payload.duration, payload.temp_decic, payload.hum_decip
-        )
-    if kind is LedgerKind.REPORT_ANCHOR:
-        assert isinstance(payload, ReportAnchorPayload)
-        if len(payload.digest) != 32:
-            raise MalformedPayload("report digest must be 32 bytes")
-        return struct.pack(">q", payload.day) + payload.digest + struct.pack(">I", payload.row_count)
-    if kind is LedgerKind.ADMIN_CHANGE:
-        assert isinstance(payload, AdminChangePayload)
-        return struct.pack(">B", payload.action.value) + enc_str(payload.key)
-    raise MalformedPayload(f"unknown kind {kind}")
+    assert isinstance(payload, AdminChangePayload)
+    return struct.pack(">B", payload.action.value) + enc_str(payload.key)
 
 
 def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
     cur = Cursor(data)
+    if kind in _FIXED_LAYOUTS:
+        fmt, cls = _FIXED_LAYOUTS[kind]
+        return cls(*cur.unpack(fmt))
     if kind is LedgerKind.READING_BATCH:
         (count,) = cur.unpack(">H")
         readings = []
@@ -202,22 +204,8 @@ def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
             at, temp, hum = cur.unpack(">qhH")
             readings.append(Reading(device_id=device_id, at=at, temp_decic=temp, hum_decip=hum))
         return ReadingBatchPayload(readings=tuple(readings))
-    if kind is LedgerKind.ALERT:
-        episode, temp, hum = cur.unpack(">qhH")
-        return AlertPayload(episode_id=episode, temp_decic=temp, hum_decip=hum)
-    if kind is LedgerKind.RESOLUTION:
-        episode, duration, temp, hum = cur.unpack(">qIhH")
-        return ResolutionPayload(episode_id=episode, duration=duration, temp_decic=temp, hum_decip=hum)
-    if kind is LedgerKind.REPORT_ANCHOR:
-        (day,) = cur.unpack(">q")
-        digest = cur.take(32)
-        (rows,) = cur.unpack(">I")
-        return ReportAnchorPayload(day=day, digest=digest, row_count=rows)
-    if kind is LedgerKind.ADMIN_CHANGE:
-        (action,) = cur.unpack(">B")
-        key = cur.string()
-        return AdminChangePayload(action=AdminAction(action), key=key)
-    raise MalformedPayload(f"unknown kind {kind}")
+    (action,) = cur.unpack(">B")
+    return AdminChangePayload(action=AdminAction(action), key=cur.string())
 
 
 def encode_request(req: EntryRequest) -> bytes:
@@ -404,8 +392,16 @@ class Ledger:
             raise Unauthorized(f"credential {credential!r} is not an authorized writer")
         if request.kind is LedgerKind.ADMIN_CHANGE and credential != self.owner:
             raise Unauthorized("authorization changes require the owner key")
-        if request.kind is LedgerKind.READING_BATCH and len(request.payload.readings) > BATCH_LIMIT:
-            raise BatchTooLarge(f"batch of {len(request.payload.readings)} exceeds {BATCH_LIMIT}")
+        if request.kind is LedgerKind.READING_BATCH:
+            readings = request.payload.readings
+            if not readings:
+                raise MalformedPayload("batch must be non-empty")
+            if len(readings) > BATCH_LIMIT:
+                raise BatchTooLarge(f"batch of {len(readings)} exceeds {BATCH_LIMIT}")
+            if any(r.device_id != request.device_id for r in readings):
+                raise MalformedPayload(f"batch for {request.device_id!r} holds another device")
+            if any(b.at < a.at for a, b in zip(readings, readings[1:])):
+                raise MalformedPayload("batch readings must be timestamp-ordered")
         key = (request.device_id, request.seq)
         existing = self._by_key.get(key)
         if existing is not None:
@@ -432,25 +428,6 @@ class Ledger:
 
     def verify_chain(self) -> ChainReport:
         return verify_entries(self.entries)
-
-
-def build_batch_request(
-    readings: list[Reading], seq: int, at: Timestamp | None = None
-) -> EntryRequest:
-    if not readings:
-        raise MalformedPayload("batch must be non-empty")
-    device = readings[0].device_id
-    if any(r.device_id != device for r in readings):
-        raise MalformedPayload("batch must contain a single device")
-    if any(b.at < a.at for a, b in zip(readings, readings[1:])):
-        raise MalformedPayload("batch readings must be timestamp-ordered")
-    return EntryRequest(
-        kind=LedgerKind.READING_BATCH,
-        device_id=device,
-        seq=seq,
-        at=readings[-1].at if at is None else at,
-        payload=ReadingBatchPayload(readings=tuple(readings)),
-    )
 
 
 # -- file format ---------------------------------------------------------------

@@ -19,14 +19,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from .ledger import (
-    Cursor,
-    EntryRequest,
-    LedgerEntry,
-    LedgerKind,
-    ReportAnchorPayload,
-    enc_str,
-)
+from .ledger import Cursor, LedgerEntry, LedgerKind, enc_str
 from .model import DAY_SECONDS, Timestamp, day_start, format_tenths, iso_to_ts, ts_to_date, ts_to_iso
 from .outbox import Outbox
 
@@ -120,18 +113,6 @@ def build_report(store: Outbox, day: Timestamp, device_id: str) -> DailyReport:
         rows=tuple(rows),
         csv_bytes=csv_bytes,
         digest=hashlib.sha256(csv_bytes).digest(),
-    )
-
-
-def anchor_request(report: DailyReport, seq: int, at: Timestamp) -> EntryRequest:
-    return EntryRequest(
-        kind=LedgerKind.REPORT_ANCHOR,
-        device_id=report.device_id,
-        seq=seq,
-        at=at,
-        payload=ReportAnchorPayload(
-            day=report.day, digest=report.digest, row_count=report.row_count
-        ),
     )
 
 

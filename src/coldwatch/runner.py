@@ -55,8 +55,9 @@ from .ledger import (
     GasSchedule,
     Ledger,
     LedgerKind,
+    ReadingBatchPayload,
+    ReportAnchorPayload,
     ResolutionPayload,
-    build_batch_request,
 )
 from .model import (
     DAY_SECONDS,
@@ -72,7 +73,6 @@ from .outbox import Outbox
 from .reports import (
     DailyReport,
     ReportRow,
-    anchor_request,
     build_report,
     encode_row,
     report_notice_text,
@@ -223,14 +223,11 @@ class _Run:
                 # digest covers the pending records of the closing day.
                 self.batch_pending = [r for r in self.batch_pending if r.at >= now]
             elif self.batch_pending:
-                # More than BATCH_LIMIT records go out as consecutive batches;
-                # seq=0 is a placeholder, the outbox assigns the real one.
+                # More than BATCH_LIMIT records go out as consecutive batches.
                 for k in range(0, len(self.batch_pending), BATCH_LIMIT):
-                    chunk = [r.reading for r in self.batch_pending[k : k + BATCH_LIMIT]]
-                    request = build_batch_request(chunk, seq=0, at=now)
-                    self.outbox.enqueue(
-                        LedgerKind.READING_BATCH, self.cfg.device_id, now, request.payload
-                    )
+                    chunk = self.batch_pending[k : k + BATCH_LIMIT]
+                    payload = ReadingBatchPayload(tuple(r.reading for r in chunk))
+                    self.outbox.enqueue(LedgerKind.READING_BATCH, self.cfg.device_id, now, payload)
                 self.batch_pending = []
                 return True
         return False
@@ -248,7 +245,7 @@ class _Run:
             LedgerKind.REPORT_ANCHOR,
             self.cfg.device_id,
             at,
-            anchor_request(report, seq=0, at=at).payload,
+            ReportAnchorPayload(day, report.digest, report.row_count),
         )
         self.emit(
             MonitorEvent(

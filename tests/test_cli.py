@@ -318,3 +318,15 @@ class TestEnergy:
 
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2
+
+    def test_display_idle_power_is_the_dim_level(self, sim_dir, tmp_path, capsys):
+        def display_j(*profile):
+            assert main(["energy", "--events", str(sim_dir / "events.log"), *profile]) == 0
+            line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("display"))
+            return line.split()[2]
+
+        ini = tmp_path / "power.ini"
+        ini.write_text("[power]\ndisplay_idle_mw = 5\n", encoding="utf-8")
+        # 720 s awake at 200 mW, the rest of the day idle at 20 mW, or at 5 mW.
+        assert display_j() == "1857.6"
+        assert display_j("--profile", str(ini)) == "572.4"

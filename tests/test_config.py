@@ -42,11 +42,10 @@ report_anchor = 300
 controller_active_mw = 5000
 controller_idle_mw = 2000
 camera_active_mw = 1500.5
+display_idle_mw = 0
 
 [duty]
 sensor_active_s_per_sample = 2
-display_dim = no
-display_dim_mw = 12.5
 display_hold_s = 30
 camera_active_s_per_capture = 4
 buzzer_active_s_per_alert = 0
@@ -92,11 +91,10 @@ def test_every_section_reaches_its_dataclass(tmp_path):
     assert cfg.power == PowerProfile(
         controller=ComponentPower(active_mw=5000.0, idle_mw=2000.0),
         camera=ComponentPower(active_mw=1500.5, idle_mw=PowerProfile().camera.idle_mw),
+        display=ComponentPower(active_mw=PowerProfile().display.active_mw, idle_mw=0.0),
     )
     assert cfg.duty == DutyPolicy(
         sensor_active_s_per_sample=2,
-        display_dim=False,
-        display_dim_mw=12.5,
         display_hold_s=30,
         camera_active_s_per_capture=4,
         buzzer_active_s_per_alert=0,
@@ -104,11 +102,19 @@ def test_every_section_reaches_its_dataclass(tmp_path):
 
 
 def test_omitted_options_keep_their_defaults(tmp_path):
-    cfg = load(tmp_path, "[thresholds]\nsample_period = 15\n[noise]\n[duty]\ndisplay_dim = yes\n")
+    cfg = load(tmp_path, "[thresholds]\nsample_period = 15\n[noise]\n[power]\n[duty]\n")
     assert cfg.thresholds == Thresholds(sample_period=15)
     assert cfg.noise == NoiseModel()
+    assert cfg.power == PowerProfile()
     assert cfg.duty == DutyPolicy()
     assert cfg.start == DEFAULT_START
+
+
+def test_power_options_of_one_component_apply_together(tmp_path):
+    # An idle draw above the default active draw is valid once the new
+    # active draw is in place, whichever option comes first.
+    cfg = load(tmp_path, "[power]\ndisplay_idle_mw = 250\ndisplay_active_mw = 300\n")
+    assert cfg.power.display == ComponentPower(active_mw=300.0, idle_mw=250.0)
 
 
 def test_start_accepts_unix_seconds(tmp_path):
@@ -137,12 +143,13 @@ def test_start_accepts_unix_seconds(tmp_path):
         ("[power]\nsensor_busy_mw = 1\n", "[power] unknown option 'sensor_busy_mw'"),
         ("[power]\nsensor_active_mw = lots\n", "[power] sensor_active_mw: expected number"),
         ("[power]\nsensor_idle_mw = 9\n", "[power] sensor: need active_mw >= idle_mw >= 0"),
+        ("[power]\ndisplay_idle_mw = dim\n", "[power] display_idle_mw: expected number"),
+        ("[power]\ndisplay_idle_mw = -20\n", "[power] display: need active_mw >= idle_mw >= 0"),
+        ("[power]\ndisplay_active_mw = 10\n", "[power] display: need active_mw >= idle_mw >= 0"),
         ("[duty]\nsleep_s = 1\n", "[duty] unknown option 'sleep_s'"),
         ("[duty]\ndisplay_hold_s = 1.5\n", "[duty] display_hold_s: expected integer"),
-        ("[duty]\ndisplay_dim_mw = dim\n", "[duty] display_dim_mw: expected number"),
-        ("[duty]\ndisplay_dim = maybe\n", "[duty] display_dim: expected boolean"),
+        ("[duty]\ndisplay_dim = no\n", "[duty] unknown option 'display_dim'"),
         ("[duty]\nsensor_active_s_per_sample = -1\n", "[duty] sensor_active_s_per_sample must be >= 0"),
-        ("[duty]\ndisplay_dim_mw = -20\n", "[duty] display_dim_mw must be >= 0"),
         ("[run\n", "config parse error"),
         ("[run]\n[run]\n", "config parse error"),
     ],

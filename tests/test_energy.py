@@ -80,8 +80,7 @@ class TestController:
 
 def test_zero_events_only_controller_idle_energy():
     profile = PowerProfile(display=ComponentPower(active_mw=200, idle_mw=0))
-    policy = DutyPolicy(display_dim=False)
-    duty = energy_for_interval([], profile, policy, 0, DAY)
+    duty = energy_for_interval([], profile, DutyPolicy(), 0, DAY)
     assert duty.per_component["sensor"].energy_uj == 0
     assert duty.per_component["display"].energy_uj == 0
     assert duty.per_component["camera"].energy_uj == 0
@@ -134,8 +133,6 @@ def test_per_second_oracle_matches_interval_computation():
     for name in COMPONENTS:
         power = profile.component(name)
         idle_uw = round(power.idle_mw * 1000)
-        if name == "display" and policy.display_dim:
-            idle_uw = round(policy.display_dim_mw * 1000)
         active_uw = round(power.active_mw * 1000)
         total = 0
         for second in range(start, end):

@@ -16,11 +16,12 @@ from coldwatch.ledger import (
     LedgerKind,
     LedgerOutage,
     MalformedPayload,
+    ReadingBatchPayload,
     ReportAnchorPayload,
+    ResolutionPayload,
     Unauthorized,
     ZERO_DIGEST,
     annualized_usd,
-    build_batch_request,
     cost_report,
     decode_request,
     encode_request,
@@ -38,6 +39,12 @@ def rd(at, temp=40, hum=520):
     return Reading(device_id=DEV, at=at, temp_decic=temp, hum_decip=hum)
 
 
+def batch_request(readings, seq=0):
+    at = readings[-1].at if readings else 0
+    payload = ReadingBatchPayload(tuple(readings))
+    return EntryRequest(LedgerKind.READING_BATCH, DEV, seq, at, payload)
+
+
 def alert_request(seq, at=1000):
     return EntryRequest(
         kind=LedgerKind.ALERT,
@@ -46,6 +53,15 @@ def alert_request(seq, at=1000):
         at=at,
         payload=AlertPayload(episode_id=at, temp_decic=85, hum_decip=520),
     )
+
+
+ONE_PAYLOAD_PER_KIND = {
+    LedgerKind.READING_BATCH: ReadingBatchPayload((rd(100), rd(200, temp=-5))),
+    LedgerKind.ALERT: AlertPayload(episode_id=100, temp_decic=-400, hum_decip=1000),
+    LedgerKind.RESOLUTION: ResolutionPayload(100, duration=3000, temp_decic=1250, hum_decip=0),
+    LedgerKind.REPORT_ANCHOR: ReportAnchorPayload(day=0, digest=bytes(range(32)), row_count=72),
+    LedgerKind.ADMIN_CHANGE: AdminChangePayload(action=AdminAction.REVOKE, key="device-key"),
+}
 
 
 class TestChain:
@@ -158,34 +174,43 @@ class TestBatch:
     def test_batch_appends_one_entry(self):
         ledger = Ledger(OWNER)
         readings = [rd(at) for at in (1200, 2400, 3600, 4800)]
-        entry = ledger.submit(build_batch_request(readings, seq=0), OWNER)
+        entry = ledger.submit(batch_request(readings), OWNER)
         assert entry.kind is LedgerKind.READING_BATCH
         assert len(ledger.entries) == 1
         assert len(entry.payload.readings) == 4
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(MalformedPayload):
-            build_batch_request([], seq=0)
-
-    def test_mixed_devices_rejected(self):
-        readings = [rd(100), Reading("other", 200, 40, 520)]
-        with pytest.raises(MalformedPayload):
-            build_batch_request(readings, seq=0)
-
-    def test_unordered_rejected(self):
-        with pytest.raises(MalformedPayload):
-            build_batch_request([rd(200), rd(100)], seq=0)
-
-    def test_over_limit_rejected(self, tmp_path):
+    @staticmethod
+    def assert_rejected(tmp_path, request, error):
+        """The batch is refused before the ledger or its file changes."""
         path = tmp_path / "ledger.bin"
         ledger = Ledger(OWNER, path=path)
-        before = path.read_bytes()
-        readings = [rd(30 * k) for k in range(1, BATCH_LIMIT + 2)]
-        with pytest.raises(BatchTooLarge):
-            ledger.submit(build_batch_request(readings, seq=0), OWNER)
-        assert ledger.entries == []
+        ledger.submit(alert_request(0), OWNER)
+        entries, before = list(ledger.entries), path.read_bytes()
+        with pytest.raises(error):
+            ledger.submit(request, OWNER)
+        assert ledger.entries == entries
         assert path.read_bytes() == before
-        entry = ledger.submit(build_batch_request(readings[:BATCH_LIMIT], seq=0), OWNER)
+        return ledger
+
+    def test_empty_batch_rejected(self, tmp_path):
+        self.assert_rejected(tmp_path, batch_request([], seq=1), MalformedPayload)
+
+    def test_mixed_devices_rejected(self, tmp_path):
+        # Stored as-is, the cooler-9 reading would read back as fridge-1.
+        readings = [rd(100), Reading("cooler-9", 200, 40, 520)]
+        self.assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
+
+    def test_batch_of_another_device_rejected(self, tmp_path):
+        readings = [Reading("cooler-9", 100, 40, 520)]
+        self.assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
+
+    def test_unordered_rejected(self, tmp_path):
+        self.assert_rejected(tmp_path, batch_request([rd(200), rd(100)], seq=1), MalformedPayload)
+
+    def test_over_limit_rejected(self, tmp_path):
+        readings = [rd(30 * k) for k in range(1, BATCH_LIMIT + 2)]
+        ledger = self.assert_rejected(tmp_path, batch_request(readings, seq=1), BatchTooLarge)
+        entry = ledger.submit(batch_request(readings[:BATCH_LIMIT], seq=1), OWNER)
         assert len(entry.payload.readings) == BATCH_LIMIT
 
 
@@ -203,7 +228,7 @@ class TestCost:
     def _quiet_day(self, path=None):
         ledger = Ledger(OWNER, path=path)
         for k in range(11):
-            ledger.submit(build_batch_request([rd(7200 * (k + 1))], seq=k), OWNER)
+            ledger.submit(batch_request([rd(7200 * (k + 1))], seq=k), OWNER)
         anchor = EntryRequest(
             kind=LedgerKind.REPORT_ANCHOR,
             device_id=DEV,
@@ -250,9 +275,16 @@ class TestFile:
         assert loaded == ledger.entries
         assert verify_entries(loaded).ok
 
-    def test_request_codec_round_trip(self):
-        req = build_batch_request([rd(100), rd(200, temp=-5)], seq=7)
+    @pytest.mark.parametrize("kind", list(LedgerKind), ids=lambda kind: kind.name)
+    def test_request_codec_round_trip(self, kind):
+        req = EntryRequest(kind, DEV, 7, 200, ONE_PAYLOAD_PER_KIND[kind])
         assert decode_request(encode_request(req)) == req
+
+    @pytest.mark.parametrize("size", [31, 33])
+    def test_report_digest_must_be_32_bytes(self, size):
+        payload = ReportAnchorPayload(day=0, digest=bytes(size), row_count=72)
+        with pytest.raises(MalformedPayload):
+            encode_request(EntryRequest(LedgerKind.REPORT_ANCHOR, DEV, 7, 200, payload))
 
 
 def test_exactly_five_externally_callable_kinds():
@@ -281,7 +313,7 @@ def test_chain_verifies_after_any_submit_sequence(specs):
     for kind_idx, temp, hum in specs:
         at += 30
         if kind_idx == 0:
-            ledger.submit(build_batch_request([rd(at, temp, hum)], seq=seq), OWNER)
+            ledger.submit(batch_request([rd(at, temp, hum)], seq=seq), OWNER)
         elif kind_idx == 1:
             ledger.submit(
                 EntryRequest(

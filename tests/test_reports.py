@@ -2,14 +2,20 @@ import hashlib
 
 import pytest
 
-from coldwatch.ledger import Ledger, MalformedPayload, Unauthorized
+from coldwatch.ledger import (
+    EntryRequest,
+    Ledger,
+    LedgerKind,
+    MalformedPayload,
+    ReportAnchorPayload,
+    Unauthorized,
+)
 from coldwatch.model import DAY_SECONDS
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
     ReportRow,
     Verdict,
-    anchor_request,
     build_report,
     decode_row,
     encode_row,
@@ -38,7 +44,9 @@ def populate(store, rows):
 
 
 def anchor(report, ledger, credential=OWNER):
-    return ledger.submit(anchor_request(report, seq=0, at=DAY + DAY_SECONDS), credential)
+    payload = ReportAnchorPayload(report.day, report.digest, report.row_count)
+    request = EntryRequest(LedgerKind.REPORT_ANCHOR, DEV, 0, DAY + DAY_SECONDS, payload)
+    return ledger.submit(request, credential)
 
 
 class TestCanonicalForm:
