@@ -2,57 +2,4 @@
 breach-escalation state machine, a tamper-evident hash-chained ledger,
 crash-safe delivery, daily report anchoring, and cost/energy models."""
 
-from .clock import SchedulingInPast, VirtualClock
-from .engine import Classification, MonitorEngine, MonitorMode, MonitorState, classify
-from .ledger import (
-    ChainReport,
-    GasSchedule,
-    Ledger,
-    LedgerEntry,
-    LedgerKind,
-    cost_report,
-    load_ledger_entries,
-    verify_entries,
-)
-from .model import EventKind, MonitorEvent, Reading, Thresholds, Timestamp
-from .outbox import Outbox
-from .reports import DailyReport, Verdict, build_report, verify_report
-from .runner import RunConfig, RunResult, run_simulation
-from .sensor import NoiseModel, ScenarioSpec, generate_trace, replay_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainReport",
-    "Classification",
-    "DailyReport",
-    "EventKind",
-    "GasSchedule",
-    "Ledger",
-    "LedgerEntry",
-    "LedgerKind",
-    "MonitorEngine",
-    "MonitorEvent",
-    "MonitorMode",
-    "MonitorState",
-    "NoiseModel",
-    "Outbox",
-    "Reading",
-    "RunConfig",
-    "RunResult",
-    "ScenarioSpec",
-    "SchedulingInPast",
-    "Thresholds",
-    "Timestamp",
-    "Verdict",
-    "VirtualClock",
-    "build_report",
-    "classify",
-    "cost_report",
-    "generate_trace",
-    "load_ledger_entries",
-    "replay_trace",
-    "run_simulation",
-    "verify_entries",
-    "verify_report",
-]

@@ -47,11 +47,7 @@ class AlertSeverity(enum.Enum):
 
 @dataclass(frozen=True)
 class AlertMessage:
-    episode_id: int
-    device_id: str
     severity: AlertSeverity
-    reading: Reading
-    since: Timestamp
     text: str
 
 
@@ -73,21 +69,13 @@ def render_alert(event: MonitorEvent) -> AlertMessage:
     else:
         raise UnsupportedEvent(f"cannot render {event.kind.value}")
     reading: Reading = event.payload["reading"]
-    since = event.payload["since"]
     text = (
         f"{head}|dev={reading.device_id}"
         f"|temp={format_tenths(reading.temp_decic)}C"
         f"|hum={format_tenths(reading.hum_decip)}%"
-        f"|since={ts_to_iso(since)}{tail}"
+        f"|since={ts_to_iso(event.payload['since'])}{tail}"
     )
-    return AlertMessage(
-        episode_id=event.payload["episode_id"],
-        device_id=reading.device_id,
-        severity=severity,
-        reading=reading,
-        since=since,
-        text=text,
-    )
+    return AlertMessage(severity=severity, text=text)
 
 
 class Sink:

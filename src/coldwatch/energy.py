@@ -101,38 +101,27 @@ class EnergyBreakdown:
         return self.total_uj / 1e6
 
 
-def _clip(windows: Iterable[tuple[int, int]], start: int, end: int) -> list[tuple[int, int]]:
-    out = []
-    for s, e in windows:
-        s, e = max(s, start), min(e, end)
-        if s < e:
-            out.append((s, e))
-    return out
-
-
-def _merged_seconds(windows: list[tuple[int, int]]) -> int:
+def _active_seconds(name: str, windows: list[tuple[int, int]], start: int, end: int) -> int:
+    """Seconds of [start, end) inside the windows. The display holds the
+    last message, so its overlapping windows merge; every other component
+    does one thing at a time, so an overlap there is InconsistentTimeline."""
     total = 0
-    cur_start = cur_end = None
+    reach = start  # seconds before this are already counted
     for s, e in sorted(windows):
-        if cur_end is None or s > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    if cur_end is not None:
-        total += cur_end - cur_start
+        if s < start:
+            s = start
+        if e > end:
+            e = end
+        if s >= e:
+            continue
+        if s < reach:
+            if name != "display":
+                raise InconsistentTimeline(f"{name} windows overlap at {s}")
+            s = reach
+        if s < e:
+            total += e - s
+            reach = e
     return total
-
-
-def _exclusive_seconds(windows: list[tuple[int, int]], component: str) -> int:
-    ordered = sorted(windows)
-    for (s1, e1), (s2, _) in zip(ordered, ordered[1:]):
-        if s2 < e1:
-            raise InconsistentTimeline(
-                f"{component} windows overlap: [{s1}, {e1}) and [{s2}, ...)"
-            )
-    return sum(e - s for s, e in ordered)
 
 
 def activity_windows(
@@ -168,14 +157,9 @@ def energy_for_interval(
     windows = activity_windows(events, policy)
     per: dict[str, ComponentEnergy] = {}
     for name in COMPONENTS:
-        clipped = _clip(windows[name], start, end)
-        if name in ("sensor", "camera", "buzzer", "controller"):
-            # Single activity at a time; the controller inherits the sensor
-            # windows, which cannot overlap while the duty time fits the
-            # sample period.
-            active_s = _exclusive_seconds(clipped, name)
-        else:
-            active_s = _merged_seconds(clipped)  # display holds the last message
+        # The controller inherits the sensor windows, which cannot overlap
+        # while the duty time fits the sample period.
+        active_s = _active_seconds(name, windows[name], start, end)
         power = profile.component(name)
         energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * _uw(power.idle_mw)
         per[name] = ComponentEnergy(active_s=active_s, energy_uj=energy_uj)

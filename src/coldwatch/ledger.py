@@ -209,14 +209,18 @@ def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
 
 
 def encode_request(req: EntryRequest) -> bytes:
-    payload = encode_payload(req.kind, req.payload)
-    return (
-        struct.pack(">B", req.kind.value)
-        + enc_str(req.device_id)
-        + struct.pack(">Qq", req.seq, req.at)
-        + struct.pack(">I", len(payload))
-        + payload
-    )
+    """Raises MalformedPayload for any field outside its fixed width."""
+    try:
+        payload = encode_payload(req.kind, req.payload)
+        return (
+            struct.pack(">B", req.kind.value)
+            + enc_str(req.device_id)
+            + struct.pack(">Qq", req.seq, req.at)
+            + struct.pack(">I", len(payload))
+            + payload
+        )
+    except struct.error as exc:
+        raise MalformedPayload(f"field out of range: {exc}") from exc
 
 
 def _read_request(cur: Cursor) -> EntryRequest:
@@ -364,10 +368,9 @@ class Ledger:
     owner writes everything; other writers are granted and revoked only
     through ADMIN_CHANGE entries."""
 
-    def __init__(self, owner: str, path: Path | None = None, gas: GasSchedule | None = None):
+    def __init__(self, owner: str, path: Path | None = None):
         self.owner = owner
         self.writers: set[str] = set()
-        self.gas = gas or GasSchedule()
         self.fault_windows: list[tuple[Timestamp, Timestamp]] = []
         self.entries: list[LedgerEntry] = []
         self._by_key: dict[tuple[str, int], int] = {}

@@ -27,7 +27,6 @@ from .ledger import (
     Cursor,
     EntryRequest,
     Ledger,
-    LedgerEntry,
     LedgerOutage,
     decode_request,
     enc_str,
@@ -54,7 +53,6 @@ class ItemState(enum.Enum):
 class OutboxItem:
     request: EntryRequest
     state: ItemState
-    attempts: int = 0
 
     @property
     def key(self) -> tuple[str, int]:
@@ -63,7 +61,6 @@ class OutboxItem:
 
 @dataclass(frozen=True)
 class DrainResult:
-    confirmed: list[LedgerEntry]
     retry_at: Timestamp | None
 
 
@@ -122,29 +119,26 @@ class Outbox:
 
     def drain(self, ledger: Ledger, credential: str, now: Timestamp) -> DrainResult:
         """Submit Pending items in order; on an outage, report when to retry."""
-        confirmed: list[LedgerEntry] = []
         for key, item in self._items.items():
             if item.state is not ItemState.PENDING:
                 continue
             device_id, seq = key
             self._append_mark(ItemState.SUBMITTED, key)
             item.state = ItemState.SUBMITTED
-            item.attempts += 1
             self._hook("submit:marked", device_id, seq)
             try:
-                entry = ledger.submit(item.request, credential, now=now)
+                ledger.submit(item.request, credential, now=now)
             except LedgerOutage:
                 item.state = ItemState.PENDING
                 self._outage_streak += 1
                 delay = BACKOFF_SCHEDULE[min(self._outage_streak, len(BACKOFF_SCHEDULE)) - 1]
-                return DrainResult(confirmed=confirmed, retry_at=now + delay)
+                return DrainResult(retry_at=now + delay)
             self._outage_streak = 0
             self._hook("confirm:pre", device_id, seq)
             self._append_mark(ItemState.CONFIRMED, key)
             item.state = ItemState.CONFIRMED
             self._hook("confirm:post", device_id, seq)
-            confirmed.append(entry)
-        return DrainResult(confirmed=confirmed, retry_at=None)
+        return DrainResult(retry_at=None)
 
     def items(self) -> list[OutboxItem]:
         return list(self._items.values())

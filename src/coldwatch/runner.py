@@ -70,13 +70,7 @@ from .model import (
     ts_to_date,
 )
 from .outbox import Outbox
-from .reports import (
-    DailyReport,
-    ReportRow,
-    build_report,
-    encode_row,
-    report_notice_text,
-)
+from .reports import ReportRow, build_report, encode_row, report_notice_text
 from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, sample_ticks, write_trace
 
 OWNER_KEY = "owner-key"
@@ -105,8 +99,6 @@ class RunResult:
     manifest: dict
     ledger: Ledger
     deliveries: list[DeliveryRecord]
-    reports: list[DailyReport]
-    messenger: MessengerSink
 
 
 def _json_default(value):
@@ -146,6 +138,9 @@ class _Run:
         if cfg.live_messenger:
             self._sinks.append(_live_messenger_from_env())
         self.out = Path(cfg.out_dir)
+        if self.out.is_dir() and any(self.out.iterdir()):
+            # Files of an earlier run would be reopened or left behind.
+            raise FileExistsError(f"output directory {self.out} is not empty")
         self.out.mkdir(parents=True, exist_ok=True)
 
         self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
@@ -163,7 +158,7 @@ class _Run:
         self.cfg = cfg
         write_trace(self.readings, self.out / "trace.csv")
         (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
-        self.ledger = Ledger(OWNER_KEY, path=self.out / "ledger.bin", gas=cfg.gas)
+        self.ledger = Ledger(OWNER_KEY, path=self.out / "ledger.bin")
         self.ledger.set_fault_windows(
             [(f.start, f.end) for f in self.faults if f.kind is FaultKind.LEDGER_OUTAGE]
         )
@@ -171,7 +166,7 @@ class _Run:
             f.start for f in self.faults if f.kind is FaultKind.PROCESS_CRASH
         )
         self.deliveries: list[DeliveryRecord] = []
-        self.reports: list[DailyReport] = []
+        self.reports = 0
         self.event_counts: Counter[EventKind] = Counter()
         self.resolutions = 0
         self._start_process()
@@ -240,7 +235,7 @@ class _Run:
         report = build_report(self.outbox, day, self.cfg.device_id)
         path = self.out / "reports" / self.cfg.device_id / f"{ts_to_date(day)}.csv"
         path.write_bytes(report.csv_bytes)
-        self.reports.append(report)
+        self.reports += 1
         item = self.outbox.enqueue(
             LedgerKind.REPORT_ANCHOR,
             self.cfg.device_id,
@@ -354,8 +349,6 @@ class _Run:
             manifest=manifest,
             ledger=self.ledger,
             deliveries=self.deliveries,
-            reports=self.reports,
-            messenger=self.messenger,
         )
 
     def _manifest(self, messages: int) -> dict:
@@ -387,7 +380,7 @@ class _Run:
                 "batches": counts[EventKind.BATCH_ANCHORED],
                 "alerts": counts[EventKind.CRITICAL_ESCALATED],
                 "resolutions": self.resolutions,
-                "reports": len(self.reports),
+                "reports": self.reports,
                 "txs": len(self.ledger.entries),
                 "messages": messages,
             },

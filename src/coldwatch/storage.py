@@ -29,7 +29,6 @@ class StoreFormatError(Exception):
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    records: int
     dropped_bytes: int
 
 
@@ -43,7 +42,7 @@ class RecordFile:
     def _open(self) -> RecoveryReport:
         if not self.path.exists() or self.path.stat().st_size == 0:
             self.path.write_bytes(_HEADER)
-            return RecoveryReport(records=0, dropped_bytes=0)
+            return RecoveryReport(dropped_bytes=0)
         data = self.path.read_bytes()
         if data[:5] != _HEADER:
             raise StoreFormatError(f"{self.path}: bad magic header")
@@ -66,7 +65,7 @@ class RecordFile:
         if dropped:
             with open(self.path, "r+b") as f:
                 f.truncate(valid_end)
-        return RecoveryReport(records=len(self.records), dropped_bytes=dropped)
+        return RecoveryReport(dropped_bytes=dropped)
 
     def append(self, payload: bytes) -> None:
         self._f.write(_frame(payload))

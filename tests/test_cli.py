@@ -79,6 +79,17 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert all(v == 0 for v in manifest["counters"].values())
 
+    def test_non_empty_out_is_a_usage_error(self, tmp_path, capsys):
+        # A second run would reopen the first one's outbox and leave its
+        # second day's report behind.
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "48h", "--seed", "7", "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["simulate", "--duration", "24h", "--seed", "7", "--out", str(out)]) == 2
+        assert "not empty" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_breach_scenario_needs_enough_horizon(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "breach", "--duration", "1h",
                      "--out", str(tmp_path / "x")])

@@ -109,39 +109,36 @@ def test_savings_stay_in_unit_interval(breach_run):
         assert 0.0 <= value <= 1.0, name
 
 
-def test_per_second_oracle_matches_interval_computation():
-    """Brute-force second-by-second power summation over a messy hour."""
-    events = [
-        ev(EventKind.SAMPLE_TAKEN, 30 * k) for k in range(1, 121)
-    ] + [
-        ev(EventKind.LOCAL_LOG_WRITTEN, 30),
-        ev(EventKind.LOCAL_LOG_WRITTEN, 1230),
-        ev(EventKind.ALERT_DISPATCHED, 1500),
-        ev(EventKind.IMAGE_CAPTURED, 1500),
-        ev(EventKind.BREACH_RESOLVED, 2400),
-        ev(EventKind.LOCAL_LOG_WRITTEN, 2430),
-    ]
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(list(EventKind)), st.integers(0, 400)), max_size=12),
+    st.tuples(*[st.integers(0, 30)] * 4),
+    st.integers(0, 300),
+    st.integers(0, 200),
+)
+def test_per_second_oracle_matches_interval_computation(drawn, duties, start, length):
+    """Brute-force second-by-second coverage and power summation. Windows
+    may cross either end of the interval, and any duty time may be 0."""
+    events = [ev(kind, at) for kind, at in drawn]
     profile = PowerProfile()
-    policy = DutyPolicy()
-    start, end = 0, 3600
+    policy = DutyPolicy(*duties)
+    end = start + length
     windows = activity_windows(events, policy)
-
-    def active_at(name, second):
-        return any(s <= second < e for s, e in windows[name])
-
-    expected = {}
-    for name in COMPONENTS:
-        power = profile.component(name)
-        idle_uw = round(power.idle_mw * 1000)
-        active_uw = round(power.active_mw * 1000)
-        total = 0
-        for second in range(start, end):
-            total += active_uw if active_at(name, second) else idle_uw
-        expected[name] = total
-
+    cover = {
+        name: [sum(s <= t < e for s, e in windows[name]) for t in range(start, end)]
+        for name in COMPONENTS
+    }
+    if any(max(cover[name], default=0) > 1 for name in COMPONENTS if name != "display"):
+        with pytest.raises(InconsistentTimeline):
+            energy_for_interval(events, profile, policy, start, end)
+        return
     duty = energy_for_interval(events, profile, policy, start, end)
     for name in COMPONENTS:
-        assert duty.per_component[name].energy_uj == expected[name], name
+        power = profile.component(name)
+        active_uw, idle_uw = round(power.active_mw * 1000), round(power.idle_mw * 1000)
+        assert duty.per_component[name].active_s == sum(c > 0 for c in cover[name]), name
+        expected_uj = sum(active_uw if c else idle_uw for c in cover[name])
+        assert duty.per_component[name].energy_uj == expected_uj, name
 
 
 @settings(max_examples=40, deadline=None)

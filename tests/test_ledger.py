@@ -13,6 +13,7 @@ from coldwatch.ledger import (
     EntryRequest,
     GasSchedule,
     Ledger,
+    LedgerEntry,
     LedgerKind,
     LedgerOutage,
     MalformedPayload,
@@ -62,6 +63,19 @@ ONE_PAYLOAD_PER_KIND = {
     LedgerKind.REPORT_ANCHOR: ReportAnchorPayload(day=0, digest=bytes(range(32)), row_count=72),
     LedgerKind.ADMIN_CHANGE: AdminChangePayload(action=AdminAction.REVOKE, key="device-key"),
 }
+
+
+def assert_rejected(tmp_path, request, error):
+    """The request is refused before the ledger or its file changes."""
+    path = tmp_path / "ledger.bin"
+    ledger = Ledger(OWNER, path=path)
+    ledger.submit(alert_request(0), OWNER)
+    entries, before = list(ledger.entries), path.read_bytes()
+    with pytest.raises(error):
+        ledger.submit(request, OWNER)
+    assert ledger.entries == entries
+    assert path.read_bytes() == before
+    return ledger
 
 
 class TestChain:
@@ -179,37 +193,24 @@ class TestBatch:
         assert len(ledger.entries) == 1
         assert len(entry.payload.readings) == 4
 
-    @staticmethod
-    def assert_rejected(tmp_path, request, error):
-        """The batch is refused before the ledger or its file changes."""
-        path = tmp_path / "ledger.bin"
-        ledger = Ledger(OWNER, path=path)
-        ledger.submit(alert_request(0), OWNER)
-        entries, before = list(ledger.entries), path.read_bytes()
-        with pytest.raises(error):
-            ledger.submit(request, OWNER)
-        assert ledger.entries == entries
-        assert path.read_bytes() == before
-        return ledger
-
     def test_empty_batch_rejected(self, tmp_path):
-        self.assert_rejected(tmp_path, batch_request([], seq=1), MalformedPayload)
+        assert_rejected(tmp_path, batch_request([], seq=1), MalformedPayload)
 
     def test_mixed_devices_rejected(self, tmp_path):
         # Stored as-is, the cooler-9 reading would read back as fridge-1.
         readings = [rd(100), Reading("cooler-9", 200, 40, 520)]
-        self.assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
+        assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
 
     def test_batch_of_another_device_rejected(self, tmp_path):
         readings = [Reading("cooler-9", 100, 40, 520)]
-        self.assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
+        assert_rejected(tmp_path, batch_request(readings, seq=1), MalformedPayload)
 
     def test_unordered_rejected(self, tmp_path):
-        self.assert_rejected(tmp_path, batch_request([rd(200), rd(100)], seq=1), MalformedPayload)
+        assert_rejected(tmp_path, batch_request([rd(200), rd(100)], seq=1), MalformedPayload)
 
     def test_over_limit_rejected(self, tmp_path):
         readings = [rd(30 * k) for k in range(1, BATCH_LIMIT + 2)]
-        ledger = self.assert_rejected(tmp_path, batch_request(readings, seq=1), BatchTooLarge)
+        ledger = assert_rejected(tmp_path, batch_request(readings, seq=1), BatchTooLarge)
         entry = ledger.submit(batch_request(readings[:BATCH_LIMIT], seq=1), OWNER)
         assert len(entry.payload.readings) == BATCH_LIMIT
 
@@ -285,6 +286,24 @@ class TestFile:
         payload = ReportAnchorPayload(day=0, digest=bytes(size), row_count=72)
         with pytest.raises(MalformedPayload):
             encode_request(EntryRequest(LedgerKind.REPORT_ANCHOR, DEV, 7, 200, payload))
+
+
+OUT_OF_RANGE = {
+    "negative-duration": EntryRequest(
+        LedgerKind.RESOLUTION, DEV, 1, 1000, ResolutionPayload(1, -5, 0, 5)
+    ),
+    "temp-beyond-i16": EntryRequest(LedgerKind.ALERT, DEV, 1, 1000, AlertPayload(1, 40000, 5)),
+    "negative-seq": alert_request(-1),
+}
+
+
+@pytest.mark.parametrize("req", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_field_outside_its_width_is_malformed(tmp_path, req):
+    assert_rejected(tmp_path, req, MalformedPayload)
+    entry = LedgerEntry(**vars(req), index=0, prev_hash=ZERO_DIGEST, entry_hash=ZERO_DIGEST)
+    report = verify_entries([entry])
+    assert (report.ok, report.bad_index) == (False, 0)
+    assert report.reason.startswith("unencodable entry")
 
 
 def test_exactly_five_externally_callable_kinds():

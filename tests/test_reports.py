@@ -10,7 +10,7 @@ from coldwatch.ledger import (
     ReportAnchorPayload,
     Unauthorized,
 )
-from coldwatch.model import DAY_SECONDS
+from coldwatch.model import DAY_SECONDS, iso_to_ts
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
@@ -166,12 +166,11 @@ class TestAnchorAndVerify:
 
 def test_quiet_day_report_from_full_run(quiet_run):
     # 86400 / 1200 = 72 record rows.
-    report = quiet_run.reports[0]
-    assert report.row_count == 72
-    assert report.day == DAY
-    lines = report.csv_bytes.decode().splitlines()
+    lines = (quiet_run.out_dir / "reports" / DEV / "2025-01-01.csv").read_text().splitlines()
     assert len(lines) == 73
     assert lines[0] == REPORT_HEADER
+    [anchor] = [e.payload for e in quiet_run.ledger.entries if e.kind is LedgerKind.REPORT_ANCHOR]
+    assert (anchor.day, anchor.row_count) == (DAY, 72)
 
 
 def test_breach_day_report_composition(breach_run):
@@ -180,15 +179,15 @@ def test_breach_day_report_composition(breach_run):
     # pending (28830, 30030), every sample from escalation at 31200 through
     # 33600 (81), then back on the grid from 33630 to 85230 (44), plus one
     # alert row and one resolution row.
-    report = breach_run.reports[0]
+    csv_text = (breach_run.out_dir / "reports" / DEV / "2025-01-01.csv").read_text()
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
     scheduled = 72
     critical = (33600 - 31200) // 30 + 1
     on_grid_during_critical = 2  # 31230 and 32430 coincide with the 20-min grid
     events = 2
-    assert report.row_count == scheduled + critical - on_grid_during_critical + events
-    alerts = [r for r in report.rows if r.event == "ALERT"]
-    resolved = [r for r in report.rows if r.event == "RESOLVED"]
-    assert [r.at - breach_run.manifest["start"] for r in alerts] == [31200]
-    assert [r.at - breach_run.manifest["start"] for r in resolved] == [33630]
-    ats = [r.at for r in report.rows]
+    assert len(rows) == scheduled + critical - on_grid_during_critical + events
+    start = breach_run.manifest["start"]
+    assert [iso_to_ts(r[0]) - start for r in rows if r[5] == "ALERT"] == [31200]
+    assert [iso_to_ts(r[0]) - start for r in rows if r[5] == "RESOLVED"] == [33630]
+    ats = [iso_to_ts(r[0]) for r in rows]
     assert ats == sorted(ats)

@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 from coldwatch.ledger import LedgerKind, load_ledger_entries
-from coldwatch.model import DAY_SECONDS, EventKind
+from coldwatch.model import DAY_SECONDS, EventKind, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
@@ -43,10 +43,8 @@ class TestQuietDay:
         assert [len(b.payload.readings) for b in batches] == [6] * 11
 
     def test_report_is_anchored_and_authentic(self, quiet_run):
-        report = quiet_run.reports[0]
         csv_path = quiet_run.out_dir / "reports" / "fridge-1" / "2025-01-01.csv"
-        assert csv_path.read_bytes() == report.csv_bytes
-        assert verify_report(report.csv_bytes, quiet_run.ledger.entries) is Verdict.AUTHENTIC
+        assert verify_report(csv_path.read_bytes(), quiet_run.ledger.entries) is Verdict.AUTHENTIC
 
     def test_all_artifacts_exist(self, quiet_run):
         for name in ARTIFACTS:
@@ -185,10 +183,11 @@ class TestHorizonEdges:
     def test_trailing_partial_day_is_reported_and_anchored(self, tmp_path):
         result = run(tmp_path, normal_day(seed=6), horizon=DAY_SECONDS + 7200)
         assert result.manifest["counters"]["reports"] == 2
-        partial = result.reports[1]
-        assert partial.day == DEFAULT_START + DAY_SECONDS
-        assert partial.row_count == 6  # 2 h of 20-minute records
-        assert verify_report(partial.csv_bytes, result.ledger.entries) is Verdict.AUTHENTIC
+        day = ts_to_date(DEFAULT_START + DAY_SECONDS)
+        partial = (result.out_dir / "reports" / "fridge-1" / f"{day}.csv").read_bytes()
+        assert len(partial.splitlines()) == 1 + 6  # header and 2 h of 20-minute records
+        # The file's first row names the day; its anchor must match.
+        assert verify_report(partial, result.ledger.entries) is Verdict.AUTHENTIC
 
     def test_thirty_six_hour_run_keeps_anchor_grid(self, tmp_path):
         result = run(tmp_path, normal_day(seed=6), name="h36", horizon=DAY_SECONDS + DAY_SECONDS // 2)
