@@ -128,19 +128,22 @@ def activity_windows(
     events: Iterable[MonitorEvent], policy: DutyPolicy
 ) -> dict[str, list[tuple[int, int]]]:
     windows: dict[str, list[tuple[int, int]]] = {name: [] for name in COMPONENTS}
+    sensor = windows["sensor"]
+    warm_up = policy.sensor_active_s_per_sample
     for ev in events:
-        if ev.kind is EventKind.SAMPLE_TAKEN:
-            # The sensor (and the controller servicing it) warms up ahead of
-            # the tick, so the window ends at the reading's timestamp.
-            w = (ev.at - policy.sensor_active_s_per_sample, ev.at)
-            windows["sensor"].append(w)
-            windows["controller"].append(w)
-        elif ev.kind is EventKind.IMAGE_CAPTURED:
+        kind = ev.kind
+        if kind is EventKind.SAMPLE_TAKEN:
+            # Nearly every event. The sensor warms up ahead of the tick, so
+            # the window ends at the reading's timestamp.
+            sensor.append((ev.at - warm_up, ev.at))
+            continue
+        if kind is EventKind.IMAGE_CAPTURED:
             windows["camera"].append((ev.at, ev.at + policy.camera_active_s_per_capture))
-        if ev.kind is EventKind.ALERT_DISPATCHED:
+        if kind is EventKind.ALERT_DISPATCHED:
             windows["buzzer"].append((ev.at, ev.at + policy.buzzer_active_s_per_alert))
-        if ev.kind in DISPLAY_WAKE_KINDS:
+        if kind in DISPLAY_WAKE_KINDS:
             windows["display"].append((ev.at, ev.at + policy.display_hold_s))
+    windows["controller"] = sensor[:]  # the controller services each sample
     return windows
 
 

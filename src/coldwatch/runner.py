@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import os
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
@@ -113,20 +115,75 @@ def _json_default(value):
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
 
+# SampleTaken is nearly every events.log line, so it skips the json hook in
+# both directions. This is the encoder's own output for it: keys sorted,
+# compact separators; only device_id can need escaping.
+_SAMPLE_LINE = (
+    '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
+    '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
+)
+_INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
+_SAMPLE_LINE_RE = re.compile(
+    r'\{"at":%s,"kind":"SampleTaken","payload":\{"reading":'
+    r'\{"at":%s,"device_id":"([^"\\\x00-\x1f]*)","hum_decip":%s,"temp_decic":%s\}\}\}\n?'
+    % (_INT, _INT, _INT, _INT)
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_string(text: str) -> str:
+    return _EVENT_ENCODER.encode(text)
+
 
 def event_to_json(event: MonitorEvent) -> str:
+    if event.kind is EventKind.SAMPLE_TAKEN:
+        r = event.payload["reading"]
+        return _SAMPLE_LINE % (event.at, r.at, _json_string(r.device_id), r.hum_decip, r.temp_decic)
     return _EVENT_ENCODER.encode(event)
 
 
 def events_from_log(path: Path) -> list[MonitorEvent]:
+    """Every event of an events.log; ValueError names the first bad line."""
     events = []
+    sample, match = EventKind.SAMPLE_TAKEN, _SAMPLE_LINE_RE.fullmatch
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            doc = json.loads(line)
-            events.append(
-                MonitorEvent(kind=EventKind(doc["kind"]), at=doc["at"], payload=doc["payload"])
-            )
+        for line_no, line in enumerate(f, start=1):
+            m = match(line)
+            if m is None:
+                events.append(_event_from_json(line, path, line_no))
+                continue
+            at, reading_at, device_id, hum, temp = m.groups()
+            reading = {
+                "at": int(reading_at),
+                "device_id": device_id,
+                "hum_decip": int(hum),
+                "temp_decic": int(temp),
+            }
+            events.append(MonitorEvent(sample, int(at), {"reading": reading}))
     return events
+
+
+_KINDS = frozenset(kind.value for kind in EventKind)
+
+
+def _event_from_json(line: str, path: Path, line_no: int) -> MonitorEvent:
+    try:
+        doc = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    if not isinstance(doc, dict):
+        problem = "not a JSON object"
+    elif "kind" not in doc:
+        problem = "no 'kind'"
+    elif not isinstance(doc["kind"], str) or doc["kind"] not in _KINDS:
+        problem = f"unknown event kind {doc['kind']!r}"
+    elif type(doc.get("at")) is not int:  # rejects bool, an int subclass
+        problem = f"'at' must be an integer, got {doc.get('at')!r}"
+    elif not isinstance(doc.get("payload"), dict):
+        problem = "'payload' must be a JSON object"
+    else:
+        return MonitorEvent(kind=EventKind(doc["kind"]), at=doc["at"], payload=doc["payload"])
+    raise ValueError(f"{path}: line {line_no}: {problem}")
 
 
 class _Run:

@@ -50,3 +50,27 @@ def test_traced_incident_day_sees_every_simulate_layer(tmp_path):
     lines = (run_dir / "events.log").read_text(encoding="utf-8").splitlines()
     assert tr.calls["runner.event_to_json"] == len(lines)
     assert not tr.errors.keys() - {"ledger.submit:LedgerOutage"}
+
+
+# Span names of tracer.ENTRY_POINTS that the audit workload calls.
+AUDIT_SPANS = [
+    "runner.events_from_log",
+    "energy.interval",
+    "energy.saving",
+    "ledger.load",
+    "ledger.verify",
+    "ledger.cost",
+    "reports.verify",
+]
+
+
+def test_traced_audit_of_a_day_sees_every_read_layer(tmp_path):
+    wl = workloads.Workload("audit", days=1, simulates=False)
+    run_dir = tmp_path / "run"
+    runner.run_simulation(workloads.run_config(wl, seed=1, out_dir=run_dir))
+    tr = tracer.Tracer(run_id="test")
+    with tr:
+        workloads.audit(run_dir)
+
+    assert [name for name in AUDIT_SPANS if tr.calls[name] == 0] == []
+    assert not tr.errors

@@ -330,6 +330,26 @@ class TestEnergy:
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"at":1735689630,"payload":{}}',
+            "[1]",
+            '{"at":1735689630,"kind":"SampleSkipped","payload":{}}',
+            '{"at":"x","kind":"SampleTaken","payload":{}}',
+        ],
+        ids=["no-kind", "not-an-object", "unknown-kind", "at-not-an-int"],
+    )
+    def test_malformed_event_line_is_a_usage_error_naming_it(
+        self, sim_dir, tmp_path, capsys, bad_line
+    ):
+        lines = (sim_dir / "events.log").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(2, bad_line + "\n")
+        events = tmp_path / "events.log"
+        events.write_text("".join(lines), encoding="utf-8")
+        assert main(["energy", "--events", str(events)]) == 2
+        assert "line 3:" in capsys.readouterr().err
+
     def test_display_idle_power_is_the_dim_level(self, sim_dir, tmp_path, capsys):
         def display_j(*profile):
             assert main(["energy", "--events", str(sim_dir / "events.log"), *profile]) == 0
