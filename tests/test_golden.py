@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+from coldwatch.cli import main
 from coldwatch.model import DAY_SECONDS, Thresholds
 from coldwatch.runner import DEFAULT_START, RunConfig, run_simulation
 from coldwatch.sensor import (
@@ -206,13 +207,17 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name,seed,fault", list(GOLDEN))
-def test_artifact_digests(tmp_path, name, seed, fault):
+def _grid_run(name, seed, fault):
     scenario = dataclasses.replace(
         scenario_for(name, DEFAULT_START, DAY_SECONDS, seed), faults=FAULTS[fault]
     )
+    return dict(scenario=scenario, seed=seed, scenario_name=name)
+
+
+@pytest.mark.parametrize("name,seed,fault", list(GOLDEN))
+def test_artifact_digests(tmp_path, name, seed, fault):
     out = tmp_path / "run"
-    run_simulation(RunConfig(out_dir=out, scenario=scenario, seed=seed, scenario_name=name))
+    run_simulation(RunConfig(out_dir=out, **_grid_run(name, seed, fault)))
     assert _digests(out) == GOLDEN[(name, seed, fault)]
 
 
@@ -360,3 +365,109 @@ def test_off_grid_artifact_digests(tmp_path, name):
     out = tmp_path / "run"
     run_simulation(RunConfig(out_dir=out, **_off_grid_runs()[name]))
     assert _digests(out) == OFF_GRID[name]
+
+
+# -- read side ----------------------------------------------------------------
+#
+# What `coldwatch energy` and `coldwatch cost` print for the seed-7 grid runs
+# and the off-grid runs: the energy table (stdout without the `csv written
+# to` line), the energy CSV file and the cost table.
+
+
+def _read_side_runs():
+    grid = {f"{n}-7-{f}": _grid_run(n, 7, f) for n, seed, f in GOLDEN if seed == 7}
+    return {**grid, **_off_grid_runs()}
+
+
+def _read_side_digests(out, tmp_path, capsys):
+    csv_path = tmp_path / "energy.csv"
+    assert main(["energy", "--events", str(out / "events.log"), "--csv", str(csv_path)]) == 0
+    table = capsys.readouterr().out.replace(f"csv written to {csv_path}\n", "")
+    assert main(["cost", "--ledger", str(out / "ledger.bin")]) == 0
+    cost = capsys.readouterr().out
+    return {
+        "energy table": hashlib.sha256(table.encode()).hexdigest(),
+        "energy csv": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "cost": hashlib.sha256(cost.encode()).hexdigest(),
+    }
+
+
+READ_SIDE = {
+    "normal-7-none": {
+        "energy table": "a9027f79f10768497a30406b9c95d30b49f56417ff22e8ecbe777384f526d25b",
+        "energy csv": "c0a61c29ca685724373e0b7bf4408a69516cd6a5cf26fe2edd9bd03effd3ed8b",
+        "cost": "1435368692dacd6c35181a3d4f555cd3becaeff4cc208fd6534017781fad7252",
+    },
+    "normal-7-outage": {
+        "energy table": "a9027f79f10768497a30406b9c95d30b49f56417ff22e8ecbe777384f526d25b",
+        "energy csv": "c0a61c29ca685724373e0b7bf4408a69516cd6a5cf26fe2edd9bd03effd3ed8b",
+        "cost": "1435368692dacd6c35181a3d4f555cd3becaeff4cc208fd6534017781fad7252",
+    },
+    "normal-7-crash": {
+        "energy table": "3c9090e9e043aa639660dd9f955b8aa0ee6e6cfb194673ed328c6fd385f79ee9",
+        "energy csv": "766d7f234369e2d40082838ee547906f07deed32c8b579a3a43a7105e9871f6f",
+        "cost": "35f923de97ec911f47d6df4fbb79c6323bbdd4de3ba3b857aa01965eaaca5311",
+    },
+    "breach-7-none": {
+        "energy table": "5a10e0cfee49a5a0a72cdf23355544bc6554f793ccbe12e38b0aa57bccdbf0e7",
+        "energy csv": "849b0498f50af1e6cd9fe7441b865c7cd55b463f8960fcc1adcd688f51cb8c29",
+        "cost": "0dc7513613da5799d7e116bff239801a35ad5db2c044d5164bf4ec197d3eee5f",
+    },
+    "breach-7-outage": {
+        "energy table": "5a10e0cfee49a5a0a72cdf23355544bc6554f793ccbe12e38b0aa57bccdbf0e7",
+        "energy csv": "849b0498f50af1e6cd9fe7441b865c7cd55b463f8960fcc1adcd688f51cb8c29",
+        "cost": "0dc7513613da5799d7e116bff239801a35ad5db2c044d5164bf4ec197d3eee5f",
+    },
+    "breach-7-crash": {
+        "energy table": "00e003e0746fdd9aaa48db1e352733393d3f3c8ae163284d6208b0a6f142757a",
+        "energy csv": "a354d4835a23ce272b9a92efe60e93abc2eda467398904aff61ca728ccf7cddc",
+        "cost": "e270e94740a6f2c495c940a255e36c36a676a0febd4286e596db3f182df79f8a",
+    },
+    "peak-7-none": {
+        "energy table": "a9027f79f10768497a30406b9c95d30b49f56417ff22e8ecbe777384f526d25b",
+        "energy csv": "c0a61c29ca685724373e0b7bf4408a69516cd6a5cf26fe2edd9bd03effd3ed8b",
+        "cost": "1435368692dacd6c35181a3d4f555cd3becaeff4cc208fd6534017781fad7252",
+    },
+    "peak-7-outage": {
+        "energy table": "a9027f79f10768497a30406b9c95d30b49f56417ff22e8ecbe777384f526d25b",
+        "energy csv": "c0a61c29ca685724373e0b7bf4408a69516cd6a5cf26fe2edd9bd03effd3ed8b",
+        "cost": "1435368692dacd6c35181a3d4f555cd3becaeff4cc208fd6534017781fad7252",
+    },
+    "peak-7-crash": {
+        "energy table": "3c9090e9e043aa639660dd9f955b8aa0ee6e6cfb194673ed328c6fd385f79ee9",
+        "energy csv": "766d7f234369e2d40082838ee547906f07deed32c8b579a3a43a7105e9871f6f",
+        "cost": "35f923de97ec911f47d6df4fbb79c6323bbdd4de3ba3b857aa01965eaaca5311",
+    },
+    "start-10s-25h": {
+        "energy table": "905989a9dd91ee53b36df2b4b65467ebcb513d22addcae1ce79b78079ac64911",
+        "energy csv": "670225e83665130adaf11560132b14f4086eb21efb8ed52b6f8d1287f3446938",
+        "cost": "1903e36f3c4efe09e6080d95174f5943b5dd133866951adaf1bfabf47559a7df",
+    },
+    "period-60": {
+        "energy table": "1f00a505c199fbcef7cd68be795d5dd0ea64045a89015cc00221d39030fba024",
+        "energy csv": "8861d16e18c3ec0ca0c44a7c861b2c7e57e5bf90a1ee21aeca48d36022314136",
+        "cost": "0dc7513613da5799d7e116bff239801a35ad5db2c044d5164bf4ec197d3eee5f",
+    },
+    "horizon-24h45s": {
+        "energy table": "ef9b15c6261ae36f21ede38495307a48811ffe2541692d276690112b13341884",
+        "energy csv": "d30680cf3760f428fd04601c47d30813375e57657fc94a5bd470e88811da9b35",
+        "cost": "d47f1716de4bc4b12caa0d67320c1556e7d561ec6df5772b7b8735256de4530a",
+    },
+    "period-7": {
+        "energy table": "932f892d0190f24b456fecfa0e02bcee246196ce5ad64333ed094c877bbe1f1e",
+        "energy csv": "0d13a26126e5543f212befbcacee88ddec2b9e6d2d0cfebec59c44394b4c69ee",
+        "cost": "69d82e7f778607701a7a9b2b01f56aafabf82523ad0fc1f5a6f40a3044076f5d",
+    },
+    "overlapping-spikes": {
+        "energy table": "dc3c107f4aa15232593f7e6a719baa37eff7155cb15c35465d9519112181f546",
+        "energy csv": "c91ef948fb68703fac5cf9f9880873268762c501375c23996c29e71d12e98b43",
+        "cost": "0dc7513613da5799d7e116bff239801a35ad5db2c044d5164bf4ec197d3eee5f",
+    },
+}
+
+
+@pytest.mark.parametrize("run_id", list(READ_SIDE))
+def test_read_side_digests(tmp_path, capsys, run_id):
+    out = tmp_path / "run"
+    run_simulation(RunConfig(out_dir=out, **_read_side_runs()[run_id]))
+    assert _read_side_digests(out, tmp_path, capsys) == READ_SIDE[run_id]
