@@ -218,11 +218,9 @@ def cmd_energy(args) -> int:
         print("error: empty event log and no --day given", file=sys.stderr)
         return EXIT_USAGE
     duty = energy_mod.energy_for_interval(events, cfg.power, cfg.duty, start, end)
-    base = energy_mod.baseline_energy(cfg.power, start, end)
-    savings = energy_mod.saving_ratio(events, cfg.power, cfg.duty, start, end)
-    print(energy_mod.render_table(duty, base, savings))
+    print(energy_mod.render_table(duty))
     if args.csv is not None:
-        args.csv.write_text(energy_mod.render_csv(duty, base, savings), encoding="utf-8")
+        args.csv.write_text(energy_mod.render_csv(duty), encoding="utf-8")
         print(f"csv written to {args.csv}")
     return EXIT_OK
 

@@ -120,7 +120,7 @@ def load_config(path: Path | None) -> AppConfig:
             )
         for component, values in overrides.items():
             try:
-                part = replace(cfg.power.component(component), **values)
+                part = replace(getattr(cfg.power, component), **values)
             except ValueError as exc:
                 raise ConfigError(f"[power] {component}: {exc}") from exc
             cfg.power = replace(cfg.power, **{component: part})

@@ -15,7 +15,7 @@ sensor/display savings come from the deployment being modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .alerts import DISPLAY_HOLD_S
@@ -59,9 +59,6 @@ class PowerProfile:
     camera: ComponentPower = ComponentPower(active_mw=1400, idle_mw=0)
     buzzer: ComponentPower = ComponentPower(active_mw=50, idle_mw=0)
 
-    def component(self, name: str) -> ComponentPower:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class DutyPolicy:
@@ -80,25 +77,20 @@ class DutyPolicy:
 class ComponentEnergy:
     active_s: int
     energy_uj: int
+    baseline_uj: int  # always on: active power throughout the interval
 
     @property
     def energy_j(self) -> float:
         return self.energy_uj / 1e6
 
+    @property
+    def saving(self) -> float:
+        return 1 - self.energy_uj / self.baseline_uj if self.baseline_uj else 0.0
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    start: Timestamp
-    end: Timestamp
-    per_component: dict[str, ComponentEnergy] = field(default_factory=dict)
-
-    @property
-    def total_uj(self) -> int:
-        return sum(c.energy_uj for c in self.per_component.values())
-
-    @property
-    def total_j(self) -> float:
-        return self.total_uj / 1e6
+    per_component: dict[str, ComponentEnergy]  # in COMPONENTS order
 
 
 def _active_seconds(name: str, windows: list[tuple[int, int]], start: int, end: int) -> int:
@@ -143,7 +135,7 @@ def activity_windows(
             windows["buzzer"].append((ev.at, ev.at + policy.buzzer_active_s_per_alert))
         if kind in DISPLAY_WAKE_KINDS:
             windows["display"].append((ev.at, ev.at + policy.display_hold_s))
-    windows["controller"] = sensor[:]  # the controller services each sample
+    windows["controller"] = sensor  # the controller services each sample
     return windows
 
 
@@ -158,23 +150,18 @@ def energy_for_interval(
         raise ValueError("end must be >= start")
     duration = end - start
     windows = activity_windows(events, policy)
+    # The controller services each sample: it is active exactly when the sensor is.
+    sensor_s = _active_seconds("sensor", windows["sensor"], start, end)
     per: dict[str, ComponentEnergy] = {}
     for name in COMPONENTS:
-        # The controller inherits the sensor windows, which cannot overlap
-        # while the duty time fits the sample period.
-        active_s = _active_seconds(name, windows[name], start, end)
-        power = profile.component(name)
+        if name in ("controller", "sensor"):
+            active_s = sensor_s
+        else:
+            active_s = _active_seconds(name, windows[name], start, end)
+        power = getattr(profile, name)
         energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * _uw(power.idle_mw)
-        per[name] = ComponentEnergy(active_s=active_s, energy_uj=energy_uj)
-    return EnergyBreakdown(start=start, end=end, per_component=per)
-
-
-def baseline_energy(
-    profile: PowerProfile, start: Timestamp, end: Timestamp
-) -> dict[str, int]:
-    """Always-on comparison: every component at active power throughout."""
-    duration = end - start
-    return {name: duration * _uw(profile.component(name).active_mw) for name in COMPONENTS}
+        per[name] = ComponentEnergy(active_s, energy_uj, duration * _uw(power.active_mw))
+    return EnergyBreakdown(per)
 
 
 def saving_ratio(
@@ -186,34 +173,23 @@ def saving_ratio(
 ) -> dict[str, float]:
     """Per-component 1 - duty/baseline; 0 where the baseline is zero."""
     duty = energy_for_interval(events, profile, policy, start, end)
-    base = baseline_energy(profile, start, end)
-    out = {}
-    for name in COMPONENTS:
-        if base[name] == 0:
-            out[name] = 0.0
-        else:
-            out[name] = 1 - duty.per_component[name].energy_uj / base[name]
-    return out
+    return {name: c.saving for name, c in duty.per_component.items()}
 
 
-def render_table(
-    duty: EnergyBreakdown, base: dict[str, int], savings: dict[str, float]
-) -> str:
+def render_table(duty: EnergyBreakdown) -> str:
     lines = [f"{'component':<12} {'baseline_j':>14} {'duty_j':>14} {'saving_pct':>11}"]
-    for name in COMPONENTS:
+    for name, c in duty.per_component.items():
         lines.append(
-            f"{name:<12} {base[name] / 1e6:>14.1f} "
-            f"{duty.per_component[name].energy_j:>14.1f} {savings[name] * 100:>10.1f}%"
+            f"{name:<12} {c.baseline_uj / 1e6:>14.1f} {c.energy_j:>14.1f} {c.saving * 100:>10.1f}%"
         )
-    lines.append(f"{'total':<12} {sum(base.values()) / 1e6:>14.1f} {duty.total_j:>14.1f}")
+    base_uj = sum(c.baseline_uj for c in duty.per_component.values())
+    duty_uj = sum(c.energy_uj for c in duty.per_component.values())
+    lines.append(f"{'total':<12} {base_uj / 1e6:>14.1f} {duty_uj / 1e6:>14.1f}")
     return "\n".join(lines)
 
 
-def render_csv(duty: EnergyBreakdown, base: dict[str, int], savings: dict[str, float]) -> str:
+def render_csv(duty: EnergyBreakdown) -> str:
     lines = ["component,baseline_j,duty_j,saving_pct"]
-    for name in COMPONENTS:
-        lines.append(
-            f"{name},{base[name] / 1e6:.6f},"
-            f"{duty.per_component[name].energy_j:.6f},{savings[name] * 100:.1f}"
-        )
+    for name, c in duty.per_component.items():
+        lines.append(f"{name},{c.baseline_uj / 1e6:.6f},{c.energy_j:.6f},{c.saving * 100:.1f}")
     return "\n".join(lines) + "\n"

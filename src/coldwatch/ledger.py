@@ -298,14 +298,9 @@ class GasSchedule:
 
 @dataclass(frozen=True)
 class CostTally:
-    day: Timestamp
-    tx_by_kind: dict[LedgerKind, int]
+    tx_total: int
     gas_total: int
     usd_total: Fraction
-
-    @property
-    def tx_total(self) -> int:
-        return sum(self.tx_by_kind.values())
 
 
 def format_usd(amount: Fraction, places: int = 4) -> str:
@@ -318,11 +313,11 @@ def format_usd(amount: Fraction, places: int = 4) -> str:
 
 
 def accounting_day(entry: LedgerEntry) -> Timestamp:
-    """Report anchors count toward the day they anchor; everything else
-    toward its timestamp's UTC day."""
+    """The UTC day an entry is billed to: a report anchor's is the day it
+    anchors, any other entry's is its timestamp's."""
     if entry.kind is LedgerKind.REPORT_ANCHOR:
         assert isinstance(entry.payload, ReportAnchorPayload)
-        return entry.payload.day
+        return day_start(entry.payload.day)
     return day_start(entry.at)
 
 
@@ -331,16 +326,13 @@ def cost_report(
 ) -> CostTally:
     gas = gas or GasSchedule()
     day = day_start(day)
-    tx_by_kind: dict[LedgerKind, int] = {}
-    gas_total = 0
+    tx_total = gas_total = 0
     for entry in entries:
-        if accounting_day(entry) != day:
-            continue
-        tx_by_kind[entry.kind] = tx_by_kind.get(entry.kind, 0) + 1
-        gas_total += gas.gas[entry.kind]
+        if accounting_day(entry) == day:
+            tx_total += 1
+            gas_total += gas.gas[entry.kind]
     return CostTally(
-        day=day,
-        tx_by_kind=tx_by_kind,
+        tx_total=tx_total,
         gas_total=gas_total,
         usd_total=gas_total * gas.fee_per_gas_usd,
     )
@@ -351,11 +343,13 @@ def observed_days(entries: list[LedgerEntry]) -> list[Timestamp]:
 
 
 def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -> Fraction:
-    """Daily mean over observed days, times 365."""
+    """Daily mean over observed days, times 365. Every entry is billed to
+    exactly one observed day, so the days' costs sum to all entries' gas."""
     days = observed_days(entries)
     if not days:
         return Fraction(0)
-    total = sum((cost_report(entries, d, gas).usd_total for d in days), Fraction(0))
+    gas = gas or GasSchedule()
+    total = sum(gas.gas[entry.kind] for entry in entries) * gas.fee_per_gas_usd
     return total / len(days) * 365
 
 

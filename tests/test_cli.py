@@ -327,6 +327,21 @@ class TestEnergy:
         assert code == 0
         assert "96.7%" in capsys.readouterr().out
 
+    def test_event_log_is_swept_once(self, sim_dir, tmp_path, monkeypatch):
+        from coldwatch import energy
+
+        sweep, calls = energy.activity_windows, []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(energy, "activity_windows", counted)
+        code = main(["energy", "--events", str(sim_dir / "events.log"),
+                     "--csv", str(tmp_path / "energy.csv")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2
 

@@ -8,7 +8,6 @@ from coldwatch.energy import (
     InconsistentTimeline,
     PowerProfile,
     activity_windows,
-    baseline_energy,
     energy_for_interval,
     saving_ratio,
 )
@@ -134,11 +133,15 @@ def test_per_second_oracle_matches_interval_computation(drawn, duties, start, le
         return
     duty = energy_for_interval(events, profile, policy, start, end)
     for name in COMPONENTS:
-        power = profile.component(name)
+        power = getattr(profile, name)
         active_uw, idle_uw = round(power.active_mw * 1000), round(power.idle_mw * 1000)
-        assert duty.per_component[name].active_s == sum(c > 0 for c in cover[name]), name
+        got = duty.per_component[name]
+        assert got.active_s == sum(c > 0 for c in cover[name]), name
         expected_uj = sum(active_uw if c else idle_uw for c in cover[name])
-        assert duty.per_component[name].energy_uj == expected_uj, name
+        assert got.energy_uj == expected_uj, name
+        baseline_uj = sum(active_uw for _ in cover[name])
+        assert got.baseline_uj == baseline_uj, name
+        assert got.saving == (1 - expected_uj / baseline_uj if baseline_uj else 0.0), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,6 +167,6 @@ def test_energy_is_additive_over_partitions(sample_ats, cut):
 
 
 def test_baseline_energy_is_always_on():
-    base = baseline_energy(PowerProfile(), 0, DAY)
-    assert base["sensor"] == DAY * 2500  # 2.5 mW in microwatts
-    assert base["display"] == DAY * 200_000
+    duty = energy_for_interval([], PowerProfile(), DutyPolicy(), 0, DAY)
+    assert duty.per_component["sensor"].baseline_uj == DAY * 2500  # 2.5 mW in microwatts
+    assert duty.per_component["display"].baseline_uj == DAY * 200_000

@@ -28,6 +28,7 @@ from coldwatch.ledger import (
     encode_request,
     format_usd,
     load_ledger_entries,
+    observed_days,
     verify_entries,
 )
 from coldwatch.model import DAY_SECONDS, Reading
@@ -264,6 +265,50 @@ class TestCost:
     def test_zero_transaction_day_is_free(self):
         ledger = Ledger(OWNER)
         assert cost_report(ledger.entries, 0).usd_total == 0
+
+    def test_off_midnight_anchor_day_is_billed_to_its_utc_day(self):
+        ledger = Ledger(OWNER)
+        ledger.submit(alert_request(0, at=100), OWNER)
+        anchor = EntryRequest(
+            kind=LedgerKind.REPORT_ANCHOR,
+            device_id=DEV,
+            seq=1,
+            at=DAY_SECONDS,
+            payload=ReportAnchorPayload(day=5, digest=bytes(32), row_count=0),
+        )
+        ledger.submit(anchor, OWNER)
+        assert observed_days(ledger.entries) == [0]
+        assert cost_report(ledger.entries, 0).tx_total == 2
+        assert annualized_usd(ledger.entries) == 730 * GasSchedule().fee_per_gas_usd
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(LedgerKind)),
+            st.integers(0, 4 * DAY_SECONDS),
+            st.integers(0, 4 * DAY_SECONDS),  # the day a report anchor names
+        ),
+        max_size=30,
+    ),
+    st.lists(st.integers(1, 50), min_size=len(LedgerKind), max_size=len(LedgerKind)),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1),
+)
+def test_every_entry_is_billed_to_exactly_one_observed_day(drawn, units, fee):
+    entries = []
+    for seq, (kind, at, day) in enumerate(drawn):
+        payload = ONE_PAYLOAD_PER_KIND[kind]
+        if kind is LedgerKind.REPORT_ANCHOR:
+            payload = dataclasses.replace(payload, day=day)
+        entries.append(LedgerEntry(kind, DEV, seq, at, payload, seq, ZERO_DIGEST, ZERO_DIGEST))
+    gas = GasSchedule(gas=dict(zip(LedgerKind, units)), fee_per_gas_usd=fee)
+    days = observed_days(entries)
+    tallies = [cost_report(entries, d, gas) for d in days]
+    assert sum(t.tx_total for t in tallies) == len(entries)
+    # The definition: the mean of the observed days' costs, times 365.
+    per_day_mean = sum((t.usd_total for t in tallies), Fraction(0)) / len(days) if days else 0
+    assert annualized_usd(entries, gas) == per_day_mean * 365
 
 
 class TestFile:

@@ -189,6 +189,22 @@ class TestHorizonEdges:
         # The file's first row names the day; its anchor must match.
         assert verify_report(partial, result.ledger.entries) is Verdict.AUTHENTIC
 
+    def test_writes_pending_at_the_horizon_drain_after_it(self, tmp_path):
+        # The outage outlasts the 2 h run: the 2 h batch and the partial
+        # day's report anchor go out at their retry times once it ends.
+        scenario = with_faults(
+            normal_day(seed=6),
+            FaultSpec(FaultKind.LEDGER_OUTAGE, DEFAULT_START + 6600, DEFAULT_START + 10800),
+        )
+        result = run(tmp_path, scenario, horizon=7200)
+        assert result.manifest["counters"]["txs"] == 2
+        box = Outbox(result.out_dir / "outbox.bin")
+        assert all(i.state is ItemState.CONFIRMED for i in box.items())
+        box.close()
+        report = (result.out_dir / "reports" / "fridge-1" / "2025-01-01.csv").read_bytes()
+        entries = load_ledger_entries(result.out_dir / "ledger.bin")
+        assert verify_report(report, entries) is Verdict.AUTHENTIC
+
     def test_thirty_six_hour_run_keeps_anchor_grid(self, tmp_path):
         result = run(tmp_path, normal_day(seed=6), name="h36", horizon=DAY_SECONDS + DAY_SECONDS // 2)
         events = events_from_log(result.out_dir / "events.log")
