@@ -174,11 +174,13 @@ class AlertDispatcher:
         self.deliveries: list[DeliveryRecord] = []
         self.failures: list[tuple[str, Timestamp, str]] = []
         self._pending: dict[str, list[_PendingSend]] = {s.name: [] for s in sinks}
+        self.queued = 0  # sends waiting in all queues; flush has work only if > 0
         self._backoff: dict[str, tuple[int, Timestamp]] = {}  # failures in a row, next try
 
     def dispatch(self, message: AlertMessage, now: Timestamp) -> None:
         for sink in self.sinks:
             self._pending[sink.name].append(_PendingSend(message.text, message, now))
+        self.queued += len(self.sinks)
         self.flush(now)
 
     def dispatch_notice(self, text: str, now: Timestamp) -> None:
@@ -186,6 +188,7 @@ class AlertDispatcher:
         for sink in self.sinks:
             if sink.name in NOTICE_SINKS:
                 self._pending[sink.name].append(_PendingSend(text, None, now))
+                self.queued += 1
         self.flush(now)
 
     def flush(self, now: Timestamp) -> None:
@@ -214,3 +217,4 @@ class AlertDispatcher:
                         )
                     )
                 queue.pop(0)
+                self.queued -= 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 from pathlib import Path
@@ -51,6 +52,16 @@ def parse_duration(text: str) -> int:
     return sum(int(n) * _DURATION_UNITS[unit] for n, unit in _DURATION_PART_RE.findall(text))
 
 
+def _speedup(text: str) -> float:
+    try:
+        speed = float(text)
+    except ValueError:
+        speed = math.nan
+    if not 0 < speed < math.inf:  # nan fails both
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return speed
+
+
 def _parse_fault(text: str, start: int) -> FaultSpec:
     parts = text.split(":")
     if len(parts) != 3:
@@ -74,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, default=Path("monitor-run"))
     sim.add_argument("--device")
     sim.add_argument("--start", help="run start, YYYY-MM-DD (default 2025-01-01)")
-    sim.add_argument("--realtime", type=float, metavar="SPEEDUP", help="pace to wall time")
+    sim.add_argument("--realtime", type=_speedup, metavar="SPEEDUP", help="pace to wall time")
     sim.add_argument(
         "--fault",
         action="append",

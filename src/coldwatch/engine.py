@@ -115,28 +115,33 @@ class MonitorEngine:
 
     def step(self, reading: Reading | None, now: Timestamp) -> list[MonitorEvent]:
         st = self.state
-        th = self.thresholds
         if st.last_seen is not None and now < st.last_seen:
             raise OutOfOrderSample(f"tick at {now} after {st.last_seen}")
         st.last_seen = now
 
+        # Each helper is entered only when it has something to do: a quiet
+        # Normal-mode tick between record and anchor instants emits just
+        # its SampleTaken.
         events: list[MonitorEvent] = []
         if reading is not None:
             if reading.at != now:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
             events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, now, {"reading": reading}))
             self._window_temps.append(reading.temp_decic)
-            events.extend(self._transition(reading, now))
-            events.extend(self._local_log(reading, now))
-        events.extend(self._batch_anchor(now))
+            out = classify(reading, self.thresholds) is Classification.OUT_OF_RANGE
+            if out or st.mode is not MonitorMode.NORMAL:
+                events.extend(self._transition(reading, now, out))
+            if st.mode is MonitorMode.CRITICAL or now >= self._next_scheduled_log:
+                events.extend(self._local_log(reading, now))
+        if now >= self._next_anchor:
+            events.append(self._batch_anchor(now))
         return events
 
     # -- state transitions ------------------------------------------------
 
-    def _transition(self, reading: Reading, now: Timestamp) -> list[MonitorEvent]:
+    def _transition(self, reading: Reading, now: Timestamp, out: bool) -> list[MonitorEvent]:
         st = self.state
         th = self.thresholds
-        out = classify(reading, th) is Classification.OUT_OF_RANGE
         events: list[MonitorEvent] = []
 
         if st.mode is MonitorMode.NORMAL:
@@ -244,14 +249,12 @@ class MonitorEngine:
             )
         return [MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, now, {"record": record})]
 
-    def _batch_anchor(self, now: Timestamp) -> list[MonitorEvent]:
-        if now < self._next_anchor:
-            return []
+    def _batch_anchor(self, now: Timestamp) -> MonitorEvent:
         event = MonitorEvent(EventKind.BATCH_ANCHORED, now, {"scheduled_at": self._next_anchor})
         self._next_anchor = self._next_grid_point(
             now, self.origin, self.thresholds.batch_anchor_period
         )
-        return [event]
+        return event
 
     @staticmethod
     def _next_grid_point(now: Timestamp, origin: Timestamp, period: int) -> Timestamp:

@@ -136,6 +136,10 @@ class EventKind(enum.Enum):
     BATCH_ANCHORED = "BatchAnchored"
     DAILY_REPORT_ANCHORED = "DailyReportAnchored"
 
+    # Enum hashes the member name in Python code; every event is counted by
+    # kind. Members are singletons compared by identity, so this agrees.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class MonitorEvent:

@@ -33,6 +33,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import os
 import re
 import time
@@ -188,6 +189,9 @@ def _event_from_json(line: str, path: Path, line_no: int) -> MonitorEvent:
 
 class _Run:
     def __init__(self, cfg: RunConfig):
+        speed = cfg.realtime_speed
+        if speed is not None and not 0 < speed < math.inf:  # nan fails both
+            raise ValueError(f"realtime speed-up must be a finite number > 0, got {speed}")
         # Sinks first: a missing live-messenger credential or extra fails
         # before the run writes anything.
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
@@ -247,6 +251,8 @@ class _Run:
 
     def handle(self, event: MonitorEvent, now: Timestamp) -> bool:
         """Route one engine event; returns True if a ledger write was queued."""
+        if event.kind is EventKind.SAMPLE_TAKEN:
+            return False
         payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
             record: LocalRecord = payload["record"]
@@ -326,6 +332,28 @@ class _Run:
 
     # -- main loop ----------------------------------------------------------
 
+    def _pace_and_recover(self, at: Timestamp, clock: VirtualClock) -> None:
+        """Pacing and crash handling, ahead of each tick and clock event."""
+        speed = self.cfg.realtime_speed
+        if speed is not None:
+            delay = self._wall + (at - self._sim) / speed - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            self._wall, self._sim = time.monotonic(), at
+        while self.crash_times and at >= self.crash_times[0]:
+            self.crash_times.pop(0)
+            self.crash_and_recover()
+            self.drain(at, clock)
+
+    def _clock_events(self, clock: VirtualClock, until: Timestamp) -> None:
+        for at, tag in clock.run(until):
+            self._pace_and_recover(at, clock)
+            if tag == "retry":
+                self.drain(at, clock)
+                self.dispatcher.flush(at)
+            else:  # day-end
+                self.day_end(at, clock)
+
     def run(self) -> RunResult:
         try:
             return self._run()
@@ -333,15 +361,6 @@ class _Run:
             self.events_file.close()
             self.outbox.close()
             raise
-
-    def _timeline(self, clock: VirtualClock, end: Timestamp):
-        """Sample ticks merged with the clock's day-ends and retries. At a
-        shared instant the tick fires first, then the clock events in the
-        order they were scheduled."""
-        for at in self.ticks:
-            yield from clock.run(at - 1)
-            yield at, "tick"
-        yield from clock.run(end)
 
     def _run(self) -> RunResult:
         cfg = self.cfg
@@ -352,37 +371,30 @@ class _Run:
             clock.schedule(boundary, "day-end")
             boundary += DAY_SECONDS
 
+        self._wall, self._sim = time.monotonic(), cfg.start
+        paced, crash_times = cfg.realtime_speed is not None, self.crash_times
         readings, i = self.readings, 0
-        last_wall = time.monotonic()
-        last_sim = cfg.start
-        for at, tag in self._timeline(clock, end):
-            if cfg.realtime_speed:
-                target = last_wall + (at - last_sim) / cfg.realtime_speed
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                last_wall, last_sim = time.monotonic(), at
-            while self.crash_times and at >= self.crash_times[0]:
-                self.crash_times.pop(0)
-                self.crash_and_recover()
+        # Sample ticks merged with the clock's day-ends and retries: clock
+        # events due before a tick run first, so at an instant they share
+        # the tick fires first, then the clock events in scheduling order.
+        for at in self.ticks:
+            if clock.peek(at - 1) is not None:
+                self._clock_events(clock, at - 1)
+            if paced or crash_times and at >= crash_times[0]:
+                self._pace_and_recover(at, clock)
+            reading = None
+            if i < len(readings) and readings[i].at == at:
+                reading = readings[i]
+                i += 1
+            queued = False
+            for event in self.engine.step(reading, at):
+                self.emit(event)
+                queued = self.handle(event, at) or queued
+            if queued:
                 self.drain(at, clock)
-            if tag == "tick":
-                reading = None
-                if i < len(readings) and readings[i].at == at:
-                    reading = readings[i]
-                    i += 1
-                queued = False
-                for event in self.engine.step(reading, at):
-                    self.emit(event)
-                    queued = self.handle(event, at) or queued
-                if queued:
-                    self.drain(at, clock)
+            if self.dispatcher.queued:
                 self.dispatcher.flush(at)
-            elif tag == "retry":
-                self.drain(at, clock)
-                self.dispatcher.flush(at)
-            else:  # day-end
-                self.day_end(at, clock)
+        self._clock_events(clock, end)
 
         # Trailing partial day, if it produced any rows.
         last_boundary = end - end % DAY_SECONDS

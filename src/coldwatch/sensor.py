@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
+import io
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -175,19 +177,33 @@ def generate_trace(
             for i in covered(f):
                 temps[i] = None
 
-    rng = random.Random(f"{spec.seed}:trace")
+    # Each draw is Random.randint(-bound, bound) inlined: k-bit draws,
+    # rejected while >= 2*bound+1, so the sequence is the same. A bound of
+    # 0 draws nothing.
+    bits = random.Random(f"{spec.seed}:trace").getrandbits
     t_bound, h_bound = spec.noise.temp_bound_decic, spec.noise.hum_bound_decip
+    t_n, h_n = 2 * t_bound + 1, 2 * h_bound + 1
+    t_k, h_k = t_n.bit_length(), h_n.bit_length()
     readings: list[Reading] = []
+    append = readings.append
     for ts, temp, hum in zip(ticks, temps, hums):
         if temp is None:
             continue
         if t_bound:
-            temp += rng.randint(-t_bound, t_bound)
+            r = bits(t_k)
+            while r >= t_n:
+                r = bits(t_k)
+            temp += r - t_bound
         if h_bound:
-            hum += rng.randint(-h_bound, h_bound)
-        temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
-        hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
-        readings.append(Reading(device_id=device_id, at=ts, temp_decic=temp, hum_decip=hum))
+            r = bits(h_k)
+            while r >= h_n:
+                r = bits(h_k)
+            hum += r - h_bound
+        if not TEMP_MIN_DECIC <= temp <= TEMP_MAX_DECIC:
+            temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
+        if not HUM_MIN_DECIP <= hum <= HUM_MAX_DECIP:
+            hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
+        append(Reading(device_id, ts, temp, hum))
     return readings
 
 
@@ -211,12 +227,21 @@ def write_trace(readings: Iterable[Reading], path: Path) -> int:
     """Write the canonical trace CSV (UTF-8, LF). Returns the row count."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRACE_HEADER)
+        f.write(",".join(TRACE_HEADER) + "\n")
         for r in readings:
-            w.writerow([r.at, r.device_id, r.temp_decic, r.hum_decip])
+            f.write("%d,%s,%d,%d\n" % (r.at, _csv_field(r.device_id), r.temp_decic, r.hum_decip))
             n += 1
     return n
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it in a trace row. A carriage
+    return is quoted too: left bare, it ends the row for any CSV reader."""
+    buf = io.StringIO()
+    quoting = csv.QUOTE_NONNUMERIC if "\r" in text else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def replay_trace(path: Path, ticks: range) -> list[Reading]:

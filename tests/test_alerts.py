@@ -223,3 +223,18 @@ class TestCaptureFile:
             assert doc["delivered_at"] >= doc["dispatched_at"]
         # Merged by delivery time.
         assert [d["delivered_at"] for d in docs] == sorted(d["delivered_at"] for d in docs)
+
+
+def test_queued_counts_the_sends_still_waiting():
+    messenger = Down(MessengerSink(seed=1), 1000, 1060)
+    dispatcher = AlertDispatcher([BuzzerSink(), messenger])
+    assert dispatcher.queued == 0
+    dispatcher.dispatch(render_alert(critical_event()), now=1000)
+    assert dispatcher.queued == 1  # the buzzer delivered, the messenger is down
+    dispatcher.dispatch_notice("report", now=1010)  # backing off: queued behind the alert
+    assert dispatcher.queued == 2
+    dispatcher.flush(now=1030)  # still down
+    assert dispatcher.queued == 2
+    dispatcher.flush(now=1090)
+    assert dispatcher.queued == 0
+    assert len(messenger.sink.captured) == 2

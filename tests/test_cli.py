@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from coldwatch import runner
 from coldwatch.cli import main, parse_duration
 from coldwatch.ledger import LedgerKind, load_ledger_entries, verify_entries
 from coldwatch.model import DEFAULT_START as START
@@ -159,6 +160,29 @@ class TestSimulate:
         out = tmp_path / "rt"
         assert main(["simulate", "--duration", "5m", "--out", str(out),
                      "--realtime", "100000"]) == 0
+
+    def test_realtime_sleeps_the_simulated_span_over_the_speedup(self, tmp_path, monkeypatch):
+        # Wall time here moves only when the run sleeps.
+        wall = [0.0]
+
+        def sleep(seconds):
+            wall[0] += seconds
+
+        monkeypatch.setattr(runner, "time", types.SimpleNamespace(
+            monotonic=lambda: wall[0], sleep=sleep))
+        assert main(["simulate", "--duration", "5m", "--out", str(tmp_path / "rt"),
+                     "--realtime", "1000"]) == 0
+        # 300 simulated seconds at 1000x; one 30 s sample period is 0.03 s.
+        assert wall[0] == pytest.approx(0.3, abs=0.03)
+
+    @pytest.mark.parametrize("speedup", ["0", "-2", "nan", "inf"])
+    def test_realtime_must_be_a_finite_positive_speedup(self, tmp_path, capsys, speedup):
+        out = tmp_path / "rt"
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--duration", "5m", "--out", str(out), f"--realtime={speedup}"])
+        assert exit_.value.code == 2
+        assert "--realtime" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_scenario(self, sim_dir, tmp_path):
         out = tmp_path / "replayed"

@@ -75,3 +75,29 @@ def test_ties_fire_in_insertion_order():
     clock.schedule(50, "second")
     clock.schedule(50, "third")
     assert list(clock.run(50)) == [(50, "first"), (50, "second"), (50, "third")]
+
+
+def test_peek_with_nothing_due_advances_now():
+    clock = VirtualClock(0)
+    clock.schedule(100, "later")
+    assert clock.peek(99) is None
+    assert clock.now == 99
+    with pytest.raises(SchedulingInPast):
+        clock.schedule(98, "x")
+
+
+def test_peek_returns_an_event_due_exactly_at_until_and_leaves_it_queued():
+    clock = VirtualClock(0)
+    clock.schedule(50, "first")
+    clock.schedule(50, "second")
+    assert clock.peek(50) == (50, "first")
+    assert clock.peek(50) == (50, "first")
+    assert clock.now == 0
+    assert list(clock.run(50)) == [(50, "first"), (50, "second")]
+
+
+def test_peek_into_the_past_rejected():
+    clock = VirtualClock(100)
+    with pytest.raises(SchedulingInPast):
+        clock.peek(99)
+    assert clock.now == 100

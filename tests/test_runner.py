@@ -1,12 +1,15 @@
 import dataclasses
 import json
 
+import pytest
+
+from coldwatch.alerts import MessengerSink, SinkUnavailable
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.model import DAY_SECONDS, EventKind, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
-from coldwatch.sensor import FaultKind, FaultSpec, NoiseModel, normal_day
+from coldwatch.sensor import FaultKind, FaultSpec, NoiseModel, breach_day, normal_day
 
 ARTIFACTS = ["trace.csv", "events.log", "ledger.bin", "messenger.jsonl", "manifest.json"]
 
@@ -99,6 +102,26 @@ class TestBreachDay:
         assert sorted(d.sink for d in critical) == ["buzzer", "display", "messenger"]
         messenger = [d for d in critical if d.sink == "messenger"]
         assert 2 <= messenger[0].delivered_at - messenger[0].dispatched_at <= 4
+
+
+    def test_a_down_sink_is_retried_at_later_ticks(self, tmp_path, monkeypatch):
+        # The messenger is down for 45 s from the escalation at 08:40: the
+        # alert's send fails at once and on its 30 s retry, and goes out on
+        # the tick after the next 60 s backoff.
+        escalated = DEFAULT_START + 31200
+        deliver = MessengerSink.deliver
+
+        def flaky(sink, text, now):
+            if escalated <= now < escalated + 45:
+                raise SinkUnavailable("down")
+            return deliver(sink, text, now)
+
+        monkeypatch.setattr(MessengerSink, "deliver", flaky)
+        result = run(tmp_path, breach_day(DEFAULT_START, seed=7), seed=7)
+        alert = next(d for d in result.deliveries
+                     if d.sink == "messenger" and d.message.severity.value == "CRITICAL")
+        assert alert.dispatched_at == escalated
+        assert escalated + 90 + 2 <= alert.delivered_at <= escalated + 90 + 4
 
 
 class TestDeterminism:
@@ -255,3 +278,10 @@ def test_replay_reproduces_the_generated_run(tmp_path):
     replayed = run_simulation(replay_cfg)
     for name in ("trace.csv", "events.log", "ledger.bin", "messenger.jsonl"):
         assert (original.out_dir / name).read_bytes() == (replayed.out_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("speedup", [0, -2.0, float("nan"), float("inf")])
+def test_realtime_speedup_must_be_finite_and_positive(tmp_path, speedup):
+    with pytest.raises(ValueError, match="finite number > 0"):
+        run(tmp_path, normal_day(seed=1), horizon=300, realtime_speed=speedup)
+    assert not (tmp_path / "x").exists()

@@ -1,9 +1,22 @@
+import csv
 import dataclasses
+import io
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coldwatch.engine import Classification, classify
-from coldwatch.model import Thresholds
+from coldwatch.model import (
+    HUM_MAX_DECIP,
+    HUM_MIN_DECIP,
+    TEMP_MAX_DECIC,
+    TEMP_MIN_DECIC,
+    Reading,
+    Thresholds,
+)
 from coldwatch.sensor import (
     BreachWindow,
     FaultKind,
@@ -15,6 +28,7 @@ from coldwatch.sensor import (
     ScenarioKind,
     ScenarioSpec,
     SpikeWindow,
+    TRACE_HEADER,
     TraceError,
     generate_trace,
     normal_day,
@@ -189,3 +203,106 @@ def test_breach_scenario_minimum_duration():
     with pytest.raises(InvalidScenario):
         scenario_for("breach", 0, 3600, seed=0)
     scenario_for("breach", 0, 86400, seed=0)
+
+
+# -- the inline noise draw ---------------------------------------------------
+
+# A bound b draws one of 2b+1 values. For b a power of two that count is
+# just above a power of two, where nearly half the k-bit draws are
+# rejected and redrawn.
+POWER_BOUNDS = [2**j for j in range(11)]
+
+
+def _randint_trace(spec: ScenarioSpec, n: int) -> list[Reading]:
+    """The trace as Random.randint draws it: temperature, then humidity,
+    per tick; a bound of 0 draws nothing; values clamped to the envelope."""
+    rng = random.Random(f"{spec.seed}:trace")
+    t, h = spec.noise.temp_bound_decic, spec.noise.hum_bound_decip
+    out = []
+    for at in range(30, 30 * n + 1, 30):
+        temp = spec.base_temp_decic + (rng.randint(-t, t) if t else 0)
+        hum = spec.base_hum_decip + (rng.randint(-h, h) if h else 0)
+        temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
+        hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
+        out.append(Reading("fridge-1", at, temp, hum))
+    return out
+
+
+def _noisy(seed: int, t_bound: int, h_bound: int, temp: int = 40, hum: int = 520):
+    # Not a normal day: that scenario refuses noise reaching the bands.
+    return ScenarioSpec(
+        kind=ScenarioKind.PEAK_HOURS,
+        seed=seed,
+        base_temp_decic=temp,
+        base_hum_decip=hum,
+        noise=NoiseModel(t_bound, h_bound),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(),
+    t_bound=st.one_of(st.integers(0, TEMP_MAX_DECIC - TEMP_MIN_DECIC), st.sampled_from(POWER_BOUNDS)),
+    h_bound=st.one_of(st.integers(0, HUM_MAX_DECIP - HUM_MIN_DECIP), st.sampled_from(POWER_BOUNDS)),
+    temp=st.integers(TEMP_MIN_DECIC, TEMP_MAX_DECIC),
+    hum=st.integers(HUM_MIN_DECIP, HUM_MAX_DECIP),
+)
+@example(seed=0, t_bound=0, h_bound=20, temp=40, hum=520)
+@example(seed=0, t_bound=5, h_bound=0, temp=40, hum=520)
+@example(seed=0, t_bound=1650, h_bound=1000, temp=1250, hum=0)
+def test_noise_draw_is_randint_inlined(seed, t_bound, h_bound, temp, hum):
+    spec = _noisy(seed, t_bound, h_bound, temp, hum)
+    assert generate_trace(spec, TH, 60 * 30) == _randint_trace(spec, 60)
+
+
+@pytest.mark.parametrize("bound", POWER_BOUNDS)
+def test_noise_draw_at_power_of_two_bounds(bound):
+    spec = _noisy(11, bound, bound, temp=400, hum=500)
+    assert generate_trace(spec, TH, 500 * 30) == _randint_trace(spec, 500)
+
+
+# -- the trace writer ----------------------------------------------------------
+
+DEVICE_IDS = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n \tx\u00e9\u2603'), st.characters()),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _csv_module_trace(readings: list[Reading]) -> bytes:
+    """The trace as csv.writer writes it. A device id holding a carriage
+    return is quoted: csv leaves it bare when rows end in LF, and a bare CR
+    ends the row for any CSV reader."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(TRACE_HEADER)
+    cr = bool(readings) and "\r" in readings[0].device_id
+    w = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC if cr else csv.QUOTE_MINIMAL)
+    for r in readings:
+        w.writerow([r.at, r.device_id, r.temp_decic, r.hum_decip])
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    device=DEVICE_IDS,
+    values=st.lists(
+        st.tuples(
+            st.integers(TEMP_MIN_DECIC, TEMP_MAX_DECIC), st.integers(HUM_MIN_DECIP, HUM_MAX_DECIP)
+        ),
+        max_size=12,
+    ),
+)
+@example(device="a,b", values=[(40, 520)])
+@example(device='say "hi"', values=[(40, 520)])
+@example(device="cr\rlf\n", values=[(40, 520), (41, 521)])
+@example(device="\r", values=[(40, 520)])
+@example(device="  leading", values=[(-400, 0)])
+@example(device="k\u00fchlschrank-\u2603", values=[(1250, 1000)])
+def test_trace_file_is_the_csv_modules_and_reads_back(device, values):
+    readings = [Reading(device, 30 * (k + 1), t, h) for k, (t, h) in enumerate(values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        assert write_trace(readings, path) == len(readings)
+        assert path.read_bytes() == _csv_module_trace(readings)
+        assert replay_trace(path, sample_ticks(0, 30 * len(values), 30)) == readings
