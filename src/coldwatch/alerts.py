@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, ts_to_iso
-from .outbox import BACKOFF_SCHEDULE
+from .outbox import retry_delay
 
 DISPLAY_HOLD_S = 10  # display shows the last message this long, then dims
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
@@ -164,15 +164,13 @@ class AlertDispatcher:
     """Fan-out with per-sink queues. Every send is queued and delivered by
     flush(), so a send that fails stays at the head of its sink's queue and
     is retried, in order, by a later flush. After its k-th failure in a row
-    a sink is not tried again for BACKOFF_SCHEDULE[k - 1] seconds (the last
-    step repeats). Dispatch never raises on sink failure."""
+    a sink is not tried again for retry_delay(k) seconds. Dispatch never raises on sink failure."""
 
     def __init__(self, sinks: list[Sink]):
         if not sinks:
             raise ValueError("at least one sink must be registered")
         self.sinks = sinks
         self.deliveries: list[DeliveryRecord] = []
-        self.failures: list[tuple[str, Timestamp, str]] = []
         self._pending: dict[str, list[_PendingSend]] = {s.name: [] for s in sinks}
         self.queued = 0  # sends waiting in all queues; flush has work only if > 0
         self._backoff: dict[str, tuple[int, Timestamp]] = {}  # failures in a row, next try
@@ -201,10 +199,8 @@ class AlertDispatcher:
                 try:
                     delivered = sink.deliver(send.text, now)
                 except SinkUnavailable:
-                    self.failures.append((sink.name, now, send.text))
                     streak = self._backoff.get(sink.name, (0, now))[0] + 1
-                    delay = BACKOFF_SCHEDULE[min(streak, len(BACKOFF_SCHEDULE)) - 1]
-                    self._backoff[sink.name] = (streak, now + delay)
+                    self._backoff[sink.name] = (streak, now + retry_delay(streak))
                     break
                 self._backoff.pop(sink.name, None)
                 if send.message is not None:

@@ -29,10 +29,10 @@ from .ledger import (
     observed_days,
     verify_entries,
 )
-from .model import DAY_SECONDS, ModelError, date_to_ts, ts_to_date
+from .model import DAY_SECONDS, date_to_ts, ts_to_date
 from .reports import Verdict, verify_report
 from .runner import RunConfig, run_simulation, events_from_log
-from .sensor import FaultKind, FaultSpec, InvalidScenario, ScenarioKind, scenario_for
+from .sensor import FaultKind, FaultSpec, ScenarioKind, scenario_for
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidScenario, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, InvalidScenario, ModelError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:  # internal invariant violation

@@ -37,19 +37,13 @@ class OutOfOrderSample(ValueError):
     """Tick timestamps regressed."""
 
 
-class Classification(enum.Enum):
-    IN_RANGE = "InRange"
-    OUT_OF_RANGE = "OutOfRange"
-
-
-def classify(reading: Reading, thresholds: Thresholds) -> Classification:
-    """Closed-interval band check: boundary values are in range; either
-    quantity outside its band makes the sample out of range."""
-    if not thresholds.temp_min_decic <= reading.temp_decic <= thresholds.temp_max_decic:
-        return Classification.OUT_OF_RANGE
-    if not thresholds.hum_min_decip <= reading.hum_decip <= thresholds.hum_max_decip:
-        return Classification.OUT_OF_RANGE
-    return Classification.IN_RANGE
+def out_of_band(reading: Reading, th: Thresholds) -> bool:
+    """Closed-interval band check: boundary values are in band; either
+    quantity outside its band puts the sample out of band."""
+    return not (
+        th.temp_min_decic <= reading.temp_decic <= th.temp_max_decic
+        and th.hum_min_decip <= reading.hum_decip <= th.hum_max_decip
+    )
 
 
 def _inside_hysteresis_band(reading: Reading, th: Thresholds) -> bool:
@@ -83,15 +77,6 @@ class LocalRecord:
     window_avg_temp_decic: int
 
 
-@dataclass
-class MonitorState:
-    mode: MonitorMode = MonitorMode.NORMAL
-    episode_start: Timestamp | None = None
-    consecutive_in_range: int = 0
-    last_local_log: Timestamp | None = None
-    last_seen: Timestamp | None = None
-
-
 class MonitorEngine:
     """One state machine per device. Single-threaded by contract."""
 
@@ -106,7 +91,11 @@ class MonitorEngine:
         self.device_id = device_id
         self.origin = origin
         self.image_seed = image_seed
-        self.state = MonitorState()
+        self.mode = MonitorMode.NORMAL
+        self.episode_start: Timestamp | None = None
+        self.consecutive_in_range = 0
+        self.last_local_log: Timestamp | None = None
+        self.last_seen: Timestamp | None = None
         # Record grid is anchored at the first tick; anchor grid at the origin.
         self._record_grid_origin = origin + thresholds.sample_period
         self._next_scheduled_log = self._record_grid_origin
@@ -114,10 +103,9 @@ class MonitorEngine:
         self._window_temps: list[int] = []
 
     def step(self, reading: Reading | None, now: Timestamp) -> list[MonitorEvent]:
-        st = self.state
-        if st.last_seen is not None and now < st.last_seen:
-            raise OutOfOrderSample(f"tick at {now} after {st.last_seen}")
-        st.last_seen = now
+        if self.last_seen is not None and now < self.last_seen:
+            raise OutOfOrderSample(f"tick at {now} after {self.last_seen}")
+        self.last_seen = now
 
         # Each helper is entered only when it has something to do: a quiet
         # Normal-mode tick between record and anchor instants emits just
@@ -128,10 +116,10 @@ class MonitorEngine:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
             events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, now, {"reading": reading}))
             self._window_temps.append(reading.temp_decic)
-            out = classify(reading, self.thresholds) is Classification.OUT_OF_RANGE
-            if out or st.mode is not MonitorMode.NORMAL:
+            out = out_of_band(reading, self.thresholds)
+            if out or self.mode is not MonitorMode.NORMAL:
                 events.extend(self._transition(reading, now, out))
-            if st.mode is MonitorMode.CRITICAL or now >= self._next_scheduled_log:
+            if self.mode is MonitorMode.CRITICAL or now >= self._next_scheduled_log:
                 events.extend(self._local_log(reading, now))
         if now >= self._next_anchor:
             events.append(self._batch_anchor(now))
@@ -140,33 +128,27 @@ class MonitorEngine:
     # -- state transitions ------------------------------------------------
 
     def _transition(self, reading: Reading, now: Timestamp, out: bool) -> list[MonitorEvent]:
-        st = self.state
-        th = self.thresholds
-        events: list[MonitorEvent] = []
-
-        if st.mode is MonitorMode.NORMAL:
-            if out:
-                st.mode = MonitorMode.BREACH_PENDING
-                st.episode_start = now
-                events.append(
-                    MonitorEvent(
-                        EventKind.BREACH_STARTED,
-                        now,
-                        {"episode_id": now, "reading": reading},
-                    )
-                )
-            return events
+        """Entered only for an out-of-band sample or outside Normal mode
+        (see step), so in Normal mode the sample starts an episode."""
+        if self.mode is MonitorMode.NORMAL:
+            self.mode = MonitorMode.BREACH_PENDING
+            self.episode_start = now
+            return [
+                MonitorEvent(EventKind.BREACH_STARTED, now, {"episode_id": now, "reading": reading})
+            ]
 
         # BreachPending or Critical.
-        assert st.episode_start is not None
+        th = self.thresholds
+        events: list[MonitorEvent] = []
+        assert self.episode_start is not None
         if out:
-            st.consecutive_in_range = 0
+            self.consecutive_in_range = 0
             if (
-                st.mode is MonitorMode.BREACH_PENDING
-                and now - st.episode_start >= th.breach_escalation
+                self.mode is MonitorMode.BREACH_PENDING
+                and now - self.episode_start >= th.breach_escalation
             ):
-                st.mode = MonitorMode.CRITICAL
-                episode = st.episode_start
+                self.mode = MonitorMode.CRITICAL
+                episode = self.episode_start
                 events.append(
                     MonitorEvent(
                         EventKind.CRITICAL_ESCALATED,
@@ -197,9 +179,9 @@ class MonitorEngine:
                     )
                 )
         elif _inside_hysteresis_band(reading, th):
-            st.consecutive_in_range += 1
-            if st.consecutive_in_range >= RESOLVE_DEBOUNCE_SAMPLES:
-                episode = st.episode_start
+            self.consecutive_in_range += 1
+            if self.consecutive_in_range >= RESOLVE_DEBOUNCE_SAMPLES:
+                episode = self.episode_start
                 events.append(
                     MonitorEvent(
                         EventKind.BREACH_RESOLVED,
@@ -208,40 +190,41 @@ class MonitorEngine:
                             "episode_id": episode,
                             "since": episode,
                             "duration": now - episode,
-                            "was_critical": st.mode is MonitorMode.CRITICAL,
+                            "was_critical": self.mode is MonitorMode.CRITICAL,
                             "reading": reading,
                         },
                     )
                 )
-                st.mode = MonitorMode.NORMAL
-                st.episode_start = None
-                st.consecutive_in_range = 0
+                self.mode = MonitorMode.NORMAL
+                self.episode_start = None
+                self.consecutive_in_range = 0
         else:
             # Inside the raw band but within the hysteresis margin: neutral,
             # breaks the debounce streak without sustaining the breach.
-            st.consecutive_in_range = 0
+            self.consecutive_in_range = 0
         return events
 
     # -- periodic emissions ------------------------------------------------
 
     def _local_log(self, reading: Reading, now: Timestamp) -> list[MonitorEvent]:
-        st = self.state
+        """Entered only in Critical mode or with a grid record due (see
+        step), so only the Critical cadence is tested here."""
         th = self.thresholds
-        if st.mode is MonitorMode.CRITICAL:
-            due = st.last_local_log is None or now - st.last_local_log >= th.critical_log_period
-        else:
-            due = now >= self._next_scheduled_log
-        if not due:
+        if (
+            self.mode is MonitorMode.CRITICAL
+            and self.last_local_log is not None
+            and now - self.last_local_log < th.critical_log_period
+        ):
             return []
         record = LocalRecord(
             at=now,
             reading=reading,
-            mode=st.mode,
+            mode=self.mode,
             window_min_temp_decic=min(self._window_temps),
             window_max_temp_decic=max(self._window_temps),
             window_avg_temp_decic=sum(self._window_temps) // len(self._window_temps),
         )
-        st.last_local_log = now
+        self.last_local_log = now
         self._window_temps = []
         if now >= self._next_scheduled_log:
             self._next_scheduled_log = self._next_grid_point(

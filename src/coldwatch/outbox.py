@@ -7,8 +7,8 @@ replaying after any crash point yields exactly one ledger effect per
 request. The same file retains the current day's report rows; older
 days are compacted away after their report is anchored.
 
-Retries after a ledger outage follow a fixed clock-driven backoff:
-30 s, 60 s, 120 s, then 120 s per attempt.
+Retries after a ledger outage follow the clock-driven backoff of
+retry_delay: 30 s, 60 s, 120 s, then 120 s per attempt.
 
 The optional fault_hook is a test seam: it is invoked with a stage
 label at every durability boundary (enqueue/submit/confirm) and may
@@ -33,9 +33,15 @@ from .ledger import (
     encode_request,
 )
 from .model import Timestamp
-from .storage import RecordFile, RecoveryReport
+from .storage import RecordFile
 
 BACKOFF_SCHEDULE = (30, 60, 120)
+
+
+def retry_delay(failures: int) -> int:
+    """Seconds until the next try after `failures` failed tries in a row:
+    30, 60, 120, then 120 per try (ledger submits and alert sends alike)."""
+    return BACKOFF_SCHEDULE[min(failures, len(BACKOFF_SCHEDULE)) - 1]
 
 _REC_ENQUEUE = 1
 _REC_MARK = 2
@@ -78,8 +84,9 @@ class Outbox:
         self._replay()
 
     @property
-    def recovery(self) -> RecoveryReport:
-        return self._file.recovery
+    def dropped_bytes(self) -> int:
+        """Torn or corrupt tail bytes the record file dropped at open."""
+        return self._file.dropped_bytes
 
     def _replay(self) -> None:
         """Rebuild state from the record file. Submitted-but-unconfirmed
@@ -131,8 +138,7 @@ class Outbox:
             except LedgerOutage:
                 item.state = ItemState.PENDING
                 self._outage_streak += 1
-                delay = BACKOFF_SCHEDULE[min(self._outage_streak, len(BACKOFF_SCHEDULE)) - 1]
-                return DrainResult(retry_at=now + delay)
+                return DrainResult(retry_at=now + retry_delay(self._outage_streak))
             self._outage_streak = 0
             self._hook("confirm:pre", device_id, seq)
             self._append_mark(ItemState.CONFIRMED, key)

@@ -118,16 +118,16 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default
 
 # SampleTaken is nearly every events.log line, so it skips the json hook in
 # both directions. This is the encoder's own output for it: keys sorted,
-# compact separators; only device_id can need escaping.
+# compact separators; only device_id can need escaping. The reader's pattern
+# is derived from the same layout.
 _SAMPLE_LINE = (
     '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
 )
 _INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
+_STR = r'"([^"\\\x00-\x1f]*)"'  # a JSON string without escapes
 _SAMPLE_LINE_RE = re.compile(
-    r'\{"at":%s,"kind":"SampleTaken","payload":\{"reading":'
-    r'\{"at":%s,"device_id":"([^"\\\x00-\x1f]*)","hum_decip":%s,"temp_decic":%s\}\}\}\n?'
-    % (_INT, _INT, _INT, _INT)
+    re.escape(_SAMPLE_LINE).replace("%d", _INT).replace("%s", _STR) + r"\n?"
 )
 
 
@@ -228,7 +228,6 @@ class _Run:
         )
         self.deliveries: list[DeliveryRecord] = []
         self.event_counts: Counter[EventKind] = Counter()
-        self.resolutions = 0
         self._start_process()
         self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
 
@@ -269,7 +268,6 @@ class _Run:
             else:
                 kind, mode, label = LedgerKind.RESOLUTION, "Normal", "RESOLVED"
                 body = ResolutionPayload(episode, payload["duration"], temp, hum)
-                self.resolutions += 1
             self.outbox.add_row(encode_row(_row(reading, now, mode, label)))
             self.outbox.enqueue(kind, self.cfg.device_id, now, body)
             self.dispatcher.dispatch(render_alert(event), now)
@@ -357,10 +355,9 @@ class _Run:
     def run(self) -> RunResult:
         try:
             return self._run()
-        except BaseException:
+        finally:
             self.events_file.close()
             self.outbox.close()
-            raise
 
     def _run(self) -> RunResult:
         cfg = self.cfg
@@ -409,12 +406,10 @@ class _Run:
 
         self.deliveries.extend(self.dispatcher.deliveries)
         messages = self.messenger.write_capture(self.out / "messenger.jsonl")
-        self.events_file.close()
         manifest = self._manifest(messages)
         with open(self.out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
             json.dump(manifest, f, sort_keys=True, indent=2, default=_json_default)
             f.write("\n")
-        self.outbox.close()
         return RunResult(
             out_dir=self.out,
             manifest=manifest,
@@ -450,7 +445,7 @@ class _Run:
                 "local_records": counts[EventKind.LOCAL_LOG_WRITTEN],
                 "batches": counts[EventKind.BATCH_ANCHORED],
                 "alerts": counts[EventKind.CRITICAL_ESCALATED],
-                "resolutions": self.resolutions,
+                "resolutions": sum(e.kind is LedgerKind.RESOLUTION for e in self.ledger.entries),
                 "reports": counts[EventKind.DAILY_REPORT_ANCHORED],
                 "txs": len(self.ledger.entries),
                 "messages": messages,

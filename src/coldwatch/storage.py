@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 STORE_MAGIC = b"CWOB"
@@ -27,22 +26,17 @@ class StoreFormatError(Exception):
     """File does not start with the expected magic header."""
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
-    dropped_bytes: int
-
-
 class RecordFile:
     def __init__(self, path: Path):
         self.path = Path(path)
         self.records: list[bytes] = []  # the valid records found at open
-        self.recovery = self._open()
+        self.dropped_bytes = self._open()  # torn or corrupt tail dropped at open
         self._f = open(self.path, "ab")
 
-    def _open(self) -> RecoveryReport:
+    def _open(self) -> int:
         if not self.path.exists() or self.path.stat().st_size == 0:
             self.path.write_bytes(_HEADER)
-            return RecoveryReport(dropped_bytes=0)
+            return 0
         data = self.path.read_bytes()
         if data[:5] != _HEADER:
             raise StoreFormatError(f"{self.path}: bad magic header")
@@ -65,7 +59,7 @@ class RecordFile:
         if dropped:
             with open(self.path, "r+b") as f:
                 f.truncate(valid_end)
-        return RecoveryReport(dropped_bytes=dropped)
+        return dropped
 
     def append(self, payload: bytes) -> None:
         self._f.write(_frame(payload))

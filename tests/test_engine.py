@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldwatch.engine import (
-    Classification,
-    MonitorEngine,
-    MonitorMode,
-    OutOfOrderSample,
-    classify,
-)
+from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
 from coldwatch.model import EventKind, Reading, Thresholds
 
 TH = Thresholds()
@@ -39,15 +33,15 @@ def by_kind(events, kind):
 
 class TestClassify:
     def test_closed_boundary_is_in_range(self):
-        assert classify(reading(0, temp=60), TH) is Classification.IN_RANGE
-        assert classify(reading(0, temp=20), TH) is Classification.IN_RANGE
+        assert not out_of_band(reading(0, temp=60), TH)
+        assert not out_of_band(reading(0, temp=20), TH)
 
     def test_above_band_is_out(self):
-        assert classify(reading(0, temp=61), TH) is Classification.OUT_OF_RANGE
+        assert out_of_band(reading(0, temp=61), TH)
 
     def test_humidity_branch(self):
-        assert classify(reading(0, temp=40, hum=999), TH) is Classification.OUT_OF_RANGE
-        assert classify(reading(0, temp=40, hum=650), TH) is Classification.IN_RANGE
+        assert out_of_band(reading(0, temp=40, hum=999), TH)
+        assert not out_of_band(reading(0, temp=40, hum=650), TH)
 
 
 class TestQuietDayCadence:
@@ -113,8 +107,8 @@ class TestResolution:
         assert [e.at for e in resolved] == [2490]
         assert resolved[0].payload["was_critical"] is True
         assert resolved[0].payload["duration"] == 2490 - 30
-        assert engine.state.mode is MonitorMode.NORMAL
-        assert engine.state.episode_start is None
+        assert engine.mode is MonitorMode.NORMAL
+        assert engine.episode_start is None
 
     def test_dead_zone_sample_breaks_the_streak(self):
         # 58 is in the raw band but not strictly inside (23, 57).

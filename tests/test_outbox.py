@@ -134,7 +134,7 @@ class TestRecovery:
         with open(path, "ab") as f:
             f.write(struct.pack(">I", 500) + b"torn")  # claims 500 bytes, has 4
         recovered = open_outbox()
-        assert recovered.recovery.dropped_bytes == 8
+        assert recovered.dropped_bytes == 8
         assert len(recovered.items()) == 3
 
     def test_corrupt_crc_truncates_from_that_record(self, tmp_path, open_outbox):
@@ -146,7 +146,7 @@ class TestRecovery:
         data[-1] ^= 0x01  # flip a bit in the last record's crc
         path.write_bytes(bytes(data))
         recovered = open_outbox()
-        assert recovered.recovery.dropped_bytes > 0
+        assert recovered.dropped_bytes > 0
         assert len(recovered.items()) == 2
 
     def test_empty_file_is_an_empty_outbox(self, tmp_path, open_outbox):
@@ -154,7 +154,7 @@ class TestRecovery:
         path.touch()
         box = open_outbox()
         assert box.items() == []
-        assert box.recovery.dropped_bytes == 0
+        assert box.dropped_bytes == 0
 
 
 class TestRows:
