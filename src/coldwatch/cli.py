@@ -130,15 +130,19 @@ def cmd_simulate(args) -> int:
             raise ConfigError("scenario=replay requires --trace")
         if faults:
             raise ConfigError("scenario=replay takes no --fault: the trace is used as recorded")
+        if args.device is not None:
+            raise ConfigError("scenario=replay takes no --device: the trace's rows name the device")
         scenario = None
     else:
+        if args.trace is not None:
+            raise ConfigError(f"--trace is read only by scenario=replay, not {args.scenario}")
         base = scenario_for(args.scenario, start, horizon, args.seed)
         scenario = dataclasses.replace(base, noise=cfg_file.noise, faults=faults)
 
     run_cfg = RunConfig(
         out_dir=args.out,
         scenario=scenario,
-        trace_path=args.trace if args.scenario == ScenarioKind.REPLAY.value else None,
+        trace_path=args.trace,
         horizon=horizon,
         seed=args.seed,
         start=start,
@@ -162,6 +166,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--day", args.day), ("--device", args.device)):
+        if value is not None and args.report is None:
+            raise ConfigError(f"{flag} applies to --report, which is not given")
     try:
         entries = load_ledger_entries(args.ledger)
     except LedgerFileError as exc:

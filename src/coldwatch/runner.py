@@ -198,12 +198,8 @@ class _Run:
         self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
         if cfg.live_messenger:
             self._sinks.append(_live_messenger_from_env())
-        self.out = Path(cfg.out_dir)
-        if self.out.is_dir() and any(self.out.iterdir()):
-            # Files of an earlier run would be reopened or left behind.
-            raise FileExistsError(f"output directory {self.out} is not empty")
-        self.out.mkdir(parents=True, exist_ok=True)
-
+        # The trace, and with it a replay's device id, comes before the
+        # output directory: a bad row or device id leaves nothing behind.
         self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
         if cfg.trace_path is not None:
             self.readings = replay_trace(cfg.trace_path, self.ticks)
@@ -216,7 +212,18 @@ class _Run:
                 cfg.scenario, cfg.thresholds, cfg.horizon, start=cfg.start, device_id=cfg.device_id
             )
             self.faults = cfg.scenario.faults
+        if cfg.device_id in ("", ".", "..") or "/" in cfg.device_id or "\0" in cfg.device_id:
+            # It names the report directory, so it must stay one path component.
+            raise ValueError(
+                f"device id {cfg.device_id!r} is not a directory name: "
+                "it may not be empty, '.' or '..', or hold '/' or NUL"
+            )
         self.cfg = cfg
+        self.out = Path(cfg.out_dir)
+        if self.out.is_dir() and any(self.out.iterdir()):
+            # Files of an earlier run would be reopened or left behind.
+            raise FileExistsError(f"output directory {self.out} is not empty")
+        self.out.mkdir(parents=True, exist_ok=True)
         write_trace(self.readings, self.out / "trace.csv")
         (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
         self.ledger = Ledger(OWNER_KEY, path=self.out / "ledger.bin")

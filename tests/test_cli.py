@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from coldwatch import runner
+from coldwatch import cli, runner
 from coldwatch.cli import main, parse_duration
 from coldwatch.ledger import LedgerKind, load_ledger_entries, verify_entries
 from coldwatch.model import DEFAULT_START as START
@@ -219,6 +219,51 @@ class TestSimulate:
     def test_replay_requires_a_trace(self, tmp_path):
         assert main(["simulate", "--scenario", "replay", "--out", str(tmp_path / "x")]) == 2
 
+    def test_trace_needs_the_replay_scenario(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--scenario", "normal", "--trace", str(tmp_path / "none.csv"),
+                     "--out", str(out)]) == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_rejects_a_device(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--scenario", "replay", "--trace", str(sim_dir / "trace.csv"),
+                     "--device", "cooler-7", "--out", str(out)]) == 2
+        assert "--device" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("device", ["../../escaped", "..", ".", "a/b", "nul\0id"])
+    def test_device_flag_must_be_one_path_component(self, tmp_path, capsys, device):
+        out = tmp_path / "a" / "run"
+        assert main(["simulate", "--duration", "1h", "--device", device, "--out", str(out)]) == 2
+        assert "device id" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_device_id_must_be_one_path_component(self, tmp_path, capsys):
+        config = tmp_path / "monitor.ini"
+        config.write_text("[run]\ndevice_id = ../../escaped\n")
+        out = tmp_path / "a" / "run"
+        assert main(["simulate", "--duration", "1h", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "device id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ini"]
+
+    def test_replayed_device_id_must_be_one_path_component(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        header = "timestamp,device_id,temp_decic,hum_decip"
+        trace.write_text(f"{header}\n{START + 30},../../escaped,40,520\n")
+        out = tmp_path / "a" / "run"
+        assert main(["simulate", "--scenario", "replay", "--trace", str(trace),
+                     "--duration", "1h", "--out", str(out)]) == 2
+        assert "device id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_device_id_with_a_carriage_return_is_a_directory_name(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "1h", "--device", "cr\rid", "--out", str(out)]) == 0
+        assert (out / "reports" / "cr\rid" / "2025-01-01.csv").exists()
+
     def test_live_messenger_requires_env_credentials(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MONITOR_BOT_TOKEN", raising=False)
         monkeypatch.delenv("MONITOR_CHAT_ID", raising=False)
@@ -310,6 +355,19 @@ class TestVerify:
     def test_missing_ledger_is_usage_error(self, tmp_path):
         assert main(["verify", "--ledger", str(tmp_path / "nope.bin")]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--day", "2025-01-01"), ("--device", "fridge-1")])
+    def test_report_flags_need_a_report(self, sim_dir, capsys, flag, value):
+        assert main(["verify", "--ledger", str(sim_dir / "ledger.bin"), flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""
+
+    def test_unparseable_ledger_fails_verification(self, tmp_path, capsys):
+        bad = tmp_path / "ledger.bin"
+        bad.write_bytes(b"not a ledger")
+        assert main(["verify", "--ledger", str(bad)]) == 3
+        assert "ledger verification FAILED" in capsys.readouterr().out
+
 
 class TestCost:
     def test_quiet_day_line_and_annualized(self, sim_dir, capsys):
@@ -325,6 +383,12 @@ class TestCost:
         code = main(["cost", "--ledger", str(sim_dir / "ledger.bin"), "--day", "2025-01-01"])
         assert code == 0
         assert "$0.0107" in capsys.readouterr().out
+
+    def test_unparseable_ledger_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "ledger.bin"
+        bad.write_bytes(b"not a ledger")
+        assert main(["cost", "--ledger", str(bad)]) == 2
+        assert "unreadable ledger" in capsys.readouterr().err
 
 
 class TestEnergy:
@@ -369,6 +433,13 @@ class TestEnergy:
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2
 
+    def test_empty_log_needs_a_day(self, tmp_path, capsys):
+        events = tmp_path / "events.log"
+        events.touch()
+        assert main(["energy", "--events", str(events)]) == 2
+        assert "no --day" in capsys.readouterr().err
+        assert main(["energy", "--events", str(events), "--day", "2025-01-01"]) == 0
+
     @pytest.mark.parametrize(
         "bad_line",
         [
@@ -400,3 +471,12 @@ class TestEnergy:
         # 720 s awake at 200 mW, the rest of the day idle at 20 mW, or at 5 mW.
         assert display_j() == "1857.6"
         assert display_j("--profile", str(ini)) == "572.4"
+
+
+def test_internal_invariant_violation_exits_1(monkeypatch, capsys):
+    def broken(args):
+        raise AssertionError("seq went backwards")
+
+    monkeypatch.setattr(cli, "cmd_cost", broken)
+    assert main(["cost", "--ledger", "ledger.bin"]) == 1
+    assert "internal error: seq went backwards" in capsys.readouterr().err

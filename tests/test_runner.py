@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from coldwatch import runner
 from coldwatch.alerts import MessengerSink, SinkUnavailable
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.model import DAY_SECONDS, EventKind, ts_to_date
@@ -285,3 +286,18 @@ def test_realtime_speedup_must_be_finite_and_positive(tmp_path, speedup):
     with pytest.raises(ValueError, match="finite number > 0"):
         run(tmp_path, normal_day(seed=1), horizon=300, realtime_speed=speedup)
     assert not (tmp_path / "x").exists()
+
+
+def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
+    runs = []
+
+    def crash(self, boundary, clock):
+        runs.append(self)
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(runner._Run, "day_end", crash)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run(tmp_path, normal_day(seed=1))
+    [failed] = runs
+    assert failed.events_file.closed
+    assert failed.outbox._file._f.closed

@@ -1,12 +1,20 @@
 """Source checks that need no linter: every name a coldwatch module
-imports is used in it."""
+imports is used in it, and every function, class and method it defines
+is referenced from the sources or the benchmark."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "coldwatch"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "coldwatch"
+
+# Defined names nothing in src/ or bench/ refers to, each with its reason.
+UNREFERENCED_ALLOWED = {
+    "Ledger.verify_chain": "acceptance criterion 7 checks the live chain with it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +48,64 @@ def test_check_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """Names read as variables or attributes anywhere under `node`."""
+    names: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+    return names
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unreferenced_defs(defining: list[str], reading: list[str]) -> list[str]:
+    """Qualified names of the functions, classes and methods defined in
+    `defining` whose name no source in `defining` or `reading` mentions
+    outside the definition itself. Dunder methods are called implicitly
+    and are exempt."""
+    trees = [ast.parse(source) for source in defining]
+    mentioned: Counter = Counter()
+    for tree in trees + [ast.parse(source) for source in reading]:
+        mentioned += _referenced(tree)
+    unused = []
+    for tree in trees:
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if mentioned[name] == _referenced(node)[name]:
+                unused.append(qualname)
+    return unused
+
+
+def test_def_check_flags_only_unreferenced_defs():
+    defining = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.items = []\n"
+        "    def put(self, item):\n"
+        "        self.items.append(item)\n"
+        "    def planted(self):\n"
+        "        return self.planted()\n"
+        "def helper():\n"
+        "    return Box()\n"
+    )
+    assert unreferenced_defs([defining], ["helper().put(1)\n"]) == ["Box.planted"]
+
+
+def test_every_definition_is_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert sorted(unreferenced_defs(sources, bench)) == sorted(UNREFERENCED_ALLOWED)
