@@ -122,7 +122,7 @@ def cmd_simulate(args) -> int:
     cfg_file = load_config(args.config)
     start = cfg_file.start if args.start is None else date_to_ts(args.start)
     horizon = parse_duration(args.duration)
-    device = args.device or cfg_file.device_id
+    device = cfg_file.device_id if args.device is None else args.device
     faults = tuple(_parse_fault(f, start) for f in args.fault)
 
     if args.scenario == ScenarioKind.REPLAY.value:
