@@ -21,12 +21,12 @@ from pathlib import Path
 from . import energy as energy_mod
 from .config import ConfigError, load_config
 from .ledger import (
+    CostTally,
     LedgerFileError,
-    annualized_usd,
-    cost_report,
+    annualize,
+    daily_costs,
     format_usd,
     load_ledger_entries,
-    observed_days,
     verify_entries,
 )
 from .model import DAY_SECONDS, date_to_ts, ts_to_date
@@ -132,6 +132,10 @@ def cmd_simulate(args) -> int:
             raise ConfigError("scenario=replay takes no --fault: the trace is used as recorded")
         if args.device is not None:
             raise ConfigError("scenario=replay takes no --device: the trace's rows name the device")
+        if cfg_file.device_id is not None:
+            raise ConfigError(
+                "scenario=replay takes no [run] device_id: the trace's rows name the device"
+            )
         scenario = None
     else:
         if args.trace is not None:
@@ -146,7 +150,7 @@ def cmd_simulate(args) -> int:
         horizon=horizon,
         seed=args.seed,
         start=start,
-        device_id=device,
+        device_id=RunConfig.device_id if device is None else device,
         thresholds=cfg_file.thresholds,
         gas=cfg_file.gas,
         chat_id=cfg_file.chat_id,
@@ -205,18 +209,16 @@ def cmd_cost(args) -> int:
     except LedgerFileError as exc:
         print(f"error: unreadable ledger: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    days = observed_days(entries)
-    if args.day is not None:
-        days = [date_to_ts(args.day)]
+    daily = daily_costs(entries, cfg.gas)
+    days = list(daily) if args.day is None else [date_to_ts(args.day)]
     print(f"{'day':<12} {'txs':>4} {'gas':>5} {'usd':>10}")
     for day in days:
-        tally = cost_report(entries, day, cfg.gas)
+        tally = daily.get(day, CostTally())
         print(
             f"{ts_to_date(day):<12} {tally.tx_total:>4} {tally.gas_total:>5} "
             f"${format_usd(tally.usd_total)}"
         )
-    annual = annualized_usd(entries, cfg.gas)
-    print(f"annualized (mean x 365): ${format_usd(annual, places=2)}")
+    print(f"annualized (mean x 365): ${format_usd(annualize(daily), places=2)}")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class AppConfig:
-    device_id: str = "fridge-1"
+    device_id: str | None = None  # None: not set, the run's default applies
     chat_id: str = "owner"
     start: Timestamp = DEFAULT_START
     thresholds: Thresholds = field(default_factory=Thresholds)

@@ -15,22 +15,28 @@ sensor/display savings come from the deployment being modeled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .alerts import DISPLAY_HOLD_S
 from .model import EventKind, MonitorEvent, Timestamp
 
 COMPONENTS = ("controller", "sensor", "display", "camera", "buzzer")
 
-DISPLAY_WAKE_KINDS = frozenset(
-    {
-        EventKind.LOCAL_LOG_WRITTEN,
-        EventKind.ALERT_DISPATCHED,
-        EventKind.BREACH_RESOLVED,
-        EventKind.DAILY_REPORT_ANCHORED,
-    }
-)
+# The windows a non-sample event opens at its time: (component, the
+# DutyPolicy field that gives the window's length).
+_WAKES = {
+    EventKind.IMAGE_CAPTURED: (("camera", "camera_active_s_per_capture"),),
+    EventKind.ALERT_DISPATCHED: (
+        ("buzzer", "buzzer_active_s_per_alert"),
+        ("display", "display_hold_s"),
+    ),
+    EventKind.LOCAL_LOG_WRITTEN: (("display", "display_hold_s"),),
+    EventKind.BREACH_RESOLVED: (("display", "display_hold_s"),),
+    EventKind.DAILY_REPORT_ANCHORED: (("display", "display_hold_s"),),
+}
 
 
 class InconsistentTimeline(ValueError):
@@ -93,71 +99,87 @@ class EnergyBreakdown:
     per_component: dict[str, ComponentEnergy]  # in COMPONENTS order
 
 
-def _active_seconds(name: str, windows: list[tuple[int, int]], start: int, end: int) -> int:
-    """Seconds of [start, end) inside the windows. The display holds the
-    last message, so its overlapping windows merge; every other component
-    does one thing at a time, so an overlap there is InconsistentTimeline."""
-    total = 0
-    reach = start  # seconds before this are already counted
-    for s, e in sorted(windows):
-        if s < start:
-            s = start
-        if e > end:
-            e = end
-        if s >= e:
-            continue
-        if s < reach:
-            if name != "display":
-                raise InconsistentTimeline(f"{name} windows overlap at {s}")
-            s = reach
-        if s < e:
-            total += e - s
-            reach = e
-    return total
+def _sweep(
+    events: Iterable[MonitorEvent], policy: DutyPolicy, start: Timestamp, end: Timestamp
+) -> dict[str, int] | None:
+    """Active seconds of [start, end) per component, in one pass that keeps
+    a (reach, active seconds) pair per component; None if the events are
+    out of time order.
 
-
-def activity_windows(
-    events: Iterable[MonitorEvent], policy: DutyPolicy
-) -> dict[str, list[tuple[int, int]]]:
-    windows: dict[str, list[tuple[int, int]]] = {name: [] for name in COMPONENTS}
-    sensor = windows["sensor"]
-    warm_up = policy.sensor_active_s_per_sample
+    A component's windows all have one length, so time order is window
+    order. The display holds the last message, so its overlapping windows
+    merge; every other component does one thing at a time, so an overlap
+    there is InconsistentTimeline. It is raised after the pass, for the
+    first such component in COMPONENTS order at its first overlap: a pass
+    that meets an event out of time order returns None instead."""
+    wakes = {
+        kind: tuple((name, getattr(policy, attr)) for name, attr in parts)
+        for kind, parts in _WAKES.items()
+    }
+    state = {name: [start, 0] for name in ("display", "camera", "buzzer")}
+    overlaps: dict[str, int] = {}
+    sample, warm_up = EventKind.SAMPLE_TAKEN, policy.sensor_active_s_per_sample
+    reach, sensor_s = start, 0  # the sensor's pair; seconds before reach are counted
+    last = -math.inf
     for ev in events:
-        kind = ev.kind
-        if kind is EventKind.SAMPLE_TAKEN:
+        at = ev.at
+        if at < last:
+            return None
+        last = at
+        if ev.kind is sample:
             # Nearly every event. The sensor warms up ahead of the tick, so
             # the window ends at the reading's timestamp.
-            sensor.append((ev.at - warm_up, ev.at))
+            s = at - warm_up
+            if s < start:
+                s = start
+            e = at if at < end else end
+            if s < e:
+                if s < reach:
+                    overlaps.setdefault("sensor", s)
+                sensor_s += e - s
+                reach = e
             continue
-        if kind is EventKind.IMAGE_CAPTURED:
-            windows["camera"].append((ev.at, ev.at + policy.camera_active_s_per_capture))
-        if kind is EventKind.ALERT_DISPATCHED:
-            windows["buzzer"].append((ev.at, ev.at + policy.buzzer_active_s_per_alert))
-        if kind in DISPLAY_WAKE_KINDS:
-            windows["display"].append((ev.at, ev.at + policy.display_hold_s))
-    windows["controller"] = sensor  # the controller services each sample
-    return windows
+        for name, length in wakes.get(ev.kind, ()):
+            s = at if at > start else start
+            e = at + length
+            if e > end:
+                e = end
+            if s >= e:
+                continue
+            pair = state[name]
+            if s < pair[0]:
+                overlaps.setdefault(name, s)
+                s = pair[0]
+            if s < e:
+                pair[0] = e
+                pair[1] += e - s
+    for name in ("sensor", "camera", "buzzer"):
+        if name in overlaps:
+            raise InconsistentTimeline(f"{name} windows overlap at {overlaps[name]}")
+    # The controller services each sample: it is active exactly when the sensor is.
+    active = {"controller": sensor_s, "sensor": sensor_s}
+    active.update((name, pair[1]) for name, pair in state.items())
+    return active
 
 
 def energy_for_interval(
-    events: Iterable[MonitorEvent],
+    events: Sequence[MonitorEvent],
     profile: PowerProfile,
     policy: DutyPolicy,
     start: Timestamp,
     end: Timestamp,
 ) -> EnergyBreakdown:
+    """Time-ordered events (a written log's are) are swept once; events out
+    of time order are sorted by time first and swept again."""
     if end < start:
         raise ValueError("end must be >= start")
+    active = _sweep(events, policy, start, end)
+    if active is None:
+        active = _sweep(sorted(events, key=attrgetter("at")), policy, start, end)
     duration = end - start
-    windows = activity_windows(events, policy)
-    # The controller services each sample: it is active exactly when the sensor is.
-    sensor_s = _active_seconds("sensor", windows["sensor"], start, end)
     per: dict[str, ComponentEnergy] = {}
     for name in COMPONENTS:
-        if name in ("controller", "sensor"):
-            active_s = sensor_s
-        else:
-            active_s = _active_seconds(name, windows[name], start, end)
+        active_s = active[name]
         power = getattr(profile, name)
         energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * _uw(power.idle_mw)
         per[name] = ComponentEnergy(active_s, energy_uj, duration * _uw(power.active_mw))
@@ -165,7 +187,7 @@ def energy_for_interval(
 
 
 def saving_ratio(
-    events: Iterable[MonitorEvent],
+    events: Sequence[MonitorEvent],
     profile: PowerProfile,
     policy: DutyPolicy,
     start: Timestamp,

@@ -298,9 +298,9 @@ class GasSchedule:
 
 @dataclass(frozen=True)
 class CostTally:
-    tx_total: int
-    gas_total: int
-    usd_total: Fraction
+    tx_total: int = 0
+    gas_total: int = 0
+    usd_total: Fraction = Fraction(0)
 
 
 def format_usd(amount: Fraction, places: int = 4) -> str:
@@ -321,36 +321,43 @@ def accounting_day(entry: LedgerEntry) -> Timestamp:
     return day_start(entry.at)
 
 
+def _tally(entries: list[LedgerEntry], gas: GasSchedule) -> CostTally:
+    gas_total = sum(gas.gas[entry.kind] for entry in entries)
+    return CostTally(len(entries), gas_total, gas_total * gas.fee_per_gas_usd)
+
+
 def cost_report(
     entries: list[LedgerEntry], day: Timestamp, gas: GasSchedule | None = None
 ) -> CostTally:
-    gas = gas or GasSchedule()
     day = day_start(day)
-    tx_total = gas_total = 0
+    return _tally([e for e in entries if accounting_day(e) == day], gas or GasSchedule())
+
+
+def daily_costs(
+    entries: list[LedgerEntry], gas: GasSchedule | None = None
+) -> dict[Timestamp, CostTally]:
+    """The tally of every observed day, in day order, from one pass that
+    bills each entry to its accounting day."""
+    by_day: dict[Timestamp, list[LedgerEntry]] = {}
     for entry in entries:
-        if accounting_day(entry) == day:
-            tx_total += 1
-            gas_total += gas.gas[entry.kind]
-    return CostTally(
-        tx_total=tx_total,
-        gas_total=gas_total,
-        usd_total=gas_total * gas.fee_per_gas_usd,
-    )
+        by_day.setdefault(accounting_day(entry), []).append(entry)
+    gas = gas or GasSchedule()
+    return {day: _tally(by_day[day], gas) for day in sorted(by_day)}
 
 
 def observed_days(entries: list[LedgerEntry]) -> list[Timestamp]:
     return sorted({accounting_day(e) for e in entries})
 
 
-def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -> Fraction:
-    """Daily mean over observed days, times 365. Every entry is billed to
-    exactly one observed day, so the days' costs sum to all entries' gas."""
-    days = observed_days(entries)
-    if not days:
+def annualize(daily: dict[Timestamp, CostTally]) -> Fraction:
+    """Daily mean over the observed days, times 365."""
+    if not daily:
         return Fraction(0)
-    gas = gas or GasSchedule()
-    total = sum(gas.gas[entry.kind] for entry in entries) * gas.fee_per_gas_usd
-    return total / len(days) * 365
+    return sum(tally.usd_total for tally in daily.values()) / len(daily) * 365
+
+
+def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -> Fraction:
+    return annualize(daily_costs(entries, gas))
 
 
 # -- the ledger ----------------------------------------------------------------

@@ -141,7 +141,7 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorEvent:
     """One observable fact emitted by the monitor pipeline.
 

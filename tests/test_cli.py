@@ -233,6 +233,15 @@ class TestSimulate:
         assert "--device" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_replay_rejects_a_config_device_id(self, sim_dir, tmp_path, capsys):
+        config = tmp_path / "monitor.ini"
+        config.write_text("[run]\ndevice_id = cooler-3\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--scenario", "replay", "--trace", str(sim_dir / "trace.csv"),
+                     "--config", str(config), "--out", str(out)]) == 2
+        assert "[run] device_id" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("device", ["../../escaped", "..", ".", "a/b", "nul\0id", ""])
     def test_device_flag_must_be_one_path_component(self, tmp_path, capsys, device):
         out = tmp_path / "a" / "run"
@@ -384,6 +393,32 @@ class TestCost:
         assert code == 0
         assert "$0.0107" in capsys.readouterr().out
 
+    def test_each_entry_is_billed_once(self, tmp_path, monkeypatch, capsys):
+        from coldwatch import ledger
+
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "3d", "--out", str(out)]) == 0
+        entries = load_ledger_entries(out / "ledger.bin")
+        billed, calls = ledger.accounting_day, []
+
+        def counted(entry):
+            calls.append(entry)
+            return billed(entry)
+
+        monkeypatch.setattr(ledger, "accounting_day", counted)
+        capsys.readouterr()
+        assert main(["cost", "--ledger", str(out / "ledger.bin")]) == 0
+        assert len(calls) == len(entries) == 36
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["2025-01-01", "2025-01-02",
+                                                             "2025-01-03"]
+        assert lines[-1] == "annualized (mean x 365): $3.91"
+
+    def test_a_day_without_entries_costs_nothing(self, sim_dir, capsys):
+        code = main(["cost", "--ledger", str(sim_dir / "ledger.bin"), "--day", "2025-02-01"])
+        assert code == 0
+        assert "2025-02-01      0     0 $0.0000" in capsys.readouterr().out
+
     def test_unparseable_ledger_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "ledger.bin"
         bad.write_bytes(b"not a ledger")
@@ -416,19 +451,19 @@ class TestEnergy:
         assert "96.7%" in capsys.readouterr().out
 
     def test_event_log_is_swept_once(self, sim_dir, tmp_path, monkeypatch):
-        from coldwatch import energy
+        sweeps = []
 
-        sweep, calls = energy.activity_windows, []
+        class CountedEvents(list):
+            def __iter__(self):
+                sweeps.append(len(self))
+                return super().__iter__()
 
-        def counted(*args):
-            calls.append(args)
-            return sweep(*args)
-
-        monkeypatch.setattr(energy, "activity_windows", counted)
+        read = cli.events_from_log
+        monkeypatch.setattr(cli, "events_from_log", lambda path: CountedEvents(read(path)))
         code = main(["energy", "--events", str(sim_dir / "events.log"),
                      "--csv", str(tmp_path / "energy.csv")])
         assert code == 0
-        assert len(calls) == 1
+        assert len(sweeps) == 1
 
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2

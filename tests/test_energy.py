@@ -7,7 +7,6 @@ from coldwatch.energy import (
     DutyPolicy,
     InconsistentTimeline,
     PowerProfile,
-    activity_windows,
     energy_for_interval,
     saving_ratio,
 )
@@ -18,6 +17,32 @@ DAY = 86400
 
 def ev(kind, at):
     return MonitorEvent(kind, at, {})
+
+
+DISPLAY_WAKES = {
+    EventKind.LOCAL_LOG_WRITTEN,
+    EventKind.ALERT_DISPATCHED,
+    EventKind.BREACH_RESOLVED,
+    EventKind.DAILY_REPORT_ANCHORED,
+}
+
+
+def policy_windows(events, policy):
+    """Each component's [start, end) activity windows, read off the duty
+    policy: the reference the one-pass sweep is checked against."""
+    windows = {name: [] for name in COMPONENTS}
+    for e in events:
+        if e.kind is EventKind.SAMPLE_TAKEN:
+            window = (e.at - policy.sensor_active_s_per_sample, e.at)
+            windows["sensor"].append(window)
+            windows["controller"].append(window)
+        if e.kind is EventKind.IMAGE_CAPTURED:
+            windows["camera"].append((e.at, e.at + policy.camera_active_s_per_capture))
+        if e.kind is EventKind.ALERT_DISPATCHED:
+            windows["buzzer"].append((e.at, e.at + policy.buzzer_active_s_per_alert))
+        if e.kind in DISPLAY_WAKES:
+            windows["display"].append((e.at, e.at + policy.display_hold_s))
+    return windows
 
 
 def sample_events(n=2880, period=30, start=0):
@@ -93,6 +118,16 @@ def test_overlapping_camera_captures_rejected():
         energy_for_interval(events, PowerProfile(), DutyPolicy(), 0, 200)
 
 
+def test_overlap_error_names_the_first_component_in_component_order():
+    # The camera overlaps first in time; the sensor is named, as COMPONENTS
+    # order puts it before the camera.
+    events = [ev(EventKind.IMAGE_CAPTURED, 100), ev(EventKind.IMAGE_CAPTURED, 102)]
+    events += [ev(EventKind.SAMPLE_TAKEN, 150), ev(EventKind.SAMPLE_TAKEN, 151)]
+    policy = DutyPolicy(sensor_active_s_per_sample=2)
+    with pytest.raises(InconsistentTimeline, match="^sensor windows overlap at 149$"):
+        energy_for_interval(events, PowerProfile(), policy, 0, 200)
+
+
 def test_component_power_ordering_enforced():
     with pytest.raises(ValueError):
         ComponentPower(active_mw=10, idle_mw=20)
@@ -122,7 +157,7 @@ def test_per_second_oracle_matches_interval_computation(drawn, duties, start, le
     profile = PowerProfile()
     policy = DutyPolicy(*duties)
     end = start + length
-    windows = activity_windows(events, policy)
+    windows = policy_windows(events, policy)
     cover = {
         name: [sum(s <= t < e for s, e in windows[name]) for t in range(start, end)]
         for name in COMPONENTS
@@ -164,6 +199,30 @@ def test_energy_is_additive_over_partitions(sample_ats, cut):
             left.per_component[name].energy_uj + right.per_component[name].energy_uj
             == whole.per_component[name].energy_uj
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(list(EventKind)), st.integers(0, 400)), max_size=12),
+    st.tuples(*[st.integers(0, 30)] * 4),
+    st.integers(0, 300),
+    st.integers(0, 200),
+    st.randoms(use_true_random=False),
+)
+def test_event_order_does_not_change_the_breakdown(drawn, duties, start, length, rng):
+    """Events out of time order give what the time-ordered events give:
+    the same breakdown, or the same InconsistentTimeline."""
+    ordered = sorted((ev(kind, at) for kind, at in drawn), key=lambda e: e.at)
+    shuffled = list(ordered)
+    rng.shuffle(shuffled)
+    profile, policy = PowerProfile(), DutyPolicy(*duties)
+    outcomes = []
+    for events in (ordered, shuffled):
+        try:
+            outcomes.append(energy_for_interval(events, profile, policy, start, start + length))
+        except InconsistentTimeline as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_baseline_energy_is_always_on():

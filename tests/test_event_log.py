@@ -7,6 +7,7 @@ json module gives: the same bytes on the way out, the same events (or the
 same rejected line) on the way in.
 """
 
+import gc
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from coldwatch.model import (
     MonitorEvent,
     Reading,
 )
+from coldwatch import runner
 from coldwatch.runner import _EVENT_ENCODER, _SAMPLE_LINE_RE, event_to_json, events_from_log
 
 KIND_NAMES = [kind.value for kind in EventKind]
@@ -97,6 +99,12 @@ def assert_reads_like_reference(path):
 @settings(max_examples=500, deadline=None)
 @given(SAMPLES)
 def test_sample_line_is_the_encoders_output(event):
+    assert event_to_json(event) == _EVENT_ENCODER.encode(event)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OTHER_EVENTS)
+def test_other_lines_are_the_encoders_output(event):
     assert event_to_json(event) == _EVENT_ENCODER.encode(event)
 
 
@@ -180,3 +188,30 @@ def test_hand_written_lines(tmp_path, line, expected):
         assert event.kind is EventKind.SAMPLE_TAKEN
         got = event.at if field == "at" else event.payload["reading"][field]
         assert got == value
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_reading_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, enabled):
+    good = tmp_path / "good.log"
+    good.write_text(sample_line() + '{"at":1735689630,"kind":"BatchAnchored","payload":{}}\n')
+    bad = tmp_path / "bad.log"
+    bad.write_text(sample_line() + "[1]\n")
+    during = []
+    parse = runner._event_from_json
+
+    def watched(*args):
+        during.append(gc.isenabled())
+        return parse(*args)
+
+    monkeypatch.setattr(runner, "_event_from_json", watched)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(events_from_log(good)) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match=": line 2: "):
+            events_from_log(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False, False]

@@ -24,6 +24,7 @@ from coldwatch.ledger import (
     ZERO_DIGEST,
     annualized_usd,
     cost_report,
+    daily_costs,
     decode_request,
     encode_request,
     format_usd,
@@ -306,6 +307,8 @@ def test_every_entry_is_billed_to_exactly_one_observed_day(drawn, units, fee):
     days = observed_days(entries)
     tallies = [cost_report(entries, d, gas) for d in days]
     assert sum(t.tx_total for t in tallies) == len(entries)
+    # One pass over the entries gives what one pass per day gives, in day order.
+    assert list(daily_costs(entries, gas).items()) == list(zip(days, tallies))
     # The definition: the mean of the observed days' costs, times 365.
     per_day_mean = sum((t.usd_total for t in tallies), Fraction(0)) / len(days) if days else 0
     assert annualized_usd(entries, gas) == per_day_mean * 365
