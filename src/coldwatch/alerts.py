@@ -27,7 +27,6 @@ from pathlib import Path
 from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, ts_to_iso
 from .outbox import retry_delay
 
-DISPLAY_HOLD_S = 10  # display shows the last message this long, then dims
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
 NOTICE_SINKS = ("messenger", "telegram")  # the remote sinks, which get report notices
 

@@ -29,7 +29,7 @@ from .ledger import (
     load_ledger_entries,
     verify_entries,
 )
-from .model import DAY_SECONDS, date_to_ts, ts_to_date
+from .model import DAY_SECONDS, date_to_ts, day_start, ts_to_date
 from .reports import Verdict, verify_report
 from .runner import RunConfig, run_simulation, events_from_log
 from .sensor import FaultKind, FaultSpec, ScenarioKind, scenario_for
@@ -229,7 +229,7 @@ def cmd_energy(args) -> int:
         start = date_to_ts(args.day)
         end = start + DAY_SECONDS
     elif events:
-        start = events[0].at - events[0].at % DAY_SECONDS
+        start = day_start(events[0].at)
         end = events[-1].at
         end = end + (DAY_SECONDS - end % DAY_SECONDS) % DAY_SECONDS
         if end == start:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .alerts import DISPLAY_HOLD_S
 from .model import EventKind, MonitorEvent, Timestamp
 
 COMPONENTS = ("controller", "sensor", "display", "camera", "buzzer")
@@ -69,7 +68,7 @@ class PowerProfile:
 @dataclass(frozen=True)
 class DutyPolicy:
     sensor_active_s_per_sample: int = 1
-    display_hold_s: int = DISPLAY_HOLD_S
+    display_hold_s: int = 10  # the display shows the last message this long, then dims
     camera_active_s_per_capture: int = 5
     buzzer_active_s_per_alert: int = 10
 

@@ -383,14 +383,11 @@ class Ledger:
     def set_fault_windows(self, windows: list[tuple[Timestamp, Timestamp]]) -> None:
         self.fault_windows = list(windows)
 
-    def _outage_active(self, now: Timestamp) -> bool:
-        return any(s <= now < e for s, e in self.fault_windows)
-
     def submit(
         self, request: EntryRequest, credential: str, now: Timestamp | None = None
     ) -> LedgerEntry:
         now = request.at if now is None else now
-        if self._outage_active(now):
+        if any(s <= now < e for s, e in self.fault_windows):
             raise LedgerOutage(f"ledger unavailable at {now}")
         if credential != self.owner and credential not in self.writers:
             raise Unauthorized(f"credential {credential!r} is not an authorized writer")

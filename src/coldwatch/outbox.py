@@ -18,6 +18,7 @@ raise to simulate a crash at exactly that point.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,12 +177,8 @@ class Outbox:
             payloads.append(bytes([_REC_ENQUEUE]) + encode_request(item.request))
             item.state = ItemState.PENDING
             kept_items[key] = item
-        kept_rows = []
-        for row in self._rows:
-            (at,) = struct.unpack(">q", row[:8])
-            if at >= keep_rows_from:
-                payloads.append(bytes([_REC_ROW]) + row)
-                kept_rows.append(row)
+        kept_rows = self.rows(keep_rows_from, math.inf)
+        payloads.extend(bytes([_REC_ROW]) + row for row in kept_rows)
         self._file.rewrite(payloads)
         self._items = kept_items
         self._rows = kept_rows

@@ -71,6 +71,7 @@ from .model import (
     Reading,
     Thresholds,
     Timestamp,
+    day_start,
     ts_to_date,
 )
 from .outbox import Outbox
@@ -106,15 +107,12 @@ class RunResult:
 
 
 def _json_default(value):
-    """Enums as their value, dataclasses (events, readings, records, specs)
-    as their fields."""
+    """Enums as their value, dataclasses (readings, records, specs) as their
+    fields."""
     if isinstance(value, enum.Enum):
         return value.value
     if is_dataclass(value):
-        try:
-            return vars(value)
-        except TypeError:  # slots, no __dict__: a MonitorEvent
-            return {name: getattr(value, name) for name in value.__slots__}
+        return vars(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -267,12 +265,11 @@ class _Run:
 
     # -- event plumbing ----------------------------------------------------
 
-    def emit(self, event: MonitorEvent) -> None:
+    def emit(self, event: MonitorEvent, now: Timestamp) -> bool:
+        """Log, count and route one event; returns True if a ledger write
+        was queued."""
         self.events_file.write(event_to_json(event) + "\n")
         self.event_counts[event.kind] += 1
-
-    def handle(self, event: MonitorEvent, now: Timestamp) -> bool:
-        """Route one engine event; returns True if a ledger write was queued."""
         if event.kind is EventKind.SAMPLE_TAKEN:
             return False
         payload = event.payload
@@ -334,7 +331,8 @@ class _Run:
                     "row_count": report.row_count,
                     "seq": item.request.seq,
                 },
-            )
+            ),
+            at,
         )
         self.dispatcher.dispatch_notice(report_notice_text(report), at)
         self.drain(at, clock)
@@ -386,7 +384,7 @@ class _Run:
         cfg = self.cfg
         clock = VirtualClock(cfg.start)
         end = cfg.start + cfg.horizon
-        boundary = cfg.start - cfg.start % DAY_SECONDS + DAY_SECONDS
+        boundary = day_start(cfg.start) + DAY_SECONDS
         while boundary <= end:
             clock.schedule(boundary, "day-end")
             boundary += DAY_SECONDS
@@ -408,8 +406,7 @@ class _Run:
                 i += 1
             queued = False
             for event in self.engine.step(reading, at):
-                self.emit(event)
-                queued = self.handle(event, at) or queued
+                queued = self.emit(event, at) or queued
             if queued:
                 self.drain(at, clock)
             if self.dispatcher.queued:
@@ -417,7 +414,7 @@ class _Run:
         self._clock_events(clock, end)
 
         # Trailing partial day, if it produced any rows.
-        last_boundary = end - end % DAY_SECONDS
+        last_boundary = day_start(end)
         if end % DAY_SECONDS != 0 and self.outbox.rows(last_boundary, end):
             self._anchor_day_report(last_boundary, end, clock)
         # Ledger writes still pending at the horizon go out at their retry

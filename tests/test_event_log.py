@@ -7,6 +7,8 @@ json module gives: the same bytes on the way out, the same events (or the
 same rejected line) on the way in.
 """
 
+import dataclasses
+import enum
 import gc
 import json
 
@@ -23,7 +25,7 @@ from coldwatch.model import (
     Reading,
 )
 from coldwatch import runner
-from coldwatch.runner import _EVENT_ENCODER, _SAMPLE_LINE_RE, event_to_json, events_from_log
+from coldwatch.runner import _SAMPLE_LINE_RE, event_to_json, events_from_log
 
 KIND_NAMES = [kind.value for kind in EventKind]
 
@@ -86,6 +88,21 @@ def reference_events(path):
     return events
 
 
+def reference_default(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def reference_line(event):
+    """An events.log line by the book: the event's three fields through
+    json.dumps, keys sorted, compact separators."""
+    doc = {"at": event.at, "kind": event.kind, "payload": event.payload}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=reference_default)
+
+
 def assert_reads_like_reference(path):
     try:
         expected = reference_events(path)
@@ -99,13 +116,13 @@ def assert_reads_like_reference(path):
 @settings(max_examples=500, deadline=None)
 @given(SAMPLES)
 def test_sample_line_is_the_encoders_output(event):
-    assert event_to_json(event) == _EVENT_ENCODER.encode(event)
+    assert event_to_json(event) == reference_line(event)
 
 
 @settings(max_examples=200, deadline=None)
 @given(OTHER_EVENTS)
 def test_other_lines_are_the_encoders_output(event):
-    assert event_to_json(event) == _EVENT_ENCODER.encode(event)
+    assert event_to_json(event) == reference_line(event)
 
 
 @FILE_EXAMPLES
