@@ -106,7 +106,10 @@ def load_config(path: Path | None) -> AppConfig:
             else:
                 kind = _kind_for(option)
                 units[kind] = _get(parser, "gas", option, int, "expected integer")
-        cfg.gas = GasSchedule(gas=units, fee_per_gas_usd=fee)
+        try:
+            cfg.gas = GasSchedule(gas=units, fee_per_gas_usd=fee)
+        except ValueError as exc:
+            raise ConfigError(f"[gas] {exc}") from exc
 
     if parser.has_section("power"):
         overrides: dict[str, dict[str, float]] = {}

@@ -54,6 +54,8 @@ class ComponentPower:
     def __post_init__(self) -> None:
         if not self.active_mw >= self.idle_mw >= 0:
             raise ValueError("need active_mw >= idle_mw >= 0")
+        if not math.isfinite(self.active_mw * 1000):  # _uw's microwatts
+            raise ValueError(f"active_mw {self.active_mw} is not a finite number of microwatts")
 
 
 @dataclass(frozen=True)

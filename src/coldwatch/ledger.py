@@ -293,7 +293,9 @@ class GasSchedule:
     def __post_init__(self) -> None:
         for kind in LedgerKind:
             if self.gas.get(kind, 0) <= 0:
-                raise LedgerError(f"gas for {kind.name} must be > 0")
+                raise ValueError(f"{kind.name.lower()} must be > 0")
+        if self.fee_per_gas_usd < 0:
+            raise ValueError("fee_per_gas_usd must be >= 0")
 
 
 @dataclass(frozen=True)

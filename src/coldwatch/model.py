@@ -8,7 +8,10 @@ seconds, UTC; day boundaries are UTC midnights.
 
 from __future__ import annotations
 
+import csv
 import enum
+import functools
+import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -58,6 +61,17 @@ def ts_to_date(ts: Timestamp) -> str:
 def date_to_ts(text: str) -> Timestamp:
     dt = datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+@functools.lru_cache(maxsize=64)
+def csv_field(text: str) -> str:
+    """`text` as the csv module writes it in a trace or report row. A
+    carriage return is quoted too: left bare, it ends the row for any CSV
+    reader."""
+    buf = io.StringIO()
+    quoting = csv.QUOTE_NONNUMERIC if "\r" in text else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow([text])
+    return buf.getvalue()[:-1]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,16 @@ import struct
 from dataclasses import dataclass
 
 from .ledger import Cursor, LedgerEntry, LedgerKind, enc_str
-from .model import DAY_SECONDS, Timestamp, day_start, format_tenths, iso_to_ts, ts_to_date, ts_to_iso
+from .model import (
+    DAY_SECONDS,
+    Timestamp,
+    csv_field,
+    day_start,
+    format_tenths,
+    iso_to_ts,
+    ts_to_date,
+    ts_to_iso,
+)
 from .outbox import Outbox
 
 REPORT_HEADER = "timestamp,device_id,temp_c,hum_pct,mode,event"
@@ -93,7 +102,7 @@ def render_csv(rows: list[ReportRow]) -> bytes:
     lines = [REPORT_HEADER]
     for row in rows:
         lines.append(
-            f"{ts_to_iso(row.at)},{row.device_id},"
+            f"{ts_to_iso(row.at)},{csv_field(row.device_id)},"
             f"{format_tenths(row.temp_decic)},{format_tenths(row.hum_decip)},"
             f"{row.mode},{row.event}"
         )

@@ -206,6 +206,17 @@ class _Run:
         speed = cfg.realtime_speed
         if speed is not None and not 0 < speed < math.inf:  # nan fails both
             raise ValueError(f"realtime speed-up must be a finite number > 0, got {speed}")
+        # Every date a run writes (report names and rows, alert texts) is of
+        # an instant in [start, end): dates exist for the years 1 to 9999.
+        end = cfg.start + cfg.horizon
+        for at in (cfg.start, max(cfg.start, end - 1)):
+            try:
+                ts_to_date(at)
+            except (ValueError, OverflowError, OSError) as exc:
+                raise ValueError(
+                    f"a run from {cfg.start} for {cfg.horizon} s leaves the UTC years 1 to 9999 "
+                    f"(--start or [run] start, --duration): {exc}"
+                ) from None
         # Sinks first: a missing live-messenger credential or extra fails
         # before the run writes anything.
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
@@ -232,6 +243,11 @@ class _Run:
                 f"device id {cfg.device_id!r} is not a directory name: "
                 "it may not be empty, '.' or '..', or hold '/' or NUL"
             )
+        try:
+            cfg.device_id.encode("utf-8")
+        except UnicodeEncodeError:
+            # Every artifact is UTF-8; an argv byte that is not arrives as a lone surrogate.
+            raise ValueError(f"device id {cfg.device_id!r} is not UTF-8 text") from None
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
         if self.out.is_dir() and any(self.out.iterdir()):

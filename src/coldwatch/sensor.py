@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
-import io
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -25,6 +23,7 @@ from .model import (
     Reading,
     Thresholds,
     Timestamp,
+    csv_field,
 )
 
 TRACE_HEADER = ["timestamp", "device_id", "temp_decic", "hum_decip"]
@@ -229,19 +228,9 @@ def write_trace(readings: Iterable[Reading], path: Path) -> int:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(TRACE_HEADER) + "\n")
         for r in readings:
-            f.write("%d,%s,%d,%d\n" % (r.at, _csv_field(r.device_id), r.temp_decic, r.hum_decip))
+            f.write("%d,%s,%d,%d\n" % (r.at, csv_field(r.device_id), r.temp_decic, r.hum_decip))
             n += 1
     return n
-
-
-@functools.lru_cache(maxsize=64)
-def _csv_field(text: str) -> str:
-    """`text` as the csv module writes it in a trace row. A carriage
-    return is quoted too: left bare, it ends the row for any CSV reader."""
-    buf = io.StringIO()
-    quoting = csv.QUOTE_NONNUMERIC if "\r" in text else csv.QUOTE_MINIMAL
-    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow([text])
-    return buf.getvalue()[:-1]
 
 
 def replay_trace(path: Path, ticks: range) -> list[Reading]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 import types
@@ -8,6 +9,7 @@ from coldwatch import cli, runner
 from coldwatch.cli import main, parse_duration
 from coldwatch.ledger import LedgerKind, load_ledger_entries, verify_entries
 from coldwatch.model import DEFAULT_START as START
+from coldwatch.reports import REPORT_HEADER
 
 CONFIG = """
 [run]
@@ -268,6 +270,51 @@ class TestSimulate:
         assert "device id" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--duration", "1h"], "[run]\nstart = 1000000000000\n"),
+            (["--duration", "1h"], "[run]\nstart = 100000000000000000000\n"),
+            (["--start", "9999-12-31", "--duration", "2d"], ""),
+        ],
+        ids=["year-33658", "past-time_t", "ends-in-year-10000"],
+    )
+    def test_a_run_without_utc_dates_writes_nothing(self, tmp_path, capsys, flags, config):
+        ini = tmp_path / "monitor.ini"
+        ini.write_text(config)
+        out = tmp_path / "run"
+        assert main(["simulate", *flags, "--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[run] start" in err and "--start" in err and "--duration" in err
+        assert not out.exists()
+
+    def test_a_run_may_end_at_the_last_dated_midnight(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--start", "9999-12-31", "--duration", "1d",
+                     "--out", str(out)]) == 0
+        assert (out / "reports" / "fridge-1" / "9999-12-31.csv").exists()
+
+    @pytest.mark.parametrize("device", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_report_rows_quote_the_device_id(self, tmp_path, capsys, device):
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "1h", "--device", device, "--out", str(out)]) == 0
+        report = out / "reports" / device / "2025-01-01.csv"
+        with open(report, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == REPORT_HEADER.split(",")
+        assert rows and all(len(row) == 6 and row[1] == device for row in rows)
+        capsys.readouterr()
+        assert main(["verify", "--ledger", str(out / "ledger.bin"), "--report", str(report)]) == 0
+        assert "report verdict: Authentic" in capsys.readouterr().out
+
+    def test_device_id_that_is_not_utf8_text_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        # A --device byte that is not UTF-8 reaches Python as a lone surrogate.
+        assert main(["simulate", "--duration", "1h", "--device", "fridge-\udcff",
+                     "--out", str(out)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_device_id_with_a_carriage_return_is_a_directory_name(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--duration", "1h", "--device", "cr\rid", "--out", str(out)]) == 0
@@ -425,6 +472,22 @@ class TestCost:
         assert main(["cost", "--ledger", str(bad)]) == 2
         assert "unreadable ledger" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "gas, message",
+        [("alert = 0", "[gas] alert must be > 0"),
+         ("fee_per_gas_usd = -0.5", "[gas] fee_per_gas_usd must be >= 0")],
+        ids=["zero-units", "negative-fee"],
+    )
+    def test_a_gas_schedule_it_cannot_bill_is_a_usage_error(
+        self, sim_dir, tmp_path, capsys, gas, message
+    ):
+        ini = tmp_path / "gas.ini"
+        ini.write_text(f"[gas]\n{gas}\n")
+        assert main(["cost", "--ledger", str(sim_dir / "ledger.bin"), "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestEnergy:
     def test_table_shows_96_7_percent_sensor_saving(self, sim_dir, capsys):
@@ -494,6 +557,15 @@ class TestEnergy:
         events.write_text("".join(lines), encoding="utf-8")
         assert main(["energy", "--events", str(events)]) == 2
         assert "line 3:" in capsys.readouterr().err
+
+    def test_a_power_draw_without_finite_microwatts_is_a_usage_error(
+        self, sim_dir, tmp_path, capsys
+    ):
+        ini = tmp_path / "power.ini"
+        ini.write_text("[power]\nsensor_active_mw = 1e308\n", encoding="utf-8")
+        assert main(["energy", "--events", str(sim_dir / "events.log"),
+                     "--profile", str(ini)]) == 2
+        assert "[power] sensor: active_mw" in capsys.readouterr().err
 
     def test_display_idle_power_is_the_dim_level(self, sim_dir, tmp_path, capsys):
         def display_j(*profile):

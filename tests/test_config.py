@@ -139,6 +139,9 @@ def test_start_accepts_unix_seconds(tmp_path):
         ("[gas]\nfee_per_gas_usd = 1/0\n", "[gas] fee_per_gas_usd: expected decimal"),
         ("[gas]\nmint = 5\n", "[gas] unknown option 'mint'"),
         ("[gas]\nalert = many\n", "[gas] alert: expected integer"),
+        ("[gas]\nalert = 0\n", "[gas] alert must be > 0"),
+        ("[gas]\nreading_batch = -2\n", "[gas] reading_batch must be > 0"),
+        ("[gas]\nfee_per_gas_usd = -0.5\n", "[gas] fee_per_gas_usd must be >= 0"),
         ("[power]\nfan_active_mw = 1\n", "[power] unknown option 'fan_active_mw'"),
         ("[power]\nsensor_busy_mw = 1\n", "[power] unknown option 'sensor_busy_mw'"),
         ("[power]\nsensor_active_mw = lots\n", "[power] sensor_active_mw: expected number"),
@@ -146,6 +149,9 @@ def test_start_accepts_unix_seconds(tmp_path):
         ("[power]\ndisplay_idle_mw = dim\n", "[power] display_idle_mw: expected number"),
         ("[power]\ndisplay_idle_mw = -20\n", "[power] display: need active_mw >= idle_mw >= 0"),
         ("[power]\ndisplay_active_mw = 10\n", "[power] display: need active_mw >= idle_mw >= 0"),
+        ("[power]\nsensor_active_mw = inf\n", "[power] sensor: active_mw inf is not a finite"),
+        ("[power]\nsensor_active_mw = 1e400\n", "[power] sensor: active_mw inf is not a finite"),
+        ("[power]\nsensor_active_mw = 1e308\n", "[power] sensor: active_mw 1e+308 is not a finite"),
         ("[duty]\nsleep_s = 1\n", "[duty] unknown option 'sleep_s'"),
         ("[duty]\ndisplay_hold_s = 1.5\n", "[duty] display_hold_s: expected integer"),
         ("[duty]\ndisplay_dim = no\n", "[duty] unknown option 'display_dim'"),

@@ -263,8 +263,12 @@ def test_noise_draw_at_power_of_two_bounds(bound):
 
 # -- the trace writer ----------------------------------------------------------
 
+# Device ids are UTF-8 text: a run refuses a lone surrogate before it
+# writes any file (test_cli), and a UTF-8 trace file cannot hold one.
 DEVICE_IDS = st.text(
-    alphabet=st.one_of(st.sampled_from(',"\r\n \tx\u00e9\u2603'), st.characters()),
+    alphabet=st.one_of(
+        st.sampled_from(',"\r\n \tx\u00e9\u2603'), st.characters(exclude_categories=("Cs",))
+    ),
     min_size=1,
     max_size=12,
 )
