@@ -16,6 +16,7 @@ sensor/display savings come from the deployment being modeled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -184,6 +185,12 @@ def energy_for_interval(
         power = getattr(profile, name)
         energy_uj = active_s * _uw(power.active_mw) + (duration - active_s) * _uw(power.idle_mw)
         per[name] = ComponentEnergy(active_s, energy_uj, duration * _uw(power.active_mw))
+    # Joules are rendered as floats, and no component's energy exceeds the
+    # total baseline.
+    if sum(c.baseline_uj for c in per.values()) > sys.float_info.max:
+        raise ValueError(
+            f"the [power] active draws over {duration} s come to more joules than a float holds"
+        )
     return EnergyBreakdown(per)
 
 

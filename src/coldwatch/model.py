@@ -40,8 +40,11 @@ def format_tenths(value: int) -> str:
     return f"{sign}{mag // 10}.{mag % 10}"
 
 
+# isoformat writes the year in four digits; strftime's %Y drops the zeros
+# of a year before 1000 on some platforms.
 def ts_to_iso(ts: Timestamp) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    iso = datetime.fromtimestamp(ts, tz=timezone.utc).isoformat(timespec="seconds")
+    return iso.removesuffix("+00:00") + "Z"
 
 
 def iso_to_ts(text: str) -> Timestamp:
@@ -55,7 +58,7 @@ def day_start(ts: Timestamp) -> Timestamp:
 
 
 def ts_to_date(ts: Timestamp) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
+    return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
 
 
 def date_to_ts(text: str) -> Timestamp:
@@ -67,7 +70,13 @@ def date_to_ts(text: str) -> Timestamp:
 def csv_field(text: str) -> str:
     """`text` as the csv module writes it in a trace or report row. A
     carriage return is quoted too: left bare, it ends the row for any CSV
-    reader."""
+    reader. Both files are UTF-8, so text that is not, such as a lone
+    surrogate (an argv byte that does not decode arrives as one), is a
+    ValueError."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"device id {text!r} is not UTF-8 text") from None
     buf = io.StringIO()
     quoting = csv.QUOTE_NONNUMERIC if "\r" in text else csv.QUOTE_MINIMAL
     csv.writer(buf, lineterminator="\n", quoting=quoting).writerow([text])

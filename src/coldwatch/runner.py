@@ -71,6 +71,8 @@ from .model import (
     Reading,
     Thresholds,
     Timestamp,
+    csv_field,
+    date_to_ts,
     day_start,
     ts_to_date,
 )
@@ -79,6 +81,10 @@ from .reports import ReportRow, build_report, encode_row, report_notice_text
 from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, sample_ticks, write_trace
 
 OWNER_KEY = "owner-key"
+# Every date a run writes (report names and rows, alert texts) is of an
+# instant in [start, end), and dates exist for the UTC years 1 to 9999.
+_FIRST_DATED = date_to_ts("0001-01-01")
+_END_DATED = date_to_ts("9999-12-31") + DAY_SECONDS
 
 
 @dataclass
@@ -206,17 +212,11 @@ class _Run:
         speed = cfg.realtime_speed
         if speed is not None and not 0 < speed < math.inf:  # nan fails both
             raise ValueError(f"realtime speed-up must be a finite number > 0, got {speed}")
-        # Every date a run writes (report names and rows, alert texts) is of
-        # an instant in [start, end): dates exist for the years 1 to 9999.
-        end = cfg.start + cfg.horizon
-        for at in (cfg.start, max(cfg.start, end - 1)):
-            try:
-                ts_to_date(at)
-            except (ValueError, OverflowError, OSError) as exc:
-                raise ValueError(
-                    f"a run from {cfg.start} for {cfg.horizon} s leaves the UTC years 1 to 9999 "
-                    f"(--start or [run] start, --duration): {exc}"
-                ) from None
+        if not (_FIRST_DATED <= cfg.start and cfg.start + cfg.horizon <= _END_DATED):
+            raise ValueError(
+                f"a run from {cfg.start} for {cfg.horizon} s leaves the UTC years 1 to 9999 "
+                "(--start or [run] start, --duration)"
+            )
         # Sinks first: a missing live-messenger credential or extra fails
         # before the run writes anything.
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
@@ -243,11 +243,7 @@ class _Run:
                 f"device id {cfg.device_id!r} is not a directory name: "
                 "it may not be empty, '.' or '..', or hold '/' or NUL"
             )
-        try:
-            cfg.device_id.encode("utf-8")
-        except UnicodeEncodeError:
-            # Every artifact is UTF-8; an argv byte that is not arrives as a lone surrogate.
-            raise ValueError(f"device id {cfg.device_id!r} is not UTF-8 text") from None
+        csv_field(cfg.device_id)  # refuses an id that no UTF-8 artifact can hold
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
         if self.out.is_dir() and any(self.out.iterdir()):

@@ -223,7 +223,8 @@ def _check_normal_day_inside(spec: ScenarioSpec, thresholds: Thresholds) -> None
 
 
 def write_trace(readings: Iterable[Reading], path: Path) -> int:
-    """Write the canonical trace CSV (UTF-8, LF). Returns the row count."""
+    """Write the canonical trace CSV (UTF-8, LF). Returns the row count.
+    A device id that is not UTF-8 text is a ValueError (see csv_field)."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(TRACE_HEADER) + "\n")

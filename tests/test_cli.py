@@ -276,8 +276,9 @@ class TestSimulate:
             (["--duration", "1h"], "[run]\nstart = 1000000000000\n"),
             (["--duration", "1h"], "[run]\nstart = 100000000000000000000\n"),
             (["--start", "9999-12-31", "--duration", "2d"], ""),
+            (["--duration", "1h"], "[run]\nstart = -62135596801\n"),
         ],
-        ids=["year-33658", "past-time_t", "ends-in-year-10000"],
+        ids=["year-33658", "past-time_t", "ends-in-year-10000", "starts-in-year-0"],
     )
     def test_a_run_without_utc_dates_writes_nothing(self, tmp_path, capsys, flags, config):
         ini = tmp_path / "monitor.ini"
@@ -293,6 +294,18 @@ class TestSimulate:
         assert main(["simulate", "--start", "9999-12-31", "--duration", "1d",
                      "--out", str(out)]) == 0
         assert (out / "reports" / "fridge-1" / "9999-12-31.csv").exists()
+
+    def test_a_run_before_year_1000_writes_four_digit_years(self, tmp_path, capsys):
+        ini = tmp_path / "monitor.ini"
+        ini.write_text("[run]\nstart = -46388678400\n")  # 0500-01-01T00:00:00Z
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "1h", "--config", str(ini),
+                     "--out", str(out)]) == 0
+        report = out / "reports" / "fridge-1" / "0500-01-01.csv"
+        assert report.read_text().splitlines()[1].startswith("0500-01-01T00:00:30Z,fridge-1,")
+        capsys.readouterr()
+        assert main(["verify", "--ledger", str(out / "ledger.bin"), "--report", str(report)]) == 0
+        assert "report verdict: Authentic" in capsys.readouterr().out
 
     @pytest.mark.parametrize("device", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_report_rows_quote_the_device_id(self, tmp_path, capsys, device):
@@ -558,14 +571,21 @@ class TestEnergy:
         assert main(["energy", "--events", str(events)]) == 2
         assert "line 3:" in capsys.readouterr().err
 
-    def test_a_power_draw_without_finite_microwatts_is_a_usage_error(
-        self, sim_dir, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "draw, message",
+        [
+            ("1e308", "[power] sensor: active_mw"),  # no finite number of microwatts
+            ("1.7e305", "[power] active draws"),  # 1.7e308 uW for a day overflows a float
+        ],
+    )
+    def test_a_power_draw_too_large_to_account_is_a_usage_error(
+        self, sim_dir, tmp_path, capsys, draw, message
     ):
         ini = tmp_path / "power.ini"
-        ini.write_text("[power]\nsensor_active_mw = 1e308\n", encoding="utf-8")
+        ini.write_text(f"[power]\nsensor_active_mw = {draw}\n", encoding="utf-8")
         assert main(["energy", "--events", str(sim_dir / "events.log"),
                      "--profile", str(ini)]) == 2
-        assert "[power] sensor: active_mw" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_display_idle_power_is_the_dim_level(self, sim_dir, tmp_path, capsys):
         def display_j(*profile):

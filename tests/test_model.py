@@ -8,6 +8,7 @@ from coldwatch.model import (
     date_to_ts,
     format_tenths,
     iso_to_ts,
+    ts_to_date,
     ts_to_iso,
 )
 
@@ -30,6 +31,16 @@ def test_iso_round_trip():
 def test_timestamp_range_covers_2020_to_2100():
     assert ts_to_iso(date_to_ts("2020-01-01")) == "2020-01-01T00:00:00Z"
     assert ts_to_iso(date_to_ts("2100-12-31")) == "2100-12-31T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "date", ["0001-01-01", "0045-06-30", "0500-01-01", "0999-12-31", "9999-12-31"]
+)
+def test_dates_have_four_digit_years_and_read_back(date):
+    ts = date_to_ts(date) + 30
+    assert ts_to_date(ts) == date
+    assert ts_to_iso(ts) == f"{date}T00:00:30Z"
+    assert iso_to_ts(ts_to_iso(ts)) == ts
 
 
 def test_day_start():
