@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from coldwatch.ledger import (
     BatchTooLarge,
     EntryRequest,
     GasSchedule,
+    LEDGER_MAGIC,
+    LEDGER_VERSION,
     Ledger,
     LedgerEntry,
+    LedgerFileError,
     LedgerKind,
     LedgerOutage,
     MalformedPayload,
@@ -328,6 +332,35 @@ class TestFile:
     def test_request_codec_round_trip(self, kind):
         req = EntryRequest(kind, DEV, 7, 200, ONE_PAYLOAD_PER_KIND[kind])
         assert decode_request(encode_request(req)) == req
+
+    @pytest.mark.parametrize("kind", list(LedgerKind), ids=lambda kind: kind.name)
+    def test_every_proper_prefix_of_a_request_is_malformed(self, kind):
+        data = encode_request(EntryRequest(kind, DEV, 7, 200, ONE_PAYLOAD_PER_KIND[kind]))
+        for cut in range(len(data)):
+            with pytest.raises(MalformedPayload):
+                decode_request(data[:cut])
+
+    def test_an_entry_cut_short_behind_a_consistent_length_is_a_file_error(self, tmp_path):
+        """Each entry in turn is the last one, cut at every length with its
+        length prefix rewritten to match: its tail cut off, or its body cut
+        before the 32-byte digest."""
+        path = tmp_path / "ledger.bin"
+        ledger = Ledger(OWNER, path=path)
+        for seq, kind in enumerate(LedgerKind):
+            request = EntryRequest(kind, DEV, seq, 200 + seq, ONE_PAYLOAD_PER_KIND[kind])
+            ledger.submit(request, OWNER)
+        data, pos = path.read_bytes(), len(LEDGER_MAGIC) + 1
+        assert data[:pos] == LEDGER_MAGIC + bytes([LEDGER_VERSION])
+        while pos < len(data):
+            (n,) = struct.unpack_from(">I", data, pos)
+            record = data[pos + 4 : pos + 4 + n]
+            body, digest = record[:-32], record[-32:]
+            cuts = [record[:k] for k in range(n)] + [body[:k] + digest for k in range(len(body))]
+            for cut in cuts:
+                path.write_bytes(data[:pos] + struct.pack(">I", len(cut)) + cut)
+                with pytest.raises(LedgerFileError):
+                    load_ledger_entries(path)
+            pos += 4 + n
 
     @pytest.mark.parametrize("size", [31, 33])
     def test_report_digest_must_be_32_bytes(self, size):

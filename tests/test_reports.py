@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coldwatch.ledger import (
     EntryRequest,
@@ -10,7 +11,7 @@ from coldwatch.ledger import (
     ReportAnchorPayload,
     Unauthorized,
 )
-from coldwatch.model import DAY_SECONDS, iso_to_ts
+from coldwatch.model import DAY_SECONDS, date_to_ts, day_start, iso_to_ts, ts_to_iso
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
@@ -19,6 +20,7 @@ from coldwatch.reports import (
     build_report,
     decode_row,
     encode_row,
+    render_csv,
     verify_report,
 )
 
@@ -106,6 +108,50 @@ class TestCanonicalForm:
         for cut in (4, 9, 12, len(data) - 1):
             with pytest.raises(MalformedPayload):
                 decode_row(data[:cut])
+
+
+# The instants a report can date: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
+INSTANTS = st.integers(date_to_ts("0001-01-01"), iso_to_ts("9999-12-31T23:59:59Z"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=INSTANTS,
+    b=INSTANTS,
+    picks=st.lists(st.tuples(st.booleans(), st.integers(0, DAY_SECONDS - 1)), max_size=6),
+)
+@example(a=date_to_ts("0001-01-01"), b=iso_to_ts("9999-12-31T23:59:59Z"), picks=[])
+@example(a=-1, b=0, picks=[(False, 0), (True, DAY_SECONDS - 1)])
+@example(a=DAY - 1, b=DAY + 30, picks=[(False, 1), (True, 3599), (False, 86399)])
+def test_rendered_timestamps_are_ts_to_iso(a, b, picks):
+    """Rows of two days in one call, in any order: each timestamp renders
+    as ts_to_iso renders it, negative unix times included."""
+    instants = [a, b] + [day_start(b if other else a) + s for other, s in picks]
+    lines = render_csv([row(at) for at in instants]).decode("utf-8").splitlines()
+    assert [line.split(",", 1)[0] for line in lines[1:]] == [ts_to_iso(at) for at in instants]
+
+
+ROWS = st.builds(
+    ReportRow,
+    at=st.integers(-(2**63), 2**63 - 1),
+    device_id=st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
+    temp_decic=st.integers(-(2**15), 2**15 - 1),
+    hum_decip=st.integers(0, 2**16 - 1),
+    mode=st.sampled_from(["Normal", "BreachPending", "Critical"]),
+    event=st.sampled_from(["", "ALERT", "RESOLVED"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROWS)
+@example(row(DAY + 30, mode="Critical", event="ALERT"))
+@example(ReportRow(DAY, "k\u00fchl-\u51b7", -400, 1000, "BreachPending", "RESOLVED"))
+def test_every_proper_prefix_of_a_row_is_malformed(r):
+    data = encode_row(r)
+    assert decode_row(data) == r
+    for cut in range(len(data)):
+        with pytest.raises(MalformedPayload):
+            decode_row(data[:cut])
 
 
 class TestAnchorAndVerify:
