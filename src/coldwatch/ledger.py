@@ -137,12 +137,21 @@ class LedgerEntry(EntryRequest):
 # -- canonical encoding ------------------------------------------------------
 
 
-def enc_str(value: str) -> bytes:
-    """A u16-length-prefixed UTF-8 string; Cursor.string reads it back."""
+def str_bytes(value: str) -> bytes:
+    """The UTF-8 bytes of a string field, whose length must fit a u16."""
     raw = value.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise MalformedPayload("string field too long")
+    return raw
+
+
+def enc_str(value: str) -> bytes:
+    """A u16-length-prefixed UTF-8 string; Cursor.string reads it back."""
+    raw = str_bytes(value)
     return struct.pack(">H", len(raw)) + raw
+
+
+_LAYOUTS: dict[str, struct.Struct] = {}  # Cursor.unpack's compiled layouts, by format
 
 
 class Cursor:
@@ -160,7 +169,14 @@ class Cursor:
         return out
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        layout = _LAYOUTS.get(fmt)
+        if layout is None:
+            layout = _LAYOUTS[fmt] = struct.Struct(fmt)
+        pos, end = self.pos, self.pos + layout.size
+        if end > len(self.data):
+            raise MalformedPayload("truncated field")
+        self.pos = end
+        return layout.unpack_from(self.data, pos)
 
     def string(self) -> str:
         (n,) = self.unpack(">H")

@@ -48,6 +48,7 @@ _REC_ENQUEUE = 1
 _REC_MARK = 2
 _REC_ROW = 3
 _REC_WATERMARK = 4
+_ROW_AT = struct.Struct(">q")  # the leading timestamp of a day row
 
 
 class ItemState(enum.Enum):
@@ -159,12 +160,8 @@ class Outbox:
         self._rows.append(row)
 
     def rows(self, start: Timestamp, end: Timestamp) -> list[bytes]:
-        out = []
-        for row in self._rows:
-            (at,) = struct.unpack(">q", row[:8])
-            if start <= at < end:
-                out.append(row)
-        return out
+        leading = _ROW_AT.unpack_from
+        return [row for row in self._rows if start <= leading(row)[0] < end]
 
     def compact(self, keep_rows_from: Timestamp) -> None:
         """Drop confirmed items and rows older than keep_rows_from; a seq

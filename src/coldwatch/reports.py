@@ -19,7 +19,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from .ledger import Cursor, LedgerEntry, LedgerKind, enc_str
+from .ledger import LedgerEntry, LedgerKind, MalformedPayload, str_bytes
 from .model import (
     DAY_SECONDS,
     Timestamp,
@@ -28,7 +28,6 @@ from .model import (
     format_tenths,
     iso_to_ts,
     ts_to_date,
-    ts_to_iso,
 )
 from .outbox import Outbox
 
@@ -56,24 +55,34 @@ class ReportRow:
     event: str = ""
 
 
+# Store layout of a row: the i64 timestamp and the u16 byte length of the
+# device id, its UTF-8 bytes, then temperature, humidity, mode and event.
+_ROW_HEAD = struct.Struct(">qH")
+_ROW_TAIL = struct.Struct(">hHBB")
+
+
 def encode_row(row: ReportRow) -> bytes:
     """Store encoding; starts with the i64 timestamp the store relies on."""
+    device = str_bytes(row.device_id)
     return (
-        struct.pack(">q", row.at)
-        + enc_str(row.device_id)
-        + struct.pack(">hHBB", row.temp_decic, row.hum_decip,
-                      _MODE_CODES[row.mode], _EVENT_CODES[row.event])
+        _ROW_HEAD.pack(row.at, len(device))
+        + device
+        + _ROW_TAIL.pack(row.temp_decic, row.hum_decip,
+                         _MODE_CODES[row.mode], _EVENT_CODES[row.event])
     )
 
 
 def decode_row(data: bytes) -> ReportRow:
-    cur = Cursor(data)
-    (at,) = cur.unpack(">q")
-    device = cur.string()
-    temp, hum, mode, event = cur.unpack(">hHBB")
+    head = _ROW_HEAD.size
+    if len(data) < head:
+        raise MalformedPayload("truncated field")
+    at, n = _ROW_HEAD.unpack_from(data)
+    if len(data) < head + n + _ROW_TAIL.size:
+        raise MalformedPayload("truncated field")
+    temp, hum, mode, event = _ROW_TAIL.unpack_from(data, head + n)
     return ReportRow(
         at=at,
-        device_id=device,
+        device_id=data[head : head + n].decode("utf-8"),
         temp_decic=temp,
         hum_decip=hum,
         mode=_MODE_NAMES[mode],
@@ -100,9 +109,17 @@ class DailyReport:
 
 def render_csv(rows: list[ReportRow]) -> bytes:
     lines = [REPORT_HEADER]
+    midnight = date = None
     for row in rows:
+        # ts_to_iso's text, from the row's UTC date (once per day) and the
+        # seconds since that midnight.
+        since = row.at % DAY_SECONDS
+        if row.at - since != midnight:
+            midnight = row.at - since
+            date = ts_to_date(midnight)
         lines.append(
-            f"{ts_to_iso(row.at)},{csv_field(row.device_id)},"
+            f"{date}T{since // 3600:02d}:{since // 60 % 60:02d}:{since % 60:02d}Z,"
+            f"{csv_field(row.device_id)},"
             f"{format_tenths(row.temp_decic)},{format_tenths(row.hum_decip)},"
             f"{row.mode},{row.event}"
         )

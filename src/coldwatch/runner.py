@@ -132,6 +132,14 @@ _SAMPLE_LINE = (
     '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
 )
+# A LocalLogWritten line (one per critical-mode sample) whose payload is
+# exactly {"record": LocalRecord} is written the same way; the mode values
+# are plain names. It is read back through json.loads like any other line.
+_RECORD_LINE = (
+    '{"at":%d,"kind":"LocalLogWritten","payload":{"record":{"at":%d,"mode":"%s","reading":'
+    '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d},"window_avg_temp_decic":%d,'
+    '"window_max_temp_decic":%d,"window_min_temp_decic":%d}}}'
+)
 _INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
 _STR = r'"([^"\\\x00-\x1f]*)"'  # a JSON string without escapes
 _SAMPLE_LINE_RE = re.compile(
@@ -145,10 +153,20 @@ def _json_string(text: str) -> str:
 
 
 def event_to_json(event: MonitorEvent) -> str:
-    if event.kind is EventKind.SAMPLE_TAKEN:
-        r = event.payload["reading"]
+    kind, payload = event.kind, event.payload
+    if kind is EventKind.SAMPLE_TAKEN:
+        r = payload["reading"]
         return _SAMPLE_LINE % (event.at, r.at, _json_string(r.device_id), r.hum_decip, r.temp_decic)
-    doc = {"at": event.at, "kind": event.kind.value, "payload": event.payload}
+    if kind is EventKind.LOCAL_LOG_WRITTEN and len(payload) == 1:
+        rec = payload.get("record")
+        if type(rec) is LocalRecord:
+            r = rec.reading
+            return _RECORD_LINE % (
+                event.at, rec.at, rec.mode.value,
+                r.at, _json_string(r.device_id), r.hum_decip, r.temp_decic,
+                rec.window_avg_temp_decic, rec.window_max_temp_decic, rec.window_min_temp_decic,
+            )
+    doc = {"at": event.at, "kind": kind.value, "payload": payload}
     return _EVENT_ENCODER.encode(doc)  # as _json_default would give it, one hook call fewer
 
 

@@ -1,10 +1,11 @@
 """The events.log codec pair.
 
 `event_to_json` writes a SampleTaken event with one format string and
-`events_from_log` reads that layout back with one regex; every other line
-goes through the json module. Both fast paths must give exactly what the
-json module gives: the same bytes on the way out, the same events (or the
-same rejected line) on the way in.
+`events_from_log` reads that layout back with one regex; a LocalLogWritten
+event holding one record is written with a second format string, and every
+other line goes through the json module. The fast paths must give exactly
+what the json module gives: the same bytes on the way out, the same events
+(or the same rejected line) on the way in.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from coldwatch.engine import LocalRecord, MonitorMode
 from coldwatch.model import (
     HUM_MAX_DECIP,
     HUM_MIN_DECIP,
@@ -49,6 +51,19 @@ SAMPLES = st.builds(
     lambda reading, at: MonitorEvent(EventKind.SAMPLE_TAKEN, at, {"reading": reading}),
     READINGS,
     st.integers(),
+)
+RECORDS = st.builds(
+    lambda at, record: MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, at, {"record": record}),
+    st.integers(),
+    st.builds(
+        LocalRecord,
+        at=st.integers(),
+        reading=READINGS,
+        mode=st.sampled_from(MonitorMode),
+        window_min_temp_decic=st.integers(),
+        window_max_temp_decic=st.integers(),
+        window_avg_temp_decic=st.integers(),
+    ),
 )
 OTHER_EVENTS = st.builds(
     lambda kind, at, n: MonitorEvent(kind, at, {"row_count": n}),
@@ -116,6 +131,12 @@ def assert_reads_like_reference(path):
 @settings(max_examples=500, deadline=None)
 @given(SAMPLES)
 def test_sample_line_is_the_encoders_output(event):
+    assert event_to_json(event) == reference_line(event)
+
+
+@settings(max_examples=500, deadline=None)
+@given(RECORDS)
+def test_record_line_is_the_encoders_output(event):
     assert event_to_json(event) == reference_line(event)
 
 
