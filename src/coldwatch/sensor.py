@@ -224,13 +224,19 @@ def _check_normal_day_inside(spec: ScenarioSpec, thresholds: Thresholds) -> None
 
 def write_trace(readings: Iterable[Reading], path: Path) -> int:
     """Write the canonical trace CSV (UTF-8, LF). Returns the row count.
-    A device id that is not UTF-8 text is a ValueError (see csv_field)."""
+    A device id that is not UTF-8 text is a ValueError (see csv_field),
+    and the partial file is removed."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(TRACE_HEADER) + "\n")
-        for r in readings:
-            f.write("%d,%s,%d,%d\n" % (r.at, csv_field(r.device_id), r.temp_decic, r.hum_decip))
-            n += 1
+    f = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with f:
+            f.write(",".join(TRACE_HEADER) + "\n")
+            for r in readings:
+                f.write("%d,%s,%d,%d\n" % (r.at, csv_field(r.device_id), r.temp_decic, r.hum_decip))
+                n += 1
+    except ValueError:
+        Path(path).unlink()
+        raise
     return n
 
 

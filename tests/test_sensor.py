@@ -312,3 +312,13 @@ def test_trace_file_is_the_csv_modules_and_reads_back(device, values):
         assert write_trace(readings, path) == len(readings)
         assert path.read_bytes() == _csv_module_trace(readings)
         assert replay_trace(path, sample_ticks(0, 30 * len(values), 30)) == readings
+
+
+@pytest.mark.parametrize("ahead", [0, 2], ids=["first-row", "after-two-rows"])
+def test_a_refused_device_id_leaves_no_trace_file(tmp_path, ahead):
+    readings = [Reading("fridge-1", 30 * (k + 1), 40, 520) for k in range(ahead)]
+    readings.append(Reading("fridge-\udcff", 30 * (ahead + 1), 40, 520))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        write_trace(readings, path)
+    assert not path.exists()
