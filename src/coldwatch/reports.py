@@ -108,11 +108,11 @@ class DailyReport:
 
 
 def render_csv(rows: list[ReportRow]) -> bytes:
+    # Each timestamp is ts_to_iso's text, built from the row's UTC date
+    # (formatted once per day) and the seconds since that midnight.
     lines = [REPORT_HEADER]
     midnight = date = None
     for row in rows:
-        # ts_to_iso's text, from the row's UTC date (once per day) and the
-        # seconds since that midnight.
         since = row.at % DAY_SECONDS
         if row.at - since != midnight:
             midnight = row.at - since
