@@ -246,6 +246,25 @@ def test_compaction_keeps_store_bounded(tmp_path):
     box.close()
 
 
+def test_a_dropout_over_the_first_and_the_last_tick_samples_neither(tmp_path):
+    end = DEFAULT_START + DAY_SECONDS
+    scenario = with_faults(
+        normal_day(seed=6),
+        FaultSpec(FaultKind.SENSOR_DROPOUT, DEFAULT_START, DEFAULT_START + 60),
+        FaultSpec(FaultKind.SENSOR_DROPOUT, end, end + 30),
+    )
+    result = run(tmp_path, scenario, seed=6)
+    rows = (result.out_dir / "trace.csv").read_text().splitlines()[1:]
+    sampled = [
+        e.payload["reading"]["at"]
+        for e in events_from_log(result.out_dir / "events.log")
+        if e.kind is EventKind.SAMPLE_TAKEN
+    ]
+    assert result.manifest["counters"]["samples"] == len(rows) == 2878
+    assert [int(row.split(",")[0]) for row in rows] == sampled
+    assert (sampled[0], sampled[-1]) == (DEFAULT_START + 60, end - 30)
+
+
 def test_replay_takes_the_device_id_from_the_trace(tmp_path):
     original = run(tmp_path, normal_day(seed=2), name="src", seed=2, device_id="cooler-9")
     replayed = run_simulation(

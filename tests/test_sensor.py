@@ -173,6 +173,16 @@ class TestReplay:
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize(
+        "row", ["30,d,1251,500", "30,d,-401,500", "30,d,40,1001", "30,d,40,-1", "30,,40,500"]
+    )
+    def test_row_outside_the_envelope_or_without_a_device_is_a_parse_error(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text("timestamp,device_id,temp_decic,hum_decip\n" + row + "\n")
+        with pytest.raises(ParseError) as err:
+            replay_trace(path, DAY_TICKS)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
         "rows,line_no,message",
         [
             (["30,d,40,500", "60,e,40,500"], 3, "device 'e'"),
@@ -214,14 +224,26 @@ POWER_BOUNDS = [2**j for j in range(11)]
 
 
 def _randint_trace(spec: ScenarioSpec, n: int) -> list[Reading]:
-    """The trace as Random.randint draws it: temperature, then humidity,
-    per tick; a bound of 0 draws nothing; values clamped to the envelope."""
+    """The trace as Random.randint draws it, one tick at a time: the base
+    plus the spike deltas open at the tick (the breach window forcing the
+    temperature), then the temperature and humidity noise; a bound of 0
+    draws nothing; a tick inside a sensor dropout draws nothing and has no
+    reading; values clamped to the envelope."""
     rng = random.Random(f"{spec.seed}:trace")
     t, h = spec.noise.temp_bound_decic, spec.noise.hum_bound_decip
+    dropouts = [f for f in spec.faults if f.kind is FaultKind.SENSOR_DROPOUT]
     out = []
     for at in range(30, 30 * n + 1, 30):
-        temp = spec.base_temp_decic + (rng.randint(-t, t) if t else 0)
-        hum = spec.base_hum_decip + (rng.randint(-h, h) if h else 0)
+        if any(f.start <= at < f.end for f in dropouts):
+            continue
+        spikes = [w for w in spec.spike_windows if w.start <= at < w.end]
+        temp = spec.base_temp_decic + sum(w.temp_delta_decic for w in spikes)
+        hum = spec.base_hum_decip + sum(w.hum_delta_decip for w in spikes)
+        breach = spec.breach_window
+        if breach is not None and breach.start <= at < breach.end:
+            temp = breach.forced_temp_decic
+        temp += rng.randint(-t, t) if t else 0
+        hum += rng.randint(-h, h) if h else 0
         temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
         hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
         out.append(Reading("fridge-1", at, temp, hum))
@@ -259,6 +281,84 @@ def test_noise_draw_is_randint_inlined(seed, t_bound, h_bound, temp, hum):
 def test_noise_draw_at_power_of_two_bounds(bound):
     spec = _noisy(11, bound, bound, temp=400, hum=500)
     assert generate_trace(spec, TH, 500 * 30) == _randint_trace(spec, 500)
+
+
+# Values before clamping may lie far outside the envelope (and int16): they
+# clamp to its edge like any other.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dataclasses.replace(
+            _noisy(3, 5, 20),
+            spike_windows=(SpikeWindow(start=600, end=1200, temp_delta_decic=10**6),),
+        ),
+        dataclasses.replace(
+            _noisy(3, 5, 20),
+            spike_windows=(
+                SpikeWindow(start=300, end=900, temp_delta_decic=-(10**6), hum_delta_decip=10**6),
+            ),
+        ),
+        _noisy(4, 5, 20, hum=-(10**6)),
+        _noisy(4, 5, 20, temp=10**6),
+    ],
+    ids=["spike-up", "spike-down", "base-hum-below", "base-temp-above"],
+)
+def test_values_beyond_int16_clamp_to_the_envelope(spec):
+    trace = list(generate_trace(spec, TH, 60 * 30))
+    assert trace == _randint_trace(spec, 60)
+    assert any(
+        r.temp_decic in (TEMP_MIN_DECIC, TEMP_MAX_DECIC) or r.hum_decip in (HUM_MIN_DECIP, HUM_MAX_DECIP)
+        for r in trace
+    )
+
+
+def test_a_dropout_over_the_first_and_the_last_tick(tmp_path):
+    spec = dataclasses.replace(
+        normal_day(seed=6),
+        faults=(
+            FaultSpec(FaultKind.SENSOR_DROPOUT, start=0, end=60),
+            FaultSpec(FaultKind.SENSOR_DROPOUT, start=86400, end=86430),
+        ),
+    )
+    trace = generate_trace(spec, TH, 86400)
+    readings = list(trace)
+    assert readings == _randint_trace(spec, 2880)
+    assert len(trace) == len(readings) == 2878
+    assert (readings[0].at, readings[-1].at) == (60, 86370)
+    path = tmp_path / "trace.csv"
+    assert write_trace(trace, path) == 2878
+    assert len(path.read_text().splitlines()) == 1 + 2878
+    assert list(replay_trace(path, DAY_TICKS)) == readings
+
+
+# A window inside a 40-tick run; its ends fall on a tick or between two, and
+# it may cover no tick at all.
+_WINDOW = st.tuples(st.integers(0, 40 * 30 - 1), st.integers(1, 40 * 30)).map(
+    lambda w: (w[0], min(w[0] + w[1], 40 * 30))
+)
+_DELTA = st.integers(-(10**5), 10**5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    spikes=st.lists(st.tuples(_WINDOW, _DELTA, _DELTA), max_size=4),
+    breach=st.none() | st.tuples(_WINDOW, _DELTA),
+    dropouts=st.lists(_WINDOW, max_size=3),
+)
+def test_windows_match_the_tick_by_tick_reference(seed, spikes, breach, dropouts):
+    """Overlapping spikes add up, the breach window forces the temperature
+    under them, and dropouts may overlap each other and any window."""
+    spec = dataclasses.replace(
+        _noisy(seed, 5, 20),
+        spike_windows=tuple(SpikeWindow(s, e, t, h) for (s, e), t, h in spikes),
+        breach_window=None if breach is None else BreachWindow(*breach[0], breach[1]),
+        faults=tuple(FaultSpec(FaultKind.SENSOR_DROPOUT, s, e) for s, e in dropouts),
+    )
+    trace = generate_trace(spec, TH, 40 * 30)
+    expected = _randint_trace(spec, 40)
+    assert list(trace) == expected
+    assert len(trace) == len(expected)
 
 
 # -- the trace writer ----------------------------------------------------------
