@@ -78,7 +78,15 @@ from .model import (
 )
 from .outbox import Outbox
 from .reports import ReportRow, build_report, encode_row, report_notice_text
-from .sensor import FaultKind, ScenarioSpec, generate_trace, replay_trace, sample_ticks, write_trace
+from .sensor import (
+    DROPPED,
+    FaultKind,
+    ScenarioSpec,
+    generate_trace,
+    replay_trace,
+    sample_ticks,
+    write_trace,
+)
 
 OWNER_KEY = "owner-key"
 # Every date a run writes (report names and rows, alert texts) is of an
@@ -243,15 +251,15 @@ class _Run:
             self._sinks.append(_live_messenger_from_env())
         # The trace, and with it a replay's device id, comes before the
         # output directory: a bad row or device id leaves nothing behind.
-        self.ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
         if cfg.trace_path is not None:
-            self.readings = replay_trace(cfg.trace_path, self.ticks)
-            if self.readings:
-                cfg = dataclasses.replace(cfg, device_id=self.readings[0].device_id)
+            ticks = sample_ticks(cfg.start, cfg.horizon, cfg.thresholds.sample_period)
+            self.trace = replay_trace(cfg.trace_path, ticks)
+            if self.trace.device_id is not None:
+                cfg = dataclasses.replace(cfg, device_id=self.trace.device_id)
             self.faults = ()
         else:
             assert cfg.scenario is not None
-            self.readings = generate_trace(
+            self.trace = generate_trace(
                 cfg.scenario, cfg.thresholds, cfg.horizon, start=cfg.start, device_id=cfg.device_id
             )
             self.faults = cfg.scenario.faults
@@ -268,7 +276,7 @@ class _Run:
             # Files of an earlier run would be reopened or left behind.
             raise FileExistsError(f"output directory {self.out} is not empty")
         self.out.mkdir(parents=True, exist_ok=True)
-        write_trace(self.readings, self.out / "trace.csv")
+        write_trace(self.trace, self.out / "trace.csv")
         (self.out / "reports" / cfg.device_id).mkdir(parents=True, exist_ok=True)
         self.ledger = Ledger(OWNER_KEY, path=self.out / "ledger.bin")
         self.ledger.set_fault_windows(
@@ -421,19 +429,16 @@ class _Run:
 
         self._wall, self._sim = time.monotonic(), cfg.start
         paced, crash_times = cfg.realtime_speed is not None, self.crash_times
-        readings, i = self.readings, 0
+        trace, device = self.trace, cfg.device_id
         # Sample ticks merged with the clock's day-ends and retries: clock
         # events due before a tick run first, so at an instant they share
         # the tick fires first, then the clock events in scheduling order.
-        for at in self.ticks:
+        for at, temp, hum in zip(trace.ticks, trace.temps, trace.hums):
             if clock.peek(at - 1) is not None:
                 self._clock_events(clock, at - 1)
             if paced or crash_times and at >= crash_times[0]:
                 self._pace_and_recover(at, clock)
-            reading = None
-            if i < len(readings) and readings[i].at == at:
-                reading = readings[i]
-                i += 1
+            reading = None if temp == DROPPED else Reading(device, at, temp, hum)
             queued = False
             for event in self.engine.step(reading, at):
                 queued = self.emit(event, at) or queued

@@ -2,7 +2,9 @@
 
 Replaces the physical temperature/humidity sensor with deterministic,
 seeded generation so every run is reproducible. Traces round-trip
-through a CSV format for regression replay.
+through a CSV format for regression replay. A trace is held as two int16
+columns with one slot per sample tick, so a year of 30 s ticks takes
+about 4 MB.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import csv
 import enum
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 from .model import (
     HUM_MAX_DECIP,
@@ -132,14 +136,41 @@ def sample_ticks(start: Timestamp, horizon: int, period: int) -> range:
     return range(start + period, start + horizon + 1, period)
 
 
+# The temperature of a slot without a reading: int16's least value, far
+# below the sensor envelope.
+DROPPED = -0x8000
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One device's readings over a run: a slot per tick of `ticks`, the
+    temperature and humidity of each in an int16 column (the envelope
+    fits), and DROPPED as the temperature of a tick without a reading (a
+    sensor dropout, or a replay without that row). len() is the number of
+    readings. `device_id` is None only for a replayed file without rows."""
+
+    device_id: str | None
+    ticks: range
+    temps: array
+    hums: array
+
+    def __len__(self) -> int:
+        return len(self.temps) - self.temps.count(DROPPED)
+
+    def __iter__(self) -> Iterator[Reading]:
+        for at, temp, hum in zip(self.ticks, self.temps, self.hums):
+            if temp != DROPPED:
+                yield Reading(self.device_id, at, temp, hum)
+
+
 def generate_trace(
     spec: ScenarioSpec,
     thresholds: Thresholds,
     horizon: int,
     start: Timestamp = 0,
     device_id: str = "fridge-1",
-) -> list[Reading]:
-    """One Reading per sample tick, skipping sensor-dropout windows.
+) -> Trace:
+    """One reading per sample tick, none inside a sensor-dropout window.
 
     value = base + active spike deltas (+ breach override) + seeded noise,
     clamped to the sensor envelope. Deterministic in spec.seed.
@@ -157,24 +188,18 @@ def generate_trace(
         _check_normal_day_inside(spec, thresholds)
 
     ticks = sample_ticks(start, horizon, thresholds.sample_period)
-
-    def covered(w) -> range:
-        # Windows are half-open [start, end).
-        return range(bisect_left(ticks, w.start), bisect_left(ticks, w.end))
-
-    temps: list[int | None] = [spec.base_temp_decic] * len(ticks)
-    hums = [spec.base_hum_decip] * len(ticks)
-    for w in spec.spike_windows:
-        for i in covered(w):
-            temps[i] += w.temp_delta_decic
-            hums[i] += w.hum_delta_decip
+    # The value before noise changes only at the first slot a window covers
+    # and the first after it (windows are half-open [start, end)), so the
+    # run is swept once in slot order, a segment of constant value at a
+    # time, holding only the windows' edges.
+    windows = [*spec.spike_windows, *(f for f in spec.faults if f.kind is FaultKind.SENSOR_DROPOUT)]
     if spec.breach_window is not None:
-        for i in covered(spec.breach_window):
-            temps[i] = spec.breach_window.forced_temp_decic
-    for f in spec.faults:
-        if f.kind is FaultKind.SENSOR_DROPOUT:
-            for i in covered(f):
-                temps[i] = None
+        windows.append(spec.breach_window)
+    edges = sorted(
+        ((bisect_left(ticks, at), sign, w) for w in windows for at, sign in ((w.start, 1), (w.end, -1))),
+        key=itemgetter(0),
+    )
+    edges.append((len(ticks), 0, None))
 
     # Each draw is Random.randint(-bound, bound) inlined: k-bit draws,
     # rejected while >= 2*bound+1, so the sequence is the same. A bound of
@@ -183,27 +208,46 @@ def generate_trace(
     t_bound, h_bound = spec.noise.temp_bound_decic, spec.noise.hum_bound_decip
     t_n, h_n = 2 * t_bound + 1, 2 * h_bound + 1
     t_k, h_k = t_n.bit_length(), h_n.bit_length()
-    readings: list[Reading] = []
-    append = readings.append
-    for ts, temp, hum in zip(ticks, temps, hums):
-        if temp is None:
-            continue
-        if t_bound:
-            r = bits(t_k)
-            while r >= t_n:
-                r = bits(t_k)
-            temp += r - t_bound
-        if h_bound:
-            r = bits(h_k)
-            while r >= h_n:
-                r = bits(h_k)
-            hum += r - h_bound
-        if not TEMP_MIN_DECIC <= temp <= TEMP_MAX_DECIC:
-            temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
-        if not HUM_MIN_DECIP <= hum <= HUM_MAX_DECIP:
-            hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
-        append(Reading(device_id, ts, temp, hum))
-    return readings
+    temps, hums = array("h"), array("h")
+    append_temp, append_hum = temps.append, hums.append
+    spike_temp = spike_hum = breaches = dropouts = lo = 0
+    for hi, sign, w in edges:
+        if hi > lo and dropouts:
+            temps.extend(array("h", [DROPPED]) * (hi - lo))
+            hums.extend(array("h", [0]) * (hi - lo))
+        elif hi > lo:
+            if breaches:
+                base_temp = spec.breach_window.forced_temp_decic
+            else:
+                base_temp = spec.base_temp_decic + spike_temp
+            base_hum = spec.base_hum_decip + spike_hum
+            for _ in range(hi - lo):
+                temp, hum = base_temp, base_hum
+                if t_bound:
+                    r = bits(t_k)
+                    while r >= t_n:
+                        r = bits(t_k)
+                    temp += r - t_bound
+                if h_bound:
+                    r = bits(h_k)
+                    while r >= h_n:
+                        r = bits(h_k)
+                    hum += r - h_bound
+                if not TEMP_MIN_DECIC <= temp <= TEMP_MAX_DECIC:
+                    temp = max(TEMP_MIN_DECIC, min(TEMP_MAX_DECIC, temp))
+                if not HUM_MIN_DECIP <= hum <= HUM_MAX_DECIP:
+                    hum = max(HUM_MIN_DECIP, min(HUM_MAX_DECIP, hum))
+                append_temp(temp)
+                append_hum(hum)
+        lo = hi
+        if isinstance(w, SpikeWindow):
+            spike_temp += sign * w.temp_delta_decic
+            spike_hum += sign * w.hum_delta_decip
+        elif isinstance(w, BreachWindow):
+            breaches += sign
+        elif w is not None:
+            dropouts += sign
+    return Trace(device_id, ticks, temps, hums)
 
 
 def _check_normal_day_inside(spec: ScenarioSpec, thresholds: Thresholds) -> None:
@@ -222,33 +266,32 @@ def _check_normal_day_inside(spec: ScenarioSpec, thresholds: Thresholds) -> None
         )
 
 
-def write_trace(readings: Iterable[Reading], path: Path) -> int:
-    """Write the canonical trace CSV (UTF-8, LF). Returns the row count.
-    A device id that is not UTF-8 text is a ValueError (see csv_field),
-    and the partial file is removed."""
-    n = 0
-    f = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with f:
-            f.write(",".join(TRACE_HEADER) + "\n")
-            for r in readings:
-                f.write("%d,%s,%d,%d\n" % (r.at, csv_field(r.device_id), r.temp_decic, r.hum_decip))
-                n += 1
-    except ValueError:
-        Path(path).unlink()
-        raise
-    return n
+def write_trace(trace: Trace, path: Path) -> int:
+    """Write the canonical trace CSV (UTF-8, LF), one row per reading.
+    Returns the row count. A device id that is not UTF-8 text is a
+    ValueError (see csv_field), raised before the file is opened."""
+    device = "" if trace.device_id is None else csv_field(trace.device_id)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(TRACE_HEADER) + "\n")
+        for at, temp, hum in zip(trace.ticks, trace.temps, trace.hums):
+            if temp != DROPPED:
+                f.write("%d,%s,%d,%d\n" % (at, device, temp, hum))
+    return len(trace)
 
 
-def replay_trace(path: Path, ticks: range) -> list[Reading]:
-    """Parse a trace CSV back into the Readings of a run over `ticks`.
+def replay_trace(path: Path, ticks: range) -> Trace:
+    """Parse a trace CSV back into the trace of a run over `ticks`.
 
-    Every row must be strictly later than the one before, come from the
-    first row's device and fall on one of the sample ticks; a row that
-    does not is an error, never a silent drop. Errors carry the offending
-    file line number (header is line 1).
+    Every row must be a valid Reading, strictly later than the one
+    before, come from the first row's device and fall on one of the
+    sample ticks; a row that does not is an error, never a silent drop.
+    Errors carry the offending file line number (header is line 1). A
+    tick without a row has no reading.
     """
-    readings: list[Reading] = []
+    temps = array("h", [DROPPED]) * len(ticks)
+    hums = array("h", [0]) * len(ticks)
+    device_id: str | None = None
+    last: Timestamp = 0
     with open(path, encoding="utf-8", newline="") as f:
         for line_no, row in enumerate(csv.reader(f), start=1):
             if line_no == 1:
@@ -265,20 +308,21 @@ def replay_trace(path: Path, ticks: range) -> list[Reading]:
                 )
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from exc
-            if readings and reading.at <= readings[-1].at:
-                raise NonMonotonicTimestamp(line_no, f"{reading.at} after {readings[-1].at}")
-            if readings and reading.device_id != readings[0].device_id:
-                raise TraceError(
-                    line_no, f"device {reading.device_id!r} after {readings[0].device_id!r}"
-                )
+            if device_id is not None:  # a row before this one
+                if reading.at <= last:
+                    raise NonMonotonicTimestamp(line_no, f"{reading.at} after {last}")
+                if reading.device_id != device_id:
+                    raise TraceError(line_no, f"device {reading.device_id!r} after {device_id!r}")
             if reading.at not in ticks:
                 raise TraceError(
                     line_no,
                     f"{reading.at} is not a sample tick of the run: "
                     f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}",
                 )
-            readings.append(reading)
-    return readings
+            i = ticks.index(reading.at)
+            temps[i], hums[i] = reading.temp_decic, reading.hum_decip
+            device_id, last = reading.device_id, reading.at
+    return Trace(device_id, ticks, temps, hums)
 
 
 # Built-in scenarios used by the CLI. Placements are fixed wall-clock times

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import random
 import tempfile
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from coldwatch.model import (
     Thresholds,
 )
 from coldwatch.sensor import (
+    DROPPED,
     BreachWindow,
     FaultKind,
     FaultSpec,
@@ -29,6 +32,7 @@ from coldwatch.sensor import (
     ScenarioSpec,
     SpikeWindow,
     TRACE_HEADER,
+    Trace,
     TraceError,
     generate_trace,
     normal_day,
@@ -45,9 +49,10 @@ DAY_TICKS = sample_ticks(0, 86400, TH.sample_period)
 def test_normal_day_has_exactly_one_reading_per_tick():
     # 86400 / 30 = 2880
     trace = generate_trace(normal_day(seed=1), TH, 86400)
-    assert len(trace) == 2880
-    assert trace[0].at == 30
-    assert trace[-1].at == 86400
+    readings = list(trace)
+    assert len(trace) == len(readings) == 2880
+    assert readings[0].at == 30
+    assert readings[-1].at == 86400
 
 
 def test_zero_noise_identity():
@@ -139,17 +144,40 @@ def test_normal_day_too_close_to_band_rejected():
         generate_trace(spec, TH, 3600)
 
 
+def _traced_peak(call):
+    """call()'s result and the peak bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_30_day_trace_peaks_under_16_bytes_per_tick(tmp_path):
+    # Two int16 columns hold 4 B per tick; a list of Readings holds some 170.
+    horizon = 30 * 86400
+    trace, peak = _traced_peak(lambda: generate_trace(normal_day(seed=7), TH, horizon))
+    assert len(trace.ticks) == len(trace) == 86400
+    assert peak < 16 * 86400
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    replayed, peak = _traced_peak(lambda: replay_trace(path, sample_ticks(0, horizon, 30)))
+    assert len(replayed) == 86400
+    assert peak < 16 * 86400
+
+
 class TestReplay:
     def test_round_trip_is_lossless(self, tmp_path):
         trace = generate_trace(normal_day(seed=4), TH, 86400)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
-        assert replay_trace(path, DAY_TICKS) == trace
+        assert list(replay_trace(path, DAY_TICKS)) == list(trace)
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("timestamp,device_id,temp_decic,hum_decip\n")
-        assert replay_trace(path, DAY_TICKS) == []
+        trace = replay_trace(path, DAY_TICKS)
+        assert list(trace) == [] and len(trace) == 0
 
     def test_non_monotonic_reports_line(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -274,13 +302,13 @@ def _noisy(seed: int, t_bound: int, h_bound: int, temp: int = 40, hum: int = 520
 @example(seed=0, t_bound=1650, h_bound=1000, temp=1250, hum=0)
 def test_noise_draw_is_randint_inlined(seed, t_bound, h_bound, temp, hum):
     spec = _noisy(seed, t_bound, h_bound, temp, hum)
-    assert generate_trace(spec, TH, 60 * 30) == _randint_trace(spec, 60)
+    assert list(generate_trace(spec, TH, 60 * 30)) == _randint_trace(spec, 60)
 
 
 @pytest.mark.parametrize("bound", POWER_BOUNDS)
 def test_noise_draw_at_power_of_two_bounds(bound):
     spec = _noisy(11, bound, bound, temp=400, hum=500)
-    assert generate_trace(spec, TH, 500 * 30) == _randint_trace(spec, 500)
+    assert list(generate_trace(spec, TH, 500 * 30)) == _randint_trace(spec, 500)
 
 
 # Values before clamping may lie far outside the envelope (and int16): they
@@ -383,11 +411,23 @@ def _csv_module_trace(readings: list[Reading]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _trace(device: str, values: list[tuple[int, int] | None]) -> Trace:
+    """A trace with a slot every 30 s from 30, one per value; None is a
+    slot without a reading."""
+    return Trace(
+        device,
+        sample_ticks(0, 30 * len(values), 30),
+        array("h", [DROPPED if v is None else v[0] for v in values]),
+        array("h", [0 if v is None else v[1] for v in values]),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     device=DEVICE_IDS,
     values=st.lists(
-        st.tuples(
+        st.none()
+        | st.tuples(
             st.integers(TEMP_MIN_DECIC, TEMP_MAX_DECIC), st.integers(HUM_MIN_DECIP, HUM_MAX_DECIP)
         ),
         max_size=12,
@@ -395,30 +435,33 @@ def _csv_module_trace(readings: list[Reading]) -> bytes:
 )
 @example(device="a,b", values=[(40, 520)])
 @example(device='say "hi"', values=[(40, 520)])
-@example(device="cr\rlf\n", values=[(40, 520), (41, 521)])
+@example(device="cr\rlf\n", values=[(40, 520), None, (41, 521)])
 @example(device="\r", values=[(40, 520)])
 @example(device="  leading", values=[(-400, 0)])
 @example(device="k\u00fchlschrank-\u2603", values=[(1250, 1000)])
 @example(device="fridge-\udcff", values=[(40, 520)])
 def test_trace_file_is_the_csv_modules_and_reads_back(device, values):
-    readings = [Reading(device, 30 * (k + 1), t, h) for k, (t, h) in enumerate(values)]
+    trace = _trace(device, values)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         utf8 = device.encode("utf-8", "replace").decode("utf-8") == device
-        if readings and not utf8:  # a lone surrogate: a UTF-8 trace cannot hold it
+        if not utf8:  # a lone surrogate: a UTF-8 trace cannot hold it
             with pytest.raises(ValueError, match="is not UTF-8 text"):
-                write_trace(readings, path)
+                write_trace(trace, path)
             return
-        assert write_trace(readings, path) == len(readings)
+        readings = list(trace)
+        assert write_trace(trace, path) == len(readings)
         assert path.read_bytes() == _csv_module_trace(readings)
-        assert replay_trace(path, sample_ticks(0, 30 * len(values), 30)) == readings
+        assert list(replay_trace(path, trace.ticks)) == readings
 
 
-@pytest.mark.parametrize("ahead", [0, 2], ids=["first-row", "after-two-rows"])
-def test_a_refused_device_id_leaves_no_trace_file(tmp_path, ahead):
-    readings = [Reading("fridge-1", 30 * (k + 1), 40, 520) for k in range(ahead)]
-    readings.append(Reading("fridge-\udcff", 30 * (ahead + 1), 40, 520))
+def test_a_refused_device_id_is_refused_before_the_trace_file_is_opened(tmp_path):
+    trace = _trace("fridge-\udcff", [(40, 520), None, (41, 521)])
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match="is not UTF-8 text"):
-        write_trace(readings, path)
+        write_trace(trace, path)
     assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        write_trace(trace, path)
+    assert path.read_text() == "kept\n"

@@ -1,0 +1,70 @@
+"""Wall time and peak RSS of one `coldwatch simulate` run at a given horizon.
+
+    python3 tools/rss_horizon.py --days 90 [--replay]
+
+Runs `coldwatch simulate --scenario normal --seed 7 --duration <days>d` in
+a fresh Python process on the sources under this checkout's src/, and
+prints one JSON line: the run, the days, the wall time and the child's
+peak resident set size in MiB. With --replay it then replays that run's
+trace.csv (`--scenario replay --trace`) in another fresh process and
+prints a second line. Each child is reaped with os.wait4, so each line's
+peak is that child's own (resource.getrusage(RUSAGE_CHILDREN) would fold
+every child reaped so far into one maximum). The run directories live in
+a temporary directory removed on exit. A child that exits non-zero ends
+the script with its status.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def measure(args: list[str]) -> dict:
+    """Run `coldwatch <args>` in a fresh interpreter; its wall time and peak RSS."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "coldwatch.cli", *args]
+    start = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable, argv, env,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited with {code}")
+    # ru_maxrss is in KiB on Linux.
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--days", type=int, required=True, help="simulated horizon in days")
+    parser.add_argument("--replay", action="store_true", help="also replay the run's trace.csv")
+    args = parser.parse_args(argv)
+    if args.days < 1:
+        parser.error("--days must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="rss-horizon-") as tmp:
+        run, duration = Path(tmp) / "run", ["--seed", "7", "--duration", f"{args.days}d"]
+        runs = {"simulate": ["simulate", "--scenario", "normal", *duration, "--out", str(run)]}
+        if args.replay:
+            runs["replay"] = [
+                "simulate", "--scenario", "replay", "--trace", str(run / "trace.csv"),
+                *duration, "--out", str(Path(tmp) / "replay"),
+            ]
+        for name, cmd in runs.items():
+            print(json.dumps({"run": name, "days": args.days, **measure(cmd)}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
