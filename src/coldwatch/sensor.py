@@ -195,10 +195,9 @@ def generate_trace(
     windows = [*spec.spike_windows, *(f for f in spec.faults if f.kind is FaultKind.SENSOR_DROPOUT)]
     if spec.breach_window is not None:
         windows.append(spec.breach_window)
-    edges = sorted(
-        ((bisect_left(ticks, at), sign, w) for w in windows for at, sign in ((w.start, 1), (w.end, -1))),
-        key=itemgetter(0),
-    )
+    edges = [(bisect_left(ticks, w.start), 1, w) for w in windows]
+    edges += [(bisect_left(ticks, w.end), -1, w) for w in windows]
+    edges.sort(key=itemgetter(0))
     edges.append((len(ticks), 0, None))
 
     # Each draw is Random.randint(-bound, bound) inlined: k-bit draws,
