@@ -103,6 +103,25 @@ class TestCanonicalForm:
         ):
             assert decode_row(encode_row(r)) == r
 
+    @pytest.mark.parametrize(
+        "mode, mode_code", [("Normal", 0), ("BreachPending", 1), ("Critical", 2)],
+        ids=["Normal", "BreachPending", "Critical"],
+    )
+    @pytest.mark.parametrize(
+        "event, event_code", [("", 0), ("ALERT", 1), ("RESOLVED", 2)],
+        ids=["none", "ALERT", "RESOLVED"],
+    )
+    def test_stored_row_bytes(self, mode, mode_code, event, event_code):
+        # The README's row layout: at (i64 BE) | id length (u16 BE) | id
+        # (UTF-8) | temp_decic (i16 BE) | hum_decip (u16 BE) | mode (u8) | event (u8).
+        r = row(DAY + 30, temp=-5, hum=520, mode=mode, event=event)
+        data = encode_row(r)
+        assert data == (
+            bytes.fromhex("000000006774859e" "0008") + b"fridge-1"
+            + bytes.fromhex("fffb" "0208") + bytes([mode_code, event_code])
+        )
+        assert decode_row(data) == r
+
     def test_truncated_row_is_malformed(self):
         data = encode_row(row(DAY + 30))
         for cut in (4, 9, 12, len(data) - 1):
