@@ -19,6 +19,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
+from .engine import MonitorMode
 from .ledger import LedgerEntry, LedgerKind, MalformedPayload, str_bytes
 from .model import (
     DAY_SECONDS,
@@ -33,10 +34,12 @@ from .outbox import Outbox
 
 REPORT_HEADER = "timestamp,device_id,temp_c,hum_pct,mode,event"
 
-_MODE_CODES = {"Normal": 0, "BreachPending": 1, "Critical": 2}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-_EVENT_CODES = {"": 0, "ALERT": 1, "RESOLVED": 2}
-_EVENT_NAMES = {v: k for k, v in _EVENT_CODES.items()}
+# A row's stored mode and event codes. The CSV names a mode by its MonitorMode
+# value and an event by the ledger transaction the row goes with, if any.
+_MODE_CODES = {MonitorMode.NORMAL: 0, MonitorMode.BREACH_PENDING: 1, MonitorMode.CRITICAL: 2}
+_MODE_NAMES = [mode.value for mode in _MODE_CODES]
+_EVENT_CODES = {None: 0, LedgerKind.ALERT: 1, LedgerKind.RESOLUTION: 2}
+_EVENT_NAMES = ["", "ALERT", "RESOLVED"]
 
 
 class Verdict(enum.Enum):
@@ -45,83 +48,61 @@ class Verdict(enum.Enum):
     NO_ANCHOR = "NoAnchor"
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    at: Timestamp
-    device_id: str
-    temp_decic: int
-    hum_decip: int
-    mode: str
-    event: str = ""
-
-
 # Store layout of a row: the i64 timestamp and the u16 byte length of the
 # device id, its UTF-8 bytes, then temperature, humidity, mode and event.
 _ROW_HEAD = struct.Struct(">qH")
 _ROW_TAIL = struct.Struct(">hHBB")
 
 
-def encode_row(row: ReportRow) -> bytes:
+def encode_row(at: Timestamp, device_id: str, temp_decic: int, hum_decip: int,
+               mode: MonitorMode, event: LedgerKind | None = None) -> bytes:
     """Store encoding; starts with the i64 timestamp the store relies on."""
-    device = str_bytes(row.device_id)
+    device = str_bytes(device_id)
     return (
-        _ROW_HEAD.pack(row.at, len(device))
+        _ROW_HEAD.pack(at, len(device))
         + device
-        + _ROW_TAIL.pack(row.temp_decic, row.hum_decip,
-                         _MODE_CODES[row.mode], _EVENT_CODES[row.event])
+        + _ROW_TAIL.pack(temp_decic, hum_decip, _MODE_CODES[mode], _EVENT_CODES[event])
     )
 
 
-def decode_row(data: bytes) -> ReportRow:
+def decode_row(data: bytes) -> tuple[Timestamp, str, int, int, int, int]:
+    """(at, device_id, temp_decic, hum_decip, mode code, event code)."""
     head = _ROW_HEAD.size
     if len(data) < head:
         raise MalformedPayload("truncated field")
     at, n = _ROW_HEAD.unpack_from(data)
     if len(data) < head + n + _ROW_TAIL.size:
         raise MalformedPayload("truncated field")
-    temp, hum, mode, event = _ROW_TAIL.unpack_from(data, head + n)
-    return ReportRow(
-        at=at,
-        device_id=data[head : head + n].decode("utf-8"),
-        temp_decic=temp,
-        hum_decip=hum,
-        mode=_MODE_NAMES[mode],
-        event=_EVENT_NAMES[event],
-    )
+    return (at, data[head : head + n].decode("utf-8"), *_ROW_TAIL.unpack_from(data, head + n))
 
 
 @dataclass(frozen=True)
 class DailyReport:
     day: Timestamp
     device_id: str
-    rows: tuple[ReportRow, ...]
+    row_count: int
     csv_bytes: bytes
     digest: bytes
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
 
     @property
     def digest_hex(self) -> str:
         return self.digest.hex()
 
 
-def render_csv(rows: list[ReportRow]) -> bytes:
+def render_csv(rows: list[tuple[Timestamp, str, int, int, int, int]]) -> bytes:
     # Each timestamp is ts_to_iso's text, built from the row's UTC date
     # (formatted once per day) and the seconds since that midnight.
     lines = [REPORT_HEADER]
     midnight = date = None
-    for row in rows:
-        since = row.at % DAY_SECONDS
-        if row.at - since != midnight:
-            midnight = row.at - since
+    for at, device_id, temp, hum, mode, event in rows:
+        since = at % DAY_SECONDS
+        if at - since != midnight:
+            midnight = at - since
             date = ts_to_date(midnight)
         lines.append(
             f"{date}T{since // 3600:02d}:{since // 60 % 60:02d}:{since % 60:02d}Z,"
-            f"{csv_field(row.device_id)},"
-            f"{format_tenths(row.temp_decic)},{format_tenths(row.hum_decip)},"
-            f"{row.mode},{row.event}"
+            f"{csv_field(device_id)},{format_tenths(temp)},{format_tenths(hum)},"
+            f"{_MODE_NAMES[mode]},{_EVENT_NAMES[event]}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -130,13 +111,13 @@ def build_report(store: Outbox, day: Timestamp, device_id: str) -> DailyReport:
     """Canonical report for [day, day+1) from the local store. An empty day
     yields a valid header-only report."""
     rows = [decode_row(raw) for raw in store.rows(day, day + DAY_SECONDS)]
-    rows = [r for r in rows if r.device_id == device_id]
-    rows.sort(key=lambda r: (r.at, _EVENT_CODES[r.event]))
+    rows = [r for r in rows if r[1] == device_id]
+    rows.sort(key=lambda r: (r[0], r[5]))
     csv_bytes = render_csv(rows)
     return DailyReport(
         day=day,
         device_id=device_id,
-        rows=tuple(rows),
+        row_count=len(rows),
         csv_bytes=csv_bytes,
         digest=hashlib.sha256(csv_bytes).digest(),
     )

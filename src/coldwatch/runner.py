@@ -52,7 +52,7 @@ from .alerts import (
     render_alert,
 )
 from .clock import VirtualClock
-from .engine import LocalRecord, MonitorEngine
+from .engine import LocalRecord, MonitorEngine, MonitorMode
 from .ledger import (
     BATCH_LIMIT,
     AlertPayload,
@@ -77,7 +77,7 @@ from .model import (
     ts_to_date,
 )
 from .outbox import Outbox
-from .reports import ReportRow, build_report, encode_row, report_notice_text
+from .reports import build_report, encode_row, report_notice_text
 from .sensor import (
     DROPPED,
     FaultKind,
@@ -314,19 +314,22 @@ class _Run:
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
             record: LocalRecord = payload["record"]
             self.batch_pending.append(record)
-            self.outbox.add_row(encode_row(_row(record.reading, record.at, record.mode.value)))
+            reading = record.reading
+            self.outbox.add_row(encode_row(
+                record.at, reading.device_id, reading.temp_decic, reading.hum_decip, record.mode
+            ))
         elif event.kind is EventKind.CRITICAL_ESCALATED or (
             event.kind is EventKind.BREACH_RESOLVED and payload["was_critical"]
         ):
             reading: Reading = payload["reading"]
             episode, temp, hum = payload["episode_id"], reading.temp_decic, reading.hum_decip
             if event.kind is EventKind.CRITICAL_ESCALATED:
-                kind, mode, label = LedgerKind.ALERT, "Critical", "ALERT"
+                kind, mode = LedgerKind.ALERT, MonitorMode.CRITICAL
                 body = AlertPayload(episode, temp, hum)
             else:
-                kind, mode, label = LedgerKind.RESOLUTION, "Normal", "RESOLVED"
+                kind, mode = LedgerKind.RESOLUTION, MonitorMode.NORMAL
                 body = ResolutionPayload(episode, payload["duration"], temp, hum)
-            self.outbox.add_row(encode_row(_row(reading, now, mode, label)))
+            self.outbox.add_row(encode_row(now, reading.device_id, temp, hum, mode, kind))
             self.outbox.enqueue(kind, self.cfg.device_id, now, body)
             self.dispatcher.dispatch(render_alert(event), now)
             return True
@@ -522,17 +525,6 @@ def _live_messenger_from_env() -> TelegramHTTPSink:
             "live messenger needs MONITOR_BOT_TOKEN and MONITOR_CHAT_ID in the environment"
         )
     return TelegramHTTPSink(token=token, chat_id=chat)
-
-
-def _row(reading: Reading, at: Timestamp, mode: str, event: str = "") -> ReportRow:
-    return ReportRow(
-        at=at,
-        device_id=reading.device_id,
-        temp_decic=reading.temp_decic,
-        hum_decip=reading.hum_decip,
-        mode=mode,
-        event=event,
-    )
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coldwatch.engine import MonitorMode
 from coldwatch.ledger import (
     EntryRequest,
     Ledger,
@@ -15,7 +16,6 @@ from coldwatch.model import DAY_SECONDS, date_to_ts, day_start, iso_to_ts, ts_to
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
-    ReportRow,
     Verdict,
     build_report,
     decode_row,
@@ -29,8 +29,20 @@ DEV = "fridge-1"
 DAY = 1735689600  # 2025-01-01
 
 
-def row(at, temp=40, hum=520, mode="Normal", event=""):
-    return ReportRow(at=at, device_id=DEV, temp_decic=temp, hum_decip=hum, mode=mode, event=event)
+# The stored codes the README documents for a row's mode and event.
+MODE_CODES = {MonitorMode.NORMAL: 0, MonitorMode.BREACH_PENDING: 1, MonitorMode.CRITICAL: 2}
+EVENT_CODES = {None: 0, LedgerKind.ALERT: 1, LedgerKind.RESOLUTION: 2}
+
+
+def row(at, temp=40, hum=520, mode=MonitorMode.NORMAL, event=None):
+    """A row's fields as encode_row takes them."""
+    return (at, DEV, temp, hum, mode, event)
+
+
+def decoded(fields):
+    """The fields as decode_row returns them."""
+    *head, mode, event = fields
+    return (*head, MODE_CODES[mode], EVENT_CODES[event])
 
 
 @pytest.fixture
@@ -42,7 +54,7 @@ def store(tmp_path):
 
 def populate(store, rows):
     for r in rows:
-        store.add_row(encode_row(r))
+        store.add_row(encode_row(*r))
 
 
 def anchor(report, ledger, credential=OWNER):
@@ -63,7 +75,8 @@ class TestCanonicalForm:
         assert report.digest == expected
 
     def test_row_rendering(self, store):
-        populate(store, [row(DAY + 30, temp=82, hum=610, mode="Critical", event="ALERT")])
+        alert = row(DAY + 30, temp=82, hum=610, mode=MonitorMode.CRITICAL, event=LedgerKind.ALERT)
+        populate(store, [alert])
         report = build_report(store, DAY, DEV)
         assert report.csv_bytes.decode().splitlines()[1] == (
             "2025-01-01T00:00:30Z,fridge-1,8.2,61.0,Critical,ALERT"
@@ -74,18 +87,21 @@ class TestCanonicalForm:
         populate(store, [row(DAY - 1), row(DAY), row(DAY + DAY_SECONDS - 1), row(DAY + DAY_SECONDS)])
         report = build_report(store, DAY, DEV)
         assert report.row_count == 2
-        assert [r.at for r in report.rows] == [DAY, DAY + DAY_SECONDS - 1]
+        lines = report.csv_bytes.decode().splitlines()[1:]
+        assert [iso_to_ts(line.split(",", 1)[0]) for line in lines] == [DAY, DAY + DAY_SECONDS - 1]
 
     def test_record_sorts_before_event_on_shared_tick(self, store):
         populate(
             store,
             [
-                row(DAY + 60, mode="Critical", event="ALERT"),
-                row(DAY + 60, mode="Critical"),
+                row(DAY + 60, mode=MonitorMode.CRITICAL, event=LedgerKind.ALERT),
+                row(DAY + 60, mode=MonitorMode.CRITICAL),
             ],
         )
         report = build_report(store, DAY, DEV)
-        assert [r.event for r in report.rows] == ["", "ALERT"]
+        assert report.row_count == 2
+        lines = report.csv_bytes.decode().splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in lines] == ["", "ALERT"]
 
     def test_building_twice_gives_identical_bytes(self, store):
         populate(store, [row(DAY + 30 + 1200 * k) for k in range(72)])
@@ -98,32 +114,32 @@ class TestCanonicalForm:
     def test_row_codec_round_trip(self):
         for r in (
             row(DAY + 30),
-            row(DAY + 60, temp=-5, hum=0, mode="BreachPending"),
-            row(DAY + 90, mode="Normal", event="RESOLVED"),
+            row(DAY + 60, temp=-5, hum=0, mode=MonitorMode.BREACH_PENDING),
+            row(DAY + 90, mode=MonitorMode.NORMAL, event=LedgerKind.RESOLUTION),
         ):
-            assert decode_row(encode_row(r)) == r
+            assert decode_row(encode_row(*r)) == decoded(r)
 
     @pytest.mark.parametrize(
-        "mode, mode_code", [("Normal", 0), ("BreachPending", 1), ("Critical", 2)],
+        "mode, mode_code",
+        [(MonitorMode.NORMAL, 0), (MonitorMode.BREACH_PENDING, 1), (MonitorMode.CRITICAL, 2)],
         ids=["Normal", "BreachPending", "Critical"],
     )
     @pytest.mark.parametrize(
-        "event, event_code", [("", 0), ("ALERT", 1), ("RESOLVED", 2)],
+        "event, event_code", [(None, 0), (LedgerKind.ALERT, 1), (LedgerKind.RESOLUTION, 2)],
         ids=["none", "ALERT", "RESOLVED"],
     )
     def test_stored_row_bytes(self, mode, mode_code, event, event_code):
         # The README's row layout: at (i64 BE) | id length (u16 BE) | id
         # (UTF-8) | temp_decic (i16 BE) | hum_decip (u16 BE) | mode (u8) | event (u8).
-        r = row(DAY + 30, temp=-5, hum=520, mode=mode, event=event)
-        data = encode_row(r)
+        data = encode_row(DAY + 30, DEV, -5, 520, mode, event)
         assert data == (
             bytes.fromhex("000000006774859e" "0008") + b"fridge-1"
             + bytes.fromhex("fffb" "0208") + bytes([mode_code, event_code])
         )
-        assert decode_row(data) == r
+        assert decode_row(data) == (DAY + 30, DEV, -5, 520, mode_code, event_code)
 
     def test_truncated_row_is_malformed(self):
-        data = encode_row(row(DAY + 30))
+        data = encode_row(*row(DAY + 30))
         for cut in (4, 9, 12, len(data) - 1):
             with pytest.raises(MalformedPayload):
                 decode_row(data[:cut])
@@ -146,28 +162,27 @@ def test_rendered_timestamps_are_ts_to_iso(a, b, picks):
     """Rows of two days in one call, in any order: each timestamp renders
     as ts_to_iso renders it, negative unix times included."""
     instants = [a, b] + [day_start(b if other else a) + s for other, s in picks]
-    lines = render_csv([row(at) for at in instants]).decode("utf-8").splitlines()
+    lines = render_csv([decoded(row(at)) for at in instants]).decode("utf-8").splitlines()
     assert [line.split(",", 1)[0] for line in lines[1:]] == [ts_to_iso(at) for at in instants]
 
 
-ROWS = st.builds(
-    ReportRow,
-    at=st.integers(-(2**63), 2**63 - 1),
-    device_id=st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
-    temp_decic=st.integers(-(2**15), 2**15 - 1),
-    hum_decip=st.integers(0, 2**16 - 1),
-    mode=st.sampled_from(["Normal", "BreachPending", "Critical"]),
-    event=st.sampled_from(["", "ALERT", "RESOLVED"]),
+ROWS = st.tuples(
+    st.integers(-(2**63), 2**63 - 1),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
+    st.integers(-(2**15), 2**15 - 1),
+    st.integers(0, 2**16 - 1),
+    st.sampled_from(list(MODE_CODES)),
+    st.sampled_from(list(EVENT_CODES)),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(ROWS)
-@example(row(DAY + 30, mode="Critical", event="ALERT"))
-@example(ReportRow(DAY, "k\u00fchl-\u51b7", -400, 1000, "BreachPending", "RESOLVED"))
+@example(row(DAY + 30, mode=MonitorMode.CRITICAL, event=LedgerKind.ALERT))
+@example((DAY, "k\u00fchl-\u51b7", -400, 1000, MonitorMode.BREACH_PENDING, LedgerKind.RESOLUTION))
 def test_every_proper_prefix_of_a_row_is_malformed(r):
-    data = encode_row(r)
-    assert decode_row(data) == r
+    data = encode_row(*r)
+    assert decode_row(data) == decoded(r)
     for cut in range(len(data)):
         with pytest.raises(MalformedPayload):
             decode_row(data[:cut])
