@@ -22,10 +22,6 @@ class VirtualClock:
         self._seq = 0
         self._queue: list[tuple[Timestamp, int, object]] = []
 
-    @property
-    def now(self) -> Timestamp:
-        return self._now
-
     def schedule(self, at: Timestamp, tag: object) -> None:
         if at < self._now:
             raise SchedulingInPast(f"cannot schedule at {at}, now is {self._now}")

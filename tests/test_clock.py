@@ -4,6 +4,15 @@ from hypothesis import given, strategies as st
 from coldwatch.clock import SchedulingInPast, VirtualClock
 
 
+def assert_time(clock, t):
+    """The clock's time is t: it refuses an event one second before t and
+    takes one at t (which then fires, leaving the queue as it was)."""
+    with pytest.raises(SchedulingInPast):
+        clock.schedule(t - 1, "before")
+    clock.schedule(t, "at")
+    assert list(clock.run(t)) == [(t, "at")]
+
+
 def test_first_sample_tick():
     clock = VirtualClock(0)
     clock.schedule(30, "sample")
@@ -14,7 +23,7 @@ def test_zero_delay_fires_without_time_passing():
     clock = VirtualClock(0)
     clock.schedule(0, "sample")
     assert list(clock.run(0)) == [(0, "sample")]
-    assert clock.now == 0
+    assert_time(clock, 0)
 
 
 def test_scheduling_in_past_rejected():
@@ -28,7 +37,7 @@ def test_advance_partial():
     for at in (30, 60, 90):
         clock.schedule(at, at)
     assert list(clock.run(60)) == [(30, 30), (60, 60)]
-    assert clock.now == 60
+    assert_time(clock, 60)
     assert list(clock.run(90)) == [(90, 90)]
 
 
@@ -56,7 +65,7 @@ def test_run_allows_scheduling_mid_iteration():
         if tag == "a":
             clock.schedule(at + 5, "b")
     assert seen == [(10, "a"), (15, "b")]
-    assert clock.now == 100
+    assert_time(clock, 100)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1000), st.integers()), max_size=50))
@@ -81,9 +90,7 @@ def test_peek_with_nothing_due_advances_now():
     clock = VirtualClock(0)
     clock.schedule(100, "later")
     assert clock.peek(99) is None
-    assert clock.now == 99
-    with pytest.raises(SchedulingInPast):
-        clock.schedule(98, "x")
+    assert_time(clock, 99)
 
 
 def test_peek_returns_an_event_due_exactly_at_until_and_leaves_it_queued():
@@ -92,7 +99,7 @@ def test_peek_returns_an_event_due_exactly_at_until_and_leaves_it_queued():
     clock.schedule(50, "second")
     assert clock.peek(50) == (50, "first")
     assert clock.peek(50) == (50, "first")
-    assert clock.now == 0
+    assert_time(clock, 0)
     assert list(clock.run(50)) == [(50, "first"), (50, "second")]
 
 
@@ -100,4 +107,4 @@ def test_peek_into_the_past_rejected():
     clock = VirtualClock(100)
     with pytest.raises(SchedulingInPast):
         clock.peek(99)
-    assert clock.now == 100
+    assert_time(clock, 100)

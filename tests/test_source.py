@@ -50,21 +50,24 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _referenced(node: ast.AST) -> Counter:
-    """Names read as variables or attributes anywhere under `node`."""
-    names: Counter = Counter()
+def _referenced(node: ast.AST) -> tuple[Counter, Counter]:
+    """Names read as bare variables, and names read as attributes, anywhere
+    under `node`."""
+    variables: Counter = Counter()
+    attributes: Counter = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            names[n.id] += 1
+            variables[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            names[n.attr] += 1
-    return names
+            attributes[n.attr] += 1
+    return variables, attributes
 
 
 def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node, whether it is a class member) of each def."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child
+            yield prefix + child.name, child, isinstance(node, ast.ClassDef)
             yield from _definitions(child, f"{prefix}{child.name}.")
         else:
             yield from _definitions(child, prefix)
@@ -73,19 +76,28 @@ def _definitions(node: ast.AST, prefix: str = ""):
 def unreferenced_defs(defining: list[str], reading: list[str]) -> list[str]:
     """Qualified names of the functions, classes and methods defined in
     `defining` whose name no source in `defining` or `reading` mentions
-    outside the definition itself. Dunder methods are called implicitly
-    and are exempt."""
+    outside the definition itself. A method, property or nested class
+    counts as mentioned only as an attribute (`x.name`), never as a bare
+    variable of the same name. Dunder methods are called implicitly and
+    are exempt."""
     trees = [ast.parse(source) for source in defining]
-    mentioned: Counter = Counter()
+    variables: Counter = Counter()
+    attributes: Counter = Counter()
     for tree in trees + [ast.parse(source) for source in reading]:
-        mentioned += _referenced(tree)
+        v, a = _referenced(tree)
+        variables += v
+        attributes += a
     unused = []
     for tree in trees:
-        for qualname, node in _definitions(tree):
+        for qualname, node, member in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if mentioned[name] == _referenced(node)[name]:
+            v, a = _referenced(node)
+            mentions = attributes[name] - a[name]
+            if not member:
+                mentions += variables[name] - v[name]
+            if mentions == 0:
                 unused.append(qualname)
     return unused
 
@@ -99,10 +111,15 @@ def test_def_check_flags_only_unreferenced_defs():
         "        self.items.append(item)\n"
         "    def planted(self):\n"
         "        return self.planted()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return len(self.items)\n"
         "def helper():\n"
         "    return Box()\n"
     )
-    assert unreferenced_defs([defining], ["helper().put(1)\n"]) == ["Box.planted"]
+    # `size` is read only as a bare variable, never as `x.size`.
+    reading = "size = 3\nhelper().put(size)\n"
+    assert unreferenced_defs([defining], [reading]) == ["Box.planted", "Box.size"]
 
 
 def test_every_definition_is_referenced():
