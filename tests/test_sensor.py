@@ -465,3 +465,177 @@ def test_a_refused_device_id_is_refused_before_the_trace_file_is_opened(tmp_path
     with pytest.raises(ValueError, match="is not UTF-8 text"):
         write_trace(trace, path)
     assert path.read_text() == "kept\n"
+
+
+# -- replay against the reference ----------------------------------------------
+
+
+def _reference_replay(path: Path, ticks: range) -> tuple[str | None, list[int], list[int]]:
+    """replay_trace as it was first written: one csv.reader, a Reading per
+    row for the range check, then `in ticks` and `ticks.index` for the
+    row's slot."""
+    temps, hums = [DROPPED] * len(ticks), [0] * len(ticks)
+    device_id, last = None, 0
+    with open(path, encoding="utf-8", newline="") as f:
+        for line_no, row in enumerate(csv.reader(f), start=1):
+            if line_no == 1:
+                if row != TRACE_HEADER:
+                    raise ParseError(line_no, f"bad header {row!r}")
+                continue
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
+            try:
+                reading = Reading(
+                    device_id=row[1], at=int(row[0]), temp_decic=int(row[2]), hum_decip=int(row[3])
+                )
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from exc
+            if device_id is not None:
+                if reading.at <= last:
+                    raise NonMonotonicTimestamp(line_no, f"{reading.at} after {last}")
+                if reading.device_id != device_id:
+                    raise TraceError(line_no, f"device {reading.device_id!r} after {device_id!r}")
+            if reading.at not in ticks:
+                raise TraceError(
+                    line_no,
+                    f"{reading.at} is not a sample tick of the run: "
+                    f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}",
+                )
+            i = ticks.index(reading.at)
+            temps[i], hums[i] = reading.temp_decic, reading.hum_decip
+            device_id, last = reading.device_id, reading.at
+    return device_id, temps, hums
+
+
+def _spellings(value: int) -> list[str]:
+    """Other ways a trace file may write `value`: forms int() reads too (a
+    sign, whitespace, `_`, non-ASCII digits), and text that is no integer."""
+    digits, sign = str(abs(value)), "-" if value < 0 else ""
+    arabic = "".join(chr(0x660 + int(d)) for d in digits)  # Arabic-Indic digits
+    return [
+        sign + digits if sign else "+" + digits,
+        f" {value}\t",
+        sign + "_".join(digits),
+        sign + arabic,
+        sign + digits + "_",
+        f"{value}.0",
+        "x",
+        "",
+    ]
+
+
+_TRACE_DEVICES = st.one_of(
+    st.sampled_from(["d", "a,b", 'say "hi"', "cr\rlf", "\u00e9", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+
+# How a drawn trace row may differ from a clean row one tick after the last.
+_ROW_FAULTS = (
+    "blank line",
+    "same time",
+    "earlier time",
+    "skipped ticks",
+    "off the grid",
+    "second device",
+    "3 fields",
+    "5 fields",
+    "quoting flipped",
+    "time spelt",
+    "temp spelt",
+    "hum spelt",
+    "temp at an edge",
+    "hum at an edge",
+)
+
+
+# The ends of the envelope and the values just outside them.
+_EDGE_TEMPS = st.sampled_from([-401, -400, 1250, 1251])
+_EDGE_HUMS = st.sampled_from([-1, 0, 1000, 1001])
+
+
+def _csv_line(fields: list[str], flip: bool) -> str:
+    """The fields joined by commas, each quoted when it holds a comma, quote
+    or line break; `flip` turns that round, so a plain field holding one
+    splits or breaks the row."""
+    return ",".join(
+        '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') != flip else text
+        for text in fields
+    )
+
+
+@st.composite
+def _replay_files(draw):
+    """A run's ticks and a trace file for it. A row is clean, one tick after
+    the last, unless it draws one or two _ROW_FAULTS: every other row does
+    in some files, one in eight in others."""
+    period = draw(st.sampled_from([30, 60]))
+    start = draw(st.sampled_from([0, 7, -90]))
+    n_ticks = draw(st.integers(1, 8))
+    ticks = sample_ticks(start, n_ticks * period, period)
+    device = draw(_TRACE_DEVICES)
+    odds = draw(st.sampled_from([8, 2]))
+    lines = [",".join(TRACE_HEADER[:3] if draw(st.integers(0, 19)) == 1 else TRACE_HEADER)]
+    at = start + period * draw(st.sampled_from([0, 0, 0, -1, 1]))
+    for _ in range(draw(st.integers(1, n_ticks + 1))):
+        faults = set()
+        if draw(st.integers(0, odds - 1)) == 1:
+            faults = set(draw(st.lists(st.sampled_from(_ROW_FAULTS), min_size=1, max_size=2)))
+        if "blank line" in faults:
+            lines.append("")
+            continue
+        if "same time" not in faults:
+            ticks_on = -1 if "earlier time" in faults else 3 if "skipped ticks" in faults else 1
+            at += period * ticks_on
+        if "off the grid" in faults:
+            at += draw(st.sampled_from([1, -7]))
+        temp = draw(_EDGE_TEMPS if "temp at an edge" in faults else st.integers(20, 90))
+        hum = draw(_EDGE_HUMS if "hum at an edge" in faults else st.integers(400, 700))
+        row_device = draw(_TRACE_DEVICES) if "second device" in faults else device
+        fields = [str(at), row_device, str(temp), str(hum)]
+        for i, fault in ((0, "time spelt"), (2, "temp spelt"), (3, "hum spelt")):
+            if fault in faults:
+                fields[i] = draw(st.sampled_from(_spellings(int(fields[i]))))
+        if "3 fields" in faults:
+            fields.pop(draw(st.integers(0, 3)))
+        if "5 fields" in faults:
+            fields.append("0")
+        lines.append(_csv_line(fields, flip="quoting flipped" in faults))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return ticks, eol.join(lines) + draw(st.sampled_from([eol, eol, ""]))
+
+
+def _outcome(replay, path: Path, ticks: range):
+    try:
+        device_id, temps, hums = replay(path, ticks)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return device_id, list(temps), list(hums)
+
+
+def _replay_columns(path: Path, ticks: range):
+    trace = replay_trace(path, ticks)
+    assert trace.ticks == ticks
+    return trace.device_id, trace.temps, trace.hums
+
+
+HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+TICKS_30_TO_90 = sample_ticks(0, 90, 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_replay_files())
+@example(case=(TICKS_30_TO_90, HEADER_LINE + '30,"a,b",-400,0\n60,"a,b",1250,1000\n'))
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "30,d,1251,500\n"))
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "30,,1251,1001\n"))
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "\n+30,d, 4_0 ,\u0665\u0662\u0660\n"))
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "x,d,y,z\n"))  # at is read first,
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "30,d,y,z\n"))  # then temp, then hum
+@example(case=(TICKS_30_TO_90, HEADER_LINE + "30,d,40,500\n30,d,40,500\n"))
+def test_replay_matches_the_reference(case):
+    ticks, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(_replay_columns, path, ticks) == _outcome(_reference_replay, path, ticks)
