@@ -339,32 +339,29 @@ def accounting_day(entry: LedgerEntry) -> Timestamp:
     return day_start(entry.at)
 
 
-def _tally(entries: list[LedgerEntry], gas: GasSchedule) -> CostTally:
-    gas_total = sum(gas.gas[entry.kind] for entry in entries)
-    return CostTally(len(entries), gas_total, gas_total * gas.fee_per_gas_usd)
-
-
 def cost_report(
     entries: list[LedgerEntry], day: Timestamp, gas: GasSchedule | None = None
 ) -> CostTally:
-    day = day_start(day)
-    return _tally([e for e in entries if accounting_day(e) == day], gas or GasSchedule())
+    return daily_costs(entries, gas).get(day_start(day), CostTally())
 
 
 def daily_costs(
     entries: list[LedgerEntry], gas: GasSchedule | None = None
 ) -> dict[Timestamp, CostTally]:
     """The tally of every observed day, in day order, from one pass that
-    bills each entry to its accounting day."""
-    by_day: dict[Timestamp, list[LedgerEntry]] = {}
-    for entry in entries:
-        by_day.setdefault(accounting_day(entry), []).append(entry)
+    bills each entry's gas to its accounting day."""
     gas = gas or GasSchedule()
-    return {day: _tally(by_day[day], gas) for day in sorted(by_day)}
+    by_day: dict[Timestamp, list[int]] = {}
+    for entry in entries:
+        by_day.setdefault(accounting_day(entry), []).append(gas.gas[entry.kind])
+    return {
+        day: CostTally(len(used), sum(used), sum(used) * gas.fee_per_gas_usd)
+        for day, used in sorted(by_day.items())
+    }
 
 
 def observed_days(entries: list[LedgerEntry]) -> list[Timestamp]:
-    return sorted({accounting_day(e) for e in entries})
+    return list(daily_costs(entries))
 
 
 def annualize(daily: dict[Timestamp, CostTally]) -> Fraction:

@@ -83,6 +83,18 @@ def csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def check_reading(device_id: str, temp_decic: int, hum_decip: int) -> None:
+    """The reading rule, for a Reading and a replayed trace row alike."""
+    if not device_id:
+        raise ModelError("device_id must be non-empty")
+    if not TEMP_MIN_DECIC <= temp_decic <= TEMP_MAX_DECIC:
+        raise ModelError(
+            f"temp_decic {temp_decic} outside sensor envelope [{TEMP_MIN_DECIC}, {TEMP_MAX_DECIC}]"
+        )
+    if not HUM_MIN_DECIP <= hum_decip <= HUM_MAX_DECIP:
+        raise ModelError(f"hum_decip {hum_decip} outside [{HUM_MIN_DECIP}, {HUM_MAX_DECIP}]")
+
+
 @dataclass(frozen=True)
 class Reading:
     """One temperature/humidity sample from one device."""
@@ -93,17 +105,7 @@ class Reading:
     hum_decip: int
 
     def __post_init__(self) -> None:
-        if not self.device_id:
-            raise ModelError("device_id must be non-empty")
-        if not TEMP_MIN_DECIC <= self.temp_decic <= TEMP_MAX_DECIC:
-            raise ModelError(
-                f"temp_decic {self.temp_decic} outside sensor envelope "
-                f"[{TEMP_MIN_DECIC}, {TEMP_MAX_DECIC}]"
-            )
-        if not HUM_MIN_DECIP <= self.hum_decip <= HUM_MAX_DECIP:
-            raise ModelError(
-                f"hum_decip {self.hum_decip} outside [{HUM_MIN_DECIP}, {HUM_MAX_DECIP}]"
-            )
+        check_reading(self.device_id, self.temp_decic, self.hum_decip)
 
 
 @dataclass(frozen=True)

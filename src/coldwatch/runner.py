@@ -270,6 +270,8 @@ class _Run:
                 "it may not be empty, '.' or '..', or hold '/' or NUL"
             )
         csv_field(cfg.device_id)  # refuses an id that no UTF-8 artifact can hold
+        if len(cfg.device_id.encode("utf-8")) > 255:  # the longest file name most systems allow
+            raise ValueError("device id is too long for a directory name: at most 255 UTF-8 bytes")
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
         if self.out.is_dir() and any(self.out.iterdir()):

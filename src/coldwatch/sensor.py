@@ -27,6 +27,7 @@ from .model import (
     Reading,
     Thresholds,
     Timestamp,
+    check_reading,
     csv_field,
 )
 
@@ -281,7 +282,7 @@ def write_trace(trace: Trace, path: Path) -> int:
 def replay_trace(path: Path, ticks: range) -> Trace:
     """Parse a trace CSV back into the trace of a run over `ticks`.
 
-    Every row must be a valid Reading, strictly later than the one
+    Every row must pass check_reading, be strictly later than the one
     before, come from the first row's device and fall on one of the
     sample ticks; a row that does not is an error, never a silent drop.
     Errors carry the offending file line number (header is line 1). A
@@ -302,25 +303,24 @@ def replay_trace(path: Path, ticks: range) -> Trace:
             if len(row) != 4:
                 raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
             try:
-                reading = Reading(
-                    device_id=row[1], at=int(row[0]), temp_decic=int(row[2]), hum_decip=int(row[3])
-                )
+                at, device, temp, hum = int(row[0]), row[1], int(row[2]), int(row[3])
+                check_reading(device, temp, hum)
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from exc
             if device_id is not None:  # a row before this one
-                if reading.at <= last:
-                    raise NonMonotonicTimestamp(line_no, f"{reading.at} after {last}")
-                if reading.device_id != device_id:
-                    raise TraceError(line_no, f"device {reading.device_id!r} after {device_id!r}")
-            if reading.at not in ticks:
+                if at <= last:
+                    raise NonMonotonicTimestamp(line_no, f"{at} after {last}")
+                if device != device_id:
+                    raise TraceError(line_no, f"device {device!r} after {device_id!r}")
+            if at not in ticks:
                 raise TraceError(
                     line_no,
-                    f"{reading.at} is not a sample tick of the run: "
+                    f"{at} is not a sample tick of the run: "
                     f"every {ticks.step} s from {ticks.start} through {ticks.stop - 1}",
                 )
-            i = ticks.index(reading.at)
-            temps[i], hums[i] = reading.temp_decic, reading.hum_decip
-            device_id, last = reading.device_id, reading.at
+            i = ticks.index(at)
+            temps[i], hums[i] = temp, hum
+            device_id, last = device, at
     return Trace(device_id, ticks, temps, hums)
 
 

@@ -244,7 +244,14 @@ class TestSimulate:
         assert "[run] device_id" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("device", ["../../escaped", "..", ".", "a/b", "nul\0id", ""])
+    @pytest.mark.parametrize(
+        "device",
+        [
+            "../../escaped", "..", ".", "a/b", "nul\0id", "",
+            pytest.param("x" * 256, id="256-bytes"),
+            pytest.param("\u00e9" * 128, id="128-two-byte-chars"),
+        ],
+    )
     def test_device_flag_must_be_one_path_component(self, tmp_path, capsys, device):
         out = tmp_path / "a" / "run"
         assert main(["simulate", "--duration", "1h", "--device", device, "--out", str(out)]) == 2
@@ -269,6 +276,24 @@ class TestSimulate:
                      "--duration", "1h", "--out", str(out)]) == 2
         assert "device id" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_replayed_device_id_must_fit_a_file_name(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        header = "timestamp,device_id,temp_decic,hum_decip"
+        trace.write_text(f"{header}\n{START + 30},{'x' * 256},40,520\n")
+        out = tmp_path / "a" / "run"
+        assert main(["simulate", "--scenario", "replay", "--trace", str(trace),
+                     "--duration", "1h", "--out", str(out)]) == 2
+        assert "255 UTF-8 bytes" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    @pytest.mark.parametrize(
+        "device", ["x" * 255, "\u00e9" * 127 + "x"], ids=["255-bytes", "255-bytes-utf8"]
+    )
+    def test_a_device_id_of_255_bytes_names_the_report_directory(self, tmp_path, device):
+        out = tmp_path / "run"
+        assert main(["simulate", "--duration", "1h", "--device", device, "--out", str(out)]) == 0
+        assert [p.name for p in (out / "reports").iterdir()] == [device]
 
     @pytest.mark.parametrize(
         "flags, config",
