@@ -93,7 +93,7 @@ class ReportAnchorPayload:
     row_count: int
 
 
-class AdminAction(enum.Enum):
+class AdminAction(enum.IntEnum):
     GRANT = 1
     REVOKE = 2
 
@@ -102,6 +102,10 @@ class AdminAction(enum.Enum):
 class AdminChangePayload:
     action: AdminAction
     key: str
+
+    def __post_init__(self) -> None:
+        # A decoded payload carries the stored code; an unknown one raises.
+        object.__setattr__(self, "action", AdminAction(self.action))
 
 
 Payload = (
@@ -137,21 +141,27 @@ class LedgerEntry(EntryRequest):
 # -- canonical encoding ------------------------------------------------------
 
 
-def str_bytes(value: str) -> bytes:
-    """The UTF-8 bytes of a string field, whose length must fit a u16."""
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise MalformedPayload("string field too long")
-    return raw
+class Layout:
+    """A stored record layout: a big-endian struct format in which one `S`
+    stands for a UTF-8 string, stored as its u16 byte length then its bytes.
+    Compiled once into a head (ending in that length) and a tail."""
 
+    def __init__(self, fmt: str):
+        head, string, tail = fmt.partition("S")
+        self.at = len(struct.unpack(head, bytes(struct.calcsize(head))))  # index of the string field
+        self.head = struct.Struct(head + "H" if string else head)
+        self.tail = struct.Struct(">" + tail) if string else None
 
-def enc_str(value: str) -> bytes:
-    """A u16-length-prefixed UTF-8 string; Cursor.string reads it back."""
-    raw = str_bytes(value)
-    return struct.pack(">H", len(raw)) + raw
-
-
-_LAYOUTS: dict[str, struct.Struct] = {}  # Cursor.unpack's compiled layouts, by format
+    def pack(self, *values) -> bytes:
+        """Raises MalformedPayload for any field outside its width."""
+        try:
+            if self.tail is None:
+                return self.head.pack(*values)
+            at = self.at
+            raw = values[at].encode("utf-8")
+            return self.head.pack(*values[:at], len(raw)) + raw + self.tail.pack(*values[at + 1 :])
+        except struct.error as exc:
+            raise MalformedPayload(f"field out of range: {exc}") from exc
 
 
 class Cursor:
@@ -168,86 +178,76 @@ class Cursor:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        layout = _LAYOUTS.get(fmt)
-        if layout is None:
-            layout = _LAYOUTS[fmt] = struct.Struct(fmt)
-        pos, end = self.pos, self.pos + layout.size
-        if end > len(self.data):
+    def read(self, layout: Layout) -> tuple:
+        data, pos, head, tail = self.data, self.pos, layout.head, layout.tail
+        end = pos + head.size
+        if end > len(data):
             raise MalformedPayload("truncated field")
-        self.pos = end
-        return layout.unpack_from(self.data, pos)
+        values = head.unpack_from(data, pos)
+        if tail is None:
+            self.pos = end
+            return values
+        string_end = end + values[-1]
+        stop = string_end + tail.size
+        if stop > len(data):
+            raise MalformedPayload("truncated field")
+        self.pos = stop
+        text = data[end:string_end].decode("utf-8")
+        return (*values[:-1], text, *tail.unpack_from(data, string_end))
 
-    def string(self) -> str:
-        (n,) = self.unpack(">H")
-        return self.take(n).decode("utf-8")
 
+_REQUEST = Layout(">BSQqI")  # kind, device id, seq, at, payload length
+COUNT = Layout(">H")  # the number of items that follow
+_READING = Layout(">qhH")  # one reading of a batch: at, temperature, humidity
+_ENTRY_INDEX = Layout(">Q")
 
-# Fixed-width payloads: one struct layout per kind, fields in dataclass order.
-_FIXED_LAYOUTS = {
-    LedgerKind.ALERT: (">qhH", AlertPayload),
-    LedgerKind.RESOLUTION: (">qIhH", ResolutionPayload),
-    LedgerKind.REPORT_ANCHOR: (">q32sI", ReportAnchorPayload),
+# The other payloads: one layout per kind, fields in dataclass order.
+_PAYLOADS = {
+    LedgerKind.ALERT: (Layout(">qhH"), AlertPayload),
+    LedgerKind.RESOLUTION: (Layout(">qIhH"), ResolutionPayload),
+    LedgerKind.REPORT_ANCHOR: (Layout(">q32sI"), ReportAnchorPayload),
+    LedgerKind.ADMIN_CHANGE: (Layout(">BS"), AdminChangePayload),
 }
 
 
 def encode_payload(kind: LedgerKind, payload: Payload) -> bytes:
-    if kind in _FIXED_LAYOUTS:
-        fmt, cls = _FIXED_LAYOUTS[kind]
-        assert isinstance(payload, cls)
-        if kind is LedgerKind.REPORT_ANCHOR and len(payload.digest) != 32:
-            raise MalformedPayload("report digest must be 32 bytes")
-        return struct.pack(fmt, *vars(payload).values())
     if kind is LedgerKind.READING_BATCH:
         assert isinstance(payload, ReadingBatchPayload)
-        parts = [struct.pack(">H", len(payload.readings))]
-        for r in payload.readings:
-            parts.append(struct.pack(">qhH", r.at, r.temp_decic, r.hum_decip))
-        return b"".join(parts)
-    assert isinstance(payload, AdminChangePayload)
-    return struct.pack(">B", payload.action.value) + enc_str(payload.key)
+        return COUNT.pack(len(payload.readings)) + b"".join(
+            [_READING.pack(r.at, r.temp_decic, r.hum_decip) for r in payload.readings]
+        )
+    layout, cls = _PAYLOADS[kind]
+    assert isinstance(payload, cls)
+    if kind is LedgerKind.REPORT_ANCHOR and len(payload.digest) != 32:
+        raise MalformedPayload("report digest must be 32 bytes")
+    return layout.pack(*vars(payload).values())
 
 
 def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
     cur = Cursor(data)
-    if kind in _FIXED_LAYOUTS:
-        fmt, cls = _FIXED_LAYOUTS[kind]
-        return cls(*cur.unpack(fmt))
     if kind is LedgerKind.READING_BATCH:
-        (count,) = cur.unpack(">H")
+        (count,) = cur.read(COUNT)
         readings = []
         for _ in range(count):
-            at, temp, hum = cur.unpack(">qhH")
+            at, temp, hum = cur.read(_READING)
             readings.append(Reading(device_id=device_id, at=at, temp_decic=temp, hum_decip=hum))
         return ReadingBatchPayload(readings=tuple(readings))
-    (action,) = cur.unpack(">B")
-    return AdminChangePayload(action=AdminAction(action), key=cur.string())
+    layout, cls = _PAYLOADS[kind]
+    return cls(*cur.read(layout))
 
 
 def encode_request(req: EntryRequest) -> bytes:
     """Raises MalformedPayload for any field outside its fixed width."""
-    try:
-        payload = encode_payload(req.kind, req.payload)
-        return (
-            struct.pack(">B", req.kind.value)
-            + enc_str(req.device_id)
-            + struct.pack(">Qq", req.seq, req.at)
-            + struct.pack(">I", len(payload))
-            + payload
-        )
-    except struct.error as exc:
-        raise MalformedPayload(f"field out of range: {exc}") from exc
+    payload = encode_payload(req.kind, req.payload)
+    return _REQUEST.pack(req.kind.value, req.device_id, req.seq, req.at, len(payload)) + payload
 
 
 def _read_request(cur: Cursor) -> EntryRequest:
-    (kind_code,) = cur.unpack(">B")
+    kind_code, device_id, seq, at, n = cur.read(_REQUEST)
     try:
         kind = LedgerKind(kind_code)
     except ValueError as exc:
         raise MalformedPayload(f"unknown kind code {kind_code}") from exc
-    device_id = cur.string()
-    seq, at = cur.unpack(">Qq")
-    (n,) = cur.unpack(">I")
     payload = decode_payload(kind, cur.take(n), device_id)
     return EntryRequest(kind=kind, device_id=device_id, seq=seq, at=at, payload=payload)
 
@@ -258,12 +258,12 @@ def decode_request(data: bytes) -> EntryRequest:
 
 def entry_body(index: int, request: EntryRequest, prev_hash: bytes) -> bytes:
     """The hashed bytes of a ledger entry."""
-    return struct.pack(">Q", index) + encode_request(request) + prev_hash
+    return _ENTRY_INDEX.pack(index) + encode_request(request) + prev_hash
 
 
 def _decode_entry(body: bytes, entry_hash: bytes) -> LedgerEntry:
     cur = Cursor(body)
-    (index,) = cur.unpack(">Q")
+    (index,) = cur.read(_ENTRY_INDEX)
     request = _read_request(cur)
     return LedgerEntry(**vars(request), index=index, prev_hash=cur.take(32), entry_hash=entry_hash)
 

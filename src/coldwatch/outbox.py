@@ -19,22 +19,22 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .ledger import (
+    COUNT,
     Cursor,
     EntryRequest,
+    Layout,
     Ledger,
     LedgerOutage,
     decode_request,
-    enc_str,
     encode_request,
 )
 from .model import Timestamp
-from .storage import RecordFile
+from .storage import RecordFile, StoreFormatError
 
 BACKOFF_SCHEDULE = (30, 60, 120)
 
@@ -48,7 +48,8 @@ _REC_ENQUEUE = 1
 _REC_MARK = 2
 _REC_ROW = 3
 _REC_WATERMARK = 4
-_ROW_AT = struct.Struct(">q")  # the leading timestamp of a day row
+MARK = Layout(">BBSQ")  # record type, state, device, seq
+WATERMARK = Layout(">SQ")  # a device and its next seq; a watermark is a COUNT of these
 
 
 class ItemState(enum.Enum):
@@ -93,7 +94,7 @@ class Outbox:
     def _replay(self) -> None:
         """Rebuild state from the record file. Submitted-but-unconfirmed
         items downgrade to Pending; confirmed marks always stick."""
-        for payload in self._file.records:
+        for position, payload in enumerate(self._file.records):
             rec_type = payload[0]
             body = payload[1:]
             if rec_type == _REC_ENQUEUE:
@@ -103,15 +104,22 @@ class Outbox:
                 nxt = self._next_seq.get(request.device_id, 0)
                 self._next_seq[request.device_id] = max(nxt, request.seq + 1)
             elif rec_type == _REC_MARK:
-                state, key = self._decode_mark(body)
-                item = self._items.get(key)
-                if item is not None and state is ItemState.CONFIRMED:
+                _, state, device, seq = Cursor(payload).read(MARK)
+                item = self._items.get((device, seq))
+                if ItemState(state) is ItemState.CONFIRMED and item is not None:
                     item.state = ItemState.CONFIRMED
             elif rec_type == _REC_ROW:
                 self._rows.append(body)
             elif rec_type == _REC_WATERMARK:
-                for device, seq in self._decode_watermark(body):
+                cur = Cursor(body)
+                for _ in range(cur.read(COUNT)[0]):
+                    device, seq = cur.read(WATERMARK)
                     self._next_seq[device] = max(self._next_seq.get(device, 0), seq)
+            else:
+                self._file.close()
+                raise StoreFormatError(
+                    f"{self._file.path}: unknown record type {rec_type} at record {position}"
+                )
 
     # -- outbox ------------------------------------------------------------
 
@@ -132,7 +140,7 @@ class Outbox:
             if item.state is not ItemState.PENDING:
                 continue
             device_id, seq = key
-            self._append_mark(ItemState.SUBMITTED, key)
+            self._file.append(MARK.pack(_REC_MARK, ItemState.SUBMITTED.value, *key))
             item.state = ItemState.SUBMITTED
             self._hook("submit:marked", device_id, seq)
             try:
@@ -143,7 +151,7 @@ class Outbox:
                 return DrainResult(retry_at=now + retry_delay(self._outage_streak))
             self._outage_streak = 0
             self._hook("confirm:pre", device_id, seq)
-            self._append_mark(ItemState.CONFIRMED, key)
+            self._file.append(MARK.pack(_REC_MARK, ItemState.CONFIRMED.value, *key))
             item.state = ItemState.CONFIRMED
             self._hook("confirm:post", device_id, seq)
         return DrainResult(retry_at=None)
@@ -160,13 +168,18 @@ class Outbox:
         self._rows.append(row)
 
     def rows(self, start: Timestamp, end: Timestamp) -> list[bytes]:
-        leading = _ROW_AT.unpack_from
-        return [row for row in self._rows if start <= leading(row)[0] < end]
+        return [
+            row for row in self._rows if start <= int.from_bytes(row[:8], "big", signed=True) < end
+        ]
 
     def compact(self, keep_rows_from: Timestamp) -> None:
         """Drop confirmed items and rows older than keep_rows_from; a seq
         watermark record preserves per-device seq continuity."""
-        payloads: list[bytes] = [bytes([_REC_WATERMARK]) + self._encode_watermark()]
+        payloads = [
+            bytes([_REC_WATERMARK])
+            + COUNT.pack(len(self._next_seq))
+            + b"".join(WATERMARK.pack(d, self._next_seq[d]) for d in sorted(self._next_seq))
+        ]
         kept_items = {}
         for key, item in self._items.items():
             if item.state is ItemState.CONFIRMED:
@@ -182,38 +195,6 @@ class Outbox:
 
     def close(self) -> None:
         self._file.close()
-
-    # -- encoding ------------------------------------------------------------
-
-    def _append_mark(self, state: ItemState, key: tuple[str, int]) -> None:
-        device_id, seq = key
-        body = bytes([state.value]) + enc_str(device_id) + struct.pack(">Q", seq)
-        self._file.append(bytes([_REC_MARK]) + body)
-
-    @staticmethod
-    def _decode_mark(body: bytes) -> tuple[ItemState, tuple[str, int]]:
-        cur = Cursor(body)
-        (state,) = cur.unpack(">B")
-        device = cur.string()
-        (seq,) = cur.unpack(">Q")
-        return ItemState(state), (device, seq)
-
-    def _encode_watermark(self) -> bytes:
-        parts = [struct.pack(">H", len(self._next_seq))]
-        for device in sorted(self._next_seq):
-            parts.append(enc_str(device) + struct.pack(">Q", self._next_seq[device]))
-        return b"".join(parts)
-
-    @staticmethod
-    def _decode_watermark(body: bytes) -> list[tuple[str, int]]:
-        cur = Cursor(body)
-        (count,) = cur.unpack(">H")
-        out = []
-        for _ in range(count):
-            device = cur.string()
-            (seq,) = cur.unpack(">Q")
-            out.append((device, seq))
-        return out
 
     def _hook(self, stage: str, device_id: str, seq: int) -> None:
         if self.fault_hook is not None:

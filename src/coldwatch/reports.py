@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from .engine import MonitorMode
-from .ledger import LedgerEntry, LedgerKind, MalformedPayload, str_bytes
+from .ledger import Cursor, Layout, LedgerEntry, LedgerKind
 from .model import (
     DAY_SECONDS,
     Timestamp,
@@ -48,32 +47,19 @@ class Verdict(enum.Enum):
     NO_ANCHOR = "NoAnchor"
 
 
-# Store layout of a row: the i64 timestamp and the u16 byte length of the
-# device id, its UTF-8 bytes, then temperature, humidity, mode and event.
-_ROW_HEAD = struct.Struct(">qH")
-_ROW_TAIL = struct.Struct(">hHBB")
+# Store layout of a row: timestamp, device id, temperature, humidity, mode, event.
+_ROW = Layout(">qShHBB")
 
 
 def encode_row(at: Timestamp, device_id: str, temp_decic: int, hum_decip: int,
                mode: MonitorMode, event: LedgerKind | None = None) -> bytes:
     """Store encoding; starts with the i64 timestamp the store relies on."""
-    device = str_bytes(device_id)
-    return (
-        _ROW_HEAD.pack(at, len(device))
-        + device
-        + _ROW_TAIL.pack(temp_decic, hum_decip, _MODE_CODES[mode], _EVENT_CODES[event])
-    )
+    return _ROW.pack(at, device_id, temp_decic, hum_decip, _MODE_CODES[mode], _EVENT_CODES[event])
 
 
 def decode_row(data: bytes) -> tuple[Timestamp, str, int, int, int, int]:
     """(at, device_id, temp_decic, hum_decip, mode code, event code)."""
-    head = _ROW_HEAD.size
-    if len(data) < head:
-        raise MalformedPayload("truncated field")
-    at, n = _ROW_HEAD.unpack_from(data)
-    if len(data) < head + n + _ROW_TAIL.size:
-        raise MalformedPayload("truncated field")
-    return (at, data[head : head + n].decode("utf-8"), *_ROW_TAIL.unpack_from(data, head + n))
+    return Cursor(data).read(_ROW)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Layout: 4-byte magic, 1 version byte, then records framed as
 `len (u32 BE) | payload | crc32 (u32 BE)`. Opening an existing file
-scans it, truncates at the first frame that fails its checksum or is
-torn, and reports how many bytes were dropped. Appends flush to the OS;
+scans it, truncates at the first frame that is empty, fails its checksum
+or is torn, and reports how many bytes were dropped. Appends flush to the OS;
 the crash model is process exit, not power loss.
 """
 
@@ -23,7 +23,7 @@ def _frame(payload: bytes) -> bytes:
 
 
 class StoreFormatError(Exception):
-    """File does not start with the expected magic header."""
+    """File has a bad magic header or a record of an unknown type."""
 
 
 class RecordFile:
@@ -46,7 +46,7 @@ class RecordFile:
             if pos + 4 > len(data):
                 break
             (n,) = struct.unpack(">I", data[pos : pos + 4])
-            if pos + 4 + n + 4 > len(data):
+            if n == 0 or pos + 4 + n + 4 > len(data):
                 break
             payload = data[pos + 4 : pos + 4 + n]
             (crc,) = struct.unpack(">I", data[pos + 4 + n : pos + 8 + n])

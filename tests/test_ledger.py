@@ -375,6 +375,13 @@ OUT_OF_RANGE = {
     ),
     "temp-beyond-i16": EntryRequest(LedgerKind.ALERT, DEV, 1, 1000, AlertPayload(1, 40000, 5)),
     "negative-seq": alert_request(-1),
+    "device-id-beyond-u16-length": dataclasses.replace(alert_request(1), device_id="d" * 65536),
+    "admin-key-beyond-u16-length": EntryRequest(
+        LedgerKind.ADMIN_CHANGE, DEV, 1, 1000, AdminChangePayload(AdminAction.GRANT, "k" * 65536)
+    ),
+    "row-count-beyond-u32": EntryRequest(
+        LedgerKind.REPORT_ANCHOR, DEV, 1, 1000, ReportAnchorPayload(0, bytes(32), 2**32)
+    ),
 }
 
 

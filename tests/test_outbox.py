@@ -3,8 +3,9 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldwatch.ledger import AlertPayload, Ledger, LedgerKind
-from coldwatch.outbox import ItemState, Outbox
+from coldwatch.ledger import AlertPayload, Cursor, Ledger, LedgerKind, MalformedPayload
+from coldwatch.outbox import MARK, WATERMARK, ItemState, Outbox
+from coldwatch.storage import RecordFile, StoreFormatError
 
 OWNER = "owner-key"
 DEV = "fridge-1"
@@ -149,12 +150,49 @@ class TestRecovery:
         assert recovered.dropped_bytes > 0
         assert len(recovered.items()) == 2
 
+    def test_zero_filled_tail_is_dropped(self, tmp_path, open_outbox):
+        """A zero length with a zero CRC frames an empty record: it ends the
+        valid prefix like any other bad frame."""
+        path = tmp_path / "outbox.bin"
+        box = open_outbox()
+        enqueue_n(box, 1)
+        box.close()
+        with open(path, "ab") as f:
+            f.write(bytes(4096))
+        recovered = open_outbox()
+        assert recovered.dropped_bytes == 4096
+        assert [i.request.seq for i in recovered.items()] == [0]
+
+    def test_a_record_of_unknown_type_is_a_format_error(self, tmp_path, open_outbox):
+        path = tmp_path / "outbox.bin"
+        box = open_outbox()
+        enqueue_n(box, 1)
+        box.close()
+        store = RecordFile(path)
+        store.append(bytes([9]) + b"body")
+        store.close()
+        with pytest.raises(StoreFormatError, match="unknown record type 9 at record 1"):
+            Outbox(path)
+
     def test_empty_file_is_an_empty_outbox(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
         path.touch()
         box = open_outbox()
         assert box.items() == []
         assert box.dropped_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "layout, values",
+    [(MARK, (2, ItemState.CONFIRMED.value, "k\u00fchl-\u51b7", 7)), (WATERMARK, (DEV, 2**64 - 1))],
+    ids=["mark", "watermark"],
+)
+def test_layout_round_trips_and_every_proper_prefix_is_malformed(layout, values):
+    data = layout.pack(*values)
+    assert Cursor(data).read(layout) == values
+    for cut in range(len(data)):
+        with pytest.raises(MalformedPayload):
+            Cursor(data[:cut]).read(layout)
 
 
 class TestRows:

@@ -138,6 +138,20 @@ class TestCanonicalForm:
         )
         assert decode_row(data) == (DAY + 30, DEV, -5, 520, mode_code, event_code)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (2**63, DEV, 40, 520, MonitorMode.NORMAL, None),
+            (0, "d" * 65536, 40, 520, MonitorMode.NORMAL, None),
+            (0, "d", 40000, 0, MonitorMode.NORMAL, None),
+            (0, "d", 40, -1, MonitorMode.NORMAL, None),
+        ],
+        ids=["at-beyond-i64", "device-beyond-u16-length", "temp-beyond-i16", "negative-hum"],
+    )
+    def test_a_field_beyond_its_width_is_malformed(self, fields):
+        with pytest.raises(MalformedPayload):
+            encode_row(*fields)
+
     def test_truncated_row_is_malformed(self):
         data = encode_row(*row(DAY + 30))
         for cut in (4, 9, 12, len(data) - 1):

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a coldwatch module
-imports is used in it, and every function, class and method it defines
-is referenced from the sources or the benchmark."""
+imports is used in it, every function, class and method it defines
+is referenced from the sources or the benchmark, and only the record
+codec and the file frames import struct."""
 
 import ast
 from collections import Counter
@@ -48,6 +49,31 @@ def test_check_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports; relative
+    imports are left out."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_import_check_reads_both_import_forms():
+    source = "import struct as s\nfrom os.path import join\nfrom . import ledger\nfrom .model import x\n"
+    assert imported_modules(source) == {"struct", "os"}
+
+
+def test_only_the_codec_and_the_frames_import_struct():
+    """ledger.py owns the record codec and the ledger file frame, storage.py
+    the CRC frame; every other module stores records through ledger.Layout."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    importers = [name for name, source in sources.items() if "struct" in imported_modules(source)]
+    assert importers == ["ledger.py", "storage.py"]
 
 
 def _referenced(node: ast.AST) -> tuple[Counter, Counter]:
