@@ -7,6 +7,7 @@ clock is single-threaded by contract; nothing here blocks or sleeps.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterator
 
 from .model import Timestamp
@@ -27,6 +28,11 @@ class VirtualClock:
             raise SchedulingInPast(f"cannot schedule at {at}, now is {self._now}")
         heapq.heappush(self._queue, (at, self._seq, tag))
         self._seq += 1
+
+    @property
+    def next_at(self) -> Timestamp | float:
+        """The instant of the next queued event; math.inf if none is queued."""
+        return self._queue[0][0] if self._queue else math.inf
 
     def peek(self, until: Timestamp) -> tuple[Timestamp, object] | None:
         """The next event if it is due by `until`, left queued; if none is,

@@ -14,6 +14,9 @@ Cadence rules:
     defaults); records landing on grid instants count as the scheduled ones.
   - Batch anchors fire every batch_anchor_period from the run origin,
     whether or not a reading arrived on that tick.
+  - A quiet tick, in Normal mode before the next record grid point and
+    batch anchor with an in-band reading or none, only adds its
+    temperature to the record window: `fold` takes a run of them at once.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -28,9 +31,12 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import EventKind, MonitorEvent, Reading, Thresholds, Timestamp
+from .sensor import DROPPED, Trace
 
 
 class OutOfOrderSample(ValueError):
@@ -40,10 +46,11 @@ class OutOfOrderSample(ValueError):
 def out_of_band(reading: Reading, th: Thresholds) -> bool:
     """Closed-interval band check: boundary values are in band; either
     quantity outside its band puts the sample out of band."""
-    return not (
-        th.temp_min_decic <= reading.temp_decic <= th.temp_max_decic
-        and th.hum_min_decip <= reading.hum_decip <= th.hum_max_decip
-    )
+    return not _in_band(reading.temp_decic, reading.hum_decip, th)
+
+
+def _in_band(t: int, h: int, th: Thresholds) -> bool:
+    return th.temp_min_decic <= t <= th.temp_max_decic and th.hum_min_decip <= h <= th.hum_max_decip
 
 
 def _inside_hysteresis_band(reading: Reading, th: Thresholds) -> bool:
@@ -55,6 +62,8 @@ def _inside_hysteresis_band(reading: Reading, th: Thresholds) -> bool:
 
 
 RESOLVE_DEBOUNCE_SAMPLES = 2
+
+_EMPTY_WINDOW = (math.inf, -math.inf, 0, 0)  # a record window's min, max, sum and count
 
 ALERT_SINKS = ("buzzer", "display", "messenger")
 
@@ -100,7 +109,7 @@ class MonitorEngine:
         self._record_grid_origin = origin + thresholds.sample_period
         self._next_scheduled_log = self._record_grid_origin
         self._next_anchor = origin + thresholds.batch_anchor_period
-        self._window_temps: list[int] = []
+        self._window = _EMPTY_WINDOW
 
     def step(self, reading: Reading | None, now: Timestamp) -> list[MonitorEvent]:
         if self.last_seen is not None and now < self.last_seen:
@@ -115,7 +124,7 @@ class MonitorEngine:
             if reading.at != now:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
             events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, now, {"reading": reading}))
-            self._window_temps.append(reading.temp_decic)
+            self._widen([reading.temp_decic])
             out = out_of_band(reading, self.thresholds)
             if out or self.mode is not MonitorMode.NORMAL:
                 events.extend(self._transition(reading, now, out))
@@ -124,6 +133,25 @@ class MonitorEngine:
         if now >= self._next_anchor:
             events.append(self._batch_anchor(now))
         return events
+
+    def fold(self, trace: Trace, i: int, stop: Timestamp) -> int:
+        """Take the quiet ticks of `trace` from index i on, each before `stop`,
+        as `step` would; return the index of the first tick not taken. Their
+        SampleTaken events are left to the caller."""
+        if self.mode is not MonitorMode.NORMAL:
+            return i
+        th, ticks, temps, hums = self.thresholds, trace.ticks, trace.temps, trace.hums
+        j = bisect_left(ticks, min(stop, self._next_scheduled_log, self._next_anchor), i)
+        j = next((k for k in range(i, j)
+                  if not _in_band(temps[k], hums[k], th) and temps[k] != DROPPED), j)
+        if j > i:
+            self.last_seen = ticks[j - 1]
+            self._widen([temp for temp in temps[i:j] if temp != DROPPED])
+        return j
+
+    def _widen(self, temps: list[int]) -> None:
+        lo, hi, total, count = self._window
+        self._window = min([lo, *temps]), max([hi, *temps]), total + sum(temps), count + len(temps)
 
     # -- state transitions ------------------------------------------------
 
@@ -216,16 +244,17 @@ class MonitorEngine:
             and now - self.last_local_log < th.critical_log_period
         ):
             return []
+        low, high, total, count = self._window
         record = LocalRecord(
             at=now,
             reading=reading,
             mode=self.mode,
-            window_min_temp_decic=min(self._window_temps),
-            window_max_temp_decic=max(self._window_temps),
-            window_avg_temp_decic=sum(self._window_temps) // len(self._window_temps),
+            window_min_temp_decic=low,
+            window_max_temp_decic=high,
+            window_avg_temp_decic=total // count,
         )
         self.last_local_log = now
-        self._window_temps = []
+        self._window = _EMPTY_WINDOW
         if now >= self._next_scheduled_log:
             self._next_scheduled_log = self._next_grid_point(
                 now, self._record_grid_origin, th.normal_log_period

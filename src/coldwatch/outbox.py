@@ -84,7 +84,11 @@ class Outbox:
         self._next_seq: dict[str, int] = {}
         self._rows: list[bytes] = []
         self._outage_streak = 0
-        self._replay()
+        try:
+            self._replay()
+        except BaseException:
+            self._file.close()
+            raise
 
     @property
     def dropped_bytes(self) -> int:
@@ -116,7 +120,6 @@ class Outbox:
                     device, seq = cur.read(WATERMARK)
                     self._next_seq[device] = max(self._next_seq.get(device, 0), seq)
             else:
-                self._file.close()
                 raise StoreFormatError(
                     f"{self._file.path}: unknown record type {rec_type} at record {position}"
                 )

@@ -20,6 +20,11 @@ batch anchor at that point are covered by the report digest instead.
 Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
+Quiet ticks (MonitorEngine.fold) are taken a stretch at a time, with one
+write of their SampleTaken lines. A stretch ends at the next clock event's
+instant, included, and before the next crash; none is taken in a paced run
+or while an alert send is queued. Every other tick is stepped.
+
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
 downgrade to pending and replay idempotently, and the state machine
@@ -435,15 +440,33 @@ class _Run:
         self._wall, self._sim = time.monotonic(), cfg.start
         paced, crash_times = cfg.realtime_speed is not None, self.crash_times
         trace, device = self.trace, cfg.device_id
+        ticks, temps, hums = trace.ticks, trace.temps, trace.hums
+        sample_line, device_json = _SAMPLE_LINE + "\n", _json_string(device)
         # Sample ticks merged with the clock's day-ends and retries: clock
         # events due before a tick run first, so at an instant they share
         # the tick fires first, then the clock events in scheduling order.
-        for at, temp, hum in zip(trace.ticks, trace.temps, trace.hums):
+        # After a stretch, the next peek moves the clock on as one per tick would.
+        i = 0
+        while i < len(ticks):
+            at = ticks[i]
             if clock.peek(at - 1) is not None:
                 self._clock_events(clock, at - 1)
             if paced or crash_times and at >= crash_times[0]:
                 self._pace_and_recover(at, clock)
-            reading = None if temp == DROPPED else Reading(device, at, temp, hum)
+            stop = min([clock.next_at + 1, *crash_times[:1]])
+            j = i if paced or self.dispatcher.queued else self.engine.fold(trace, i, stop)
+            if j > i:
+                lines = [
+                    sample_line % (t, t, device_json, hum, temp)
+                    for t, temp, hum in zip(ticks[i:j], temps[i:j], hums[i:j])
+                    if temp != DROPPED
+                ]
+                self.events_file.write("".join(lines))
+                self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
+                i = j
+                continue
+            temp = temps[i]
+            reading = None if temp == DROPPED else Reading(device, at, temp, hums[i])
             queued = False
             for event in self.engine.step(reading, at):
                 queued = self.emit(event, at) or queued
@@ -451,6 +474,7 @@ class _Run:
                 self.drain(at, clock)
             if self.dispatcher.queued:
                 self.dispatcher.flush(at)
+            i += 1
         self._clock_events(clock, end)
 
         # Trailing partial day, if it produced any rows.

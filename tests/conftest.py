@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from coldwatch.model import Thresholds
 from coldwatch.runner import DEFAULT_START, RunConfig, run_simulation
 from coldwatch.sensor import breach_day, normal_day
+
+# A larger example budget, chosen with --hypothesis-profile=ci; tier-1 runs
+# hypothesis's default profile.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

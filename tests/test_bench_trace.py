@@ -14,6 +14,8 @@ sys.path.insert(0, str(BENCH))
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from coldwatch import runner  # noqa: E402
+from coldwatch.engine import MonitorEngine  # noqa: E402
+from coldwatch.sensor import DROPPED  # noqa: E402
 
 # Span names of tracer.ENTRY_POINTS that a simulation (not an audit) calls.
 SIMULATE_SPANS = [
@@ -37,7 +39,18 @@ SIMULATE_SPANS = [
 ]
 
 
-def test_traced_incident_day_sees_every_simulate_layer(tmp_path):
+def test_traced_incident_day_sees_every_simulate_layer(tmp_path, monkeypatch):
+    # The SampleTaken lines of folded quiet stretches are written straight
+    # from the trace columns, without event_to_json; count them here.
+    folded = []
+    fold = MonitorEngine.fold
+
+    def counted_fold(self, trace, i, stop):
+        j = fold(self, trace, i, stop)
+        folded.append(sum(temp != DROPPED for temp in trace.temps[i:j]))
+        return j
+
+    monkeypatch.setattr(MonitorEngine, "fold", counted_fold)
     # One incident day: excursions, alerts, an outage (retries) and a crash.
     wl = workloads.Workload("incident", days=1, simulates=True)
     run_dir = tmp_path / "run"
@@ -48,7 +61,8 @@ def test_traced_incident_day_sees_every_simulate_layer(tmp_path):
     assert [name for name in SIMULATE_SPANS if tr.calls[name] == 0] == []
     assert tr.counts["sensor.readings"] == result.manifest["counters"]["samples"]
     lines = (run_dir / "events.log").read_text(encoding="utf-8").splitlines()
-    assert tr.calls["runner.event_to_json"] == len(lines)
+    assert sum(folded) > 0
+    assert tr.calls["runner.event_to_json"] + sum(folded) == len(lines)
     assert not tr.errors.keys() - {"ledger.submit:LedgerOutage"}
 
 

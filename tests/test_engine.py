@@ -1,8 +1,12 @@
+import math
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
-from coldwatch.model import EventKind, Reading, Thresholds
+from coldwatch.model import EventKind, MonitorEvent, Reading, Thresholds
+from coldwatch.sensor import DROPPED, Trace
 
 TH = Thresholds()
 DEV = "fridge-1"
@@ -216,3 +220,119 @@ def test_event_stream_is_a_pure_function_of_the_trace(outs, _seed):
     _, a = drive(temps)
     _, b = drive(temps)
     assert a == b
+
+
+# -- folding quiet ticks ---------------------------------------------------
+
+
+def trace_of(temps, hums=None, thresholds=TH):
+    """A trace with one tick per entry of temps from origin 0; None is a dropout."""
+    hums = hums or [520] * len(temps)
+    period = thresholds.sample_period
+    return Trace(
+        DEV,
+        range(period, period * (len(temps) + 1), period),
+        array("h", [DROPPED if t is None else t for t in temps]),
+        array("h", [0 if t is None else h for t, h in zip(temps, hums)]),
+    )
+
+
+def drive_folding(trace, thresholds=TH, stops=()):
+    """The run loop's use of the engine: fold each quiet stretch, ending
+    at the next of `stops`, and step every other tick. Returns the events,
+    with a SampleTaken for each folded reading."""
+    engine = MonitorEngine(thresholds, DEV, origin=0)
+    events, i = [], 0
+    while i < len(trace.ticks):
+        j = engine.fold(trace, i, min([s for s in stops if s > trace.ticks[i]], default=math.inf))
+        for at, temp, hum in zip(trace.ticks[i:j], trace.temps[i:j], trace.hums[i:j]):
+            if temp != DROPPED:
+                sample = {"reading": Reading(DEV, at, temp, hum)}
+                events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, at, sample))
+        if j == i:
+            at, temp = trace.ticks[i], trace.temps[i]
+            r = None if temp == DROPPED else Reading(DEV, at, temp, trace.hums[i])
+            events.extend(engine.step(r, at))
+            j = i + 1
+        i = j
+    return events
+
+
+class TestFold:
+    def test_stops_at_the_next_record_grid_point(self):
+        # The first tick (t=30) records; the next record is due at t=1230.
+        engine, _ = drive([IN_TEMP])
+        assert engine.fold(trace_of([IN_TEMP] * 100), 1, math.inf) == 40
+        assert engine.last_seen == 1200
+
+    def test_stops_at_the_next_batch_anchor(self):
+        th = Thresholds(normal_log_period=14400)
+        engine = MonitorEngine(th, DEV, origin=0)
+        engine.step(reading(30), 30)
+        assert engine.fold(trace_of([IN_TEMP] * 300, thresholds=th), 1, math.inf) == 239
+
+    def test_stops_before_stop(self):
+        engine, _ = drive([IN_TEMP])
+        assert engine.fold(trace_of([IN_TEMP] * 100), 1, 600) == 19
+        assert engine.fold(trace_of([IN_TEMP] * 100), 19, 601) == 20
+        assert engine.last_seen == 600
+
+    @pytest.mark.parametrize("temp, hum", [(OUT_TEMP, 520), (19, 520), (IN_TEMP, 651), (IN_TEMP, 399)])
+    def test_stops_at_the_first_out_of_band_reading(self, temp, hum):
+        engine, _ = drive([IN_TEMP])
+        temps, hums = [IN_TEMP] * 30, [520] * 30
+        temps[12], hums[12] = temp, hum
+        assert engine.fold(trace_of(temps, hums), 1, math.inf) == 12
+
+    def test_takes_dropouts_and_boundary_readings(self):
+        engine, _ = drive([IN_TEMP])
+        temps = [IN_TEMP, None, 20, 60, None] + [IN_TEMP] * 35
+        assert engine.fold(trace_of(temps, [520, 0, 400, 650, 0] + [520] * 35), 1, math.inf) == 40
+
+    def test_takes_nothing_outside_normal_mode(self):
+        engine, _ = drive([OUT_TEMP])
+        assert engine.mode is MonitorMode.BREACH_PENDING
+        assert engine.fold(trace_of([OUT_TEMP] + [IN_TEMP] * 30), 1, math.inf) == 1
+        assert engine.last_seen == 30
+
+    def test_a_step_before_the_last_folded_tick_is_out_of_order(self):
+        engine, _ = drive([IN_TEMP])
+        assert engine.fold(trace_of([IN_TEMP] * 30), 1, math.inf) == 30
+        with pytest.raises(OutOfOrderSample):
+            engine.step(reading(870), 870)
+
+    def test_the_window_spans_folded_and_stepped_ticks(self):
+        # Negative temperatures: the average is floored like sum // count.
+        th = Thresholds(temp_min_decic=-400, temp_max_decic=-100)
+        temps = [-101] + [-250, None, -399, -100] * 10
+        events = drive_folding(trace_of(temps, thresholds=th), th)
+        record = by_kind(events, EventKind.LOCAL_LOG_WRITTEN)[1].payload["record"]
+        window = [t for t in temps[1:] if t is not None]
+        assert record.at == 1230
+        assert (record.window_min_temp_decic, record.window_max_temp_decic) == (-399, -100)
+        assert record.window_avg_temp_decic == sum(window) // len(window) == -250
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.integers(-60, 120)), min_size=1, max_size=600),
+    st.integers(1, 50),
+    st.integers(1, 300),
+    st.lists(st.integers(0, 18000), max_size=8),
+)
+def test_folding_gives_the_events_and_windows_of_stepping(temps, log_every, anchor_every, stops):
+    th = Thresholds(
+        temp_min_decic=-40, normal_log_period=30 * log_every, batch_anchor_period=30 * anchor_every
+    )
+    trace = trace_of(temps, thresholds=th)
+    events = drive_folding(trace, th, stops)
+    assert events == drive(temps, thresholds=th)[1]
+    window = []
+    for event in events:
+        if event.kind is EventKind.SAMPLE_TAKEN:
+            window.append(event.payload["reading"].temp_decic)
+        elif event.kind is EventKind.LOCAL_LOG_WRITTEN:
+            rec = event.payload["record"]
+            assert (rec.window_min_temp_decic, rec.window_max_temp_decic) == (min(window), max(window))
+            assert rec.window_avg_temp_decic == sum(window) // len(window)
+            window = []

@@ -174,6 +174,34 @@ class TestRecovery:
         with pytest.raises(StoreFormatError, match="unknown record type 9 at record 1"):
             Outbox(path)
 
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            (bytes([9]) + b"body", StoreFormatError),
+            (MARK.pack(2, 9, DEV, 0), ValueError),  # 9 is no ItemState
+            (bytes([1, 0, 1]), MalformedPayload),  # a truncated request
+        ],
+        ids=["unknown-type", "bad-state", "truncated-request"],
+    )
+    def test_a_record_that_does_not_decode_leaves_the_file_closed(
+        self, tmp_path, monkeypatch, record, error
+    ):
+        path = tmp_path / "outbox.bin"
+        store = RecordFile(path)
+        store.append(record)
+        store.close()
+        opened = []
+        record_file = RecordFile.__init__
+
+        def tracked(self, path):
+            record_file(self, path)
+            opened.append(self)
+
+        monkeypatch.setattr(RecordFile, "__init__", tracked)
+        with pytest.raises(error):
+            Outbox(path)
+        assert [store._f.closed for store in opened] == [True]
+
     def test_empty_file_is_an_empty_outbox(self, tmp_path, open_outbox):
         path = tmp_path / "outbox.bin"
         path.touch()

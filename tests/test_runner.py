@@ -1,16 +1,31 @@
 import dataclasses
+import hashlib
 import json
+import tempfile
+import types
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coldwatch import runner
 from coldwatch.alerts import MessengerSink, SinkUnavailable
 from coldwatch.ledger import LedgerKind, load_ledger_entries
-from coldwatch.model import DAY_SECONDS, EventKind, ts_to_date
+from coldwatch.engine import MonitorEngine
+from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
-from coldwatch.sensor import FaultKind, FaultSpec, NoiseModel, breach_day, normal_day
+from coldwatch.sensor import (
+    FaultKind,
+    FaultSpec,
+    NoiseModel,
+    ScenarioKind,
+    ScenarioSpec,
+    SpikeWindow,
+    breach_day,
+    normal_day,
+)
 
 ARTIFACTS = ["trace.csv", "events.log", "ledger.bin", "messenger.jsonl", "manifest.json"]
 
@@ -320,3 +335,91 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
     [failed] = runs
     assert failed.events_file.closed
     assert failed.outbox._file._f.closed
+
+
+def test_a_paced_run_sleeps_before_every_tick(tmp_path, monkeypatch):
+    # Wall time moves only when the run sleeps, so each tick of a paced run
+    # is seen as one sleep of a sample period over the speed-up.
+    sleeps = []
+    monkeypatch.setattr(runner, "time", types.SimpleNamespace(
+        monotonic=lambda: sum(sleeps), sleep=sleeps.append))
+    run(tmp_path, normal_day(seed=1), horizon=3600, realtime_speed=1000.0)
+    assert sleeps == pytest.approx([0.03] * 120)
+
+
+# -- quiet stretches ---------------------------------------------------------
+
+
+class FlakyMessenger(MessengerSink):
+    """The offline messenger, unable to deliver inside `down` = [from, to)."""
+
+    down = (0, 0)
+
+    def deliver(self, text, now):
+        if self.down[0] <= now < self.down[1]:
+            raise SinkUnavailable("messenger down")
+        return super().deliver(text, now)
+
+
+@st.composite
+def short_runs(draw):
+    """A run of at most a day off the default cadences, with spikes,
+    dropouts, ledger outages, process crashes and a messenger that misses
+    sends; and the messenger's down window."""
+    period = draw(st.sampled_from([15, 30, 60]))
+    thresholds = Thresholds(
+        sample_period=period,
+        normal_log_period=period * draw(st.integers(1, 60)),
+        critical_log_period=period * draw(st.integers(1, 4)),
+        batch_anchor_period=period * draw(st.integers(1, 300)),
+        breach_escalation=draw(st.sampled_from([60, 600, 2400])),
+    )
+    horizon = min(DAY_SECONDS, period * draw(st.integers(1, 1440)) + draw(st.integers(0, period)))
+    # Most runs cross a UTC midnight: its day-end can fall inside a stretch.
+    start = DEFAULT_START + DAY_SECONDS - draw(st.integers(0, horizon))
+    end = start + horizon
+
+    def window():
+        a = draw(st.integers(start, end - 1))
+        return a, draw(st.integers(a + 1, end))
+
+    spikes = [
+        SpikeWindow(*window(), draw(st.integers(-80, 80)), draw(st.integers(-200, 200)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    kinds = st.sampled_from(list(FaultKind))
+    faults = [FaultSpec(draw(kinds), *window()) for _ in range(draw(st.integers(0, 4)))]
+    scenario = ScenarioSpec(
+        ScenarioKind.BREACH_DAY,
+        seed=draw(st.integers(0, 9)),
+        spike_windows=tuple(spikes),
+        faults=tuple(sorted(faults, key=lambda f: f.start)),
+    )
+    cfg = dict(scenario=scenario, horizon=horizon, start=start, seed=scenario.seed,
+               thresholds=thresholds)
+    return cfg, window()
+
+
+def _outcome(cfg: RunConfig):
+    """The sha256 of every file a run writes, its manifest and its deliveries."""
+    result = run_simulation(cfg)
+    out = result.out_dir
+    digests = {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    return digests, result.manifest, result.deliveries
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(short_runs())
+def test_folding_quiet_stretches_changes_no_byte(case):
+    cfg, down = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "MessengerSink", FlakyMessenger)
+        mp.setattr(FlakyMessenger, "down", down)
+        folded = _outcome(RunConfig(out_dir=Path(tmp) / "folded", **cfg))
+        # The reference steps every tick: its fold never takes one.
+        mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: i)
+        assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "stepped", **cfg))
