@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,6 +188,13 @@ class AlertDispatcher:
                 self._pending[sink.name].append(_PendingSend(text, None, now))
                 self.queued += 1
         self.flush(now)
+
+    def next_try(self) -> Timestamp | float:
+        """The earliest instant a flush tries a queued send; math.inf if none
+        is queued. After any flush, every sink with sends queued is backing off."""
+        if not self.queued:
+            return math.inf
+        return min(self._backoff[name][1] for name, queue in self._pending.items() if queue)
 
     def flush(self, now: Timestamp) -> None:
         for sink in self.sinks:

@@ -14,9 +14,13 @@ Cadence rules:
     defaults); records landing on grid instants count as the scheduled ones.
   - Batch anchors fire every batch_anchor_period from the run origin,
     whether or not a reading arrived on that tick.
-  - A quiet tick, in Normal mode before the next record grid point and
-    batch anchor with an in-band reading or none, only adds its
-    temperature to the record window: `fold` takes a run of them at once.
+  - A quiet tick emits only its SampleTaken: it comes before the next
+    batch anchor and the next record instant (the grid point, or in
+    Critical the last record plus critical_log_period), and in
+    BreachPending before the escalation instant. Its reading is absent,
+    in band (Normal), or not strictly inside the hysteresis band (an
+    episode), where it only breaks a debounce streak. `fold` takes a run
+    of quiet ticks at once.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -43,21 +47,18 @@ class OutOfOrderSample(ValueError):
     """Tick timestamps regressed."""
 
 
-def out_of_band(reading: Reading, th: Thresholds) -> bool:
+def out_of_band(temp: int, hum: int, th: Thresholds) -> bool:
     """Closed-interval band check: boundary values are in band; either
     quantity outside its band puts the sample out of band."""
-    return not _in_band(reading.temp_decic, reading.hum_decip, th)
+    return not (th.temp_min_decic <= temp <= th.temp_max_decic
+                and th.hum_min_decip <= hum <= th.hum_max_decip)
 
 
-def _in_band(t: int, h: int, th: Thresholds) -> bool:
-    return th.temp_min_decic <= t <= th.temp_max_decic and th.hum_min_decip <= h <= th.hum_max_decip
-
-
-def _inside_hysteresis_band(reading: Reading, th: Thresholds) -> bool:
+def _inside_hysteresis_band(temp: int, hum: int, th: Thresholds) -> bool:
     h = th.hysteresis_decic
     return (
-        th.temp_min_decic + h < reading.temp_decic < th.temp_max_decic - h
-        and th.hum_min_decip + h < reading.hum_decip < th.hum_max_decip - h
+        th.temp_min_decic + h < temp < th.temp_max_decic - h
+        and th.hum_min_decip + h < hum < th.hum_max_decip - h
     )
 
 
@@ -125,7 +126,7 @@ class MonitorEngine:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
             events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, now, {"reading": reading}))
             self._widen([reading.temp_decic])
-            out = out_of_band(reading, self.thresholds)
+            out = out_of_band(reading.temp_decic, reading.hum_decip, self.thresholds)
             if out or self.mode is not MonitorMode.NORMAL:
                 events.extend(self._transition(reading, now, out))
             if self.mode is MonitorMode.CRITICAL or now >= self._next_scheduled_log:
@@ -135,18 +136,31 @@ class MonitorEngine:
         return events
 
     def fold(self, trace: Trace, i: int, stop: Timestamp) -> int:
-        """Take the quiet ticks of `trace` from index i on, each before `stop`,
-        as `step` would; return the index of the first tick not taken. Their
-        SampleTaken events are left to the caller."""
-        if self.mode is not MonitorMode.NORMAL:
+        """Take the ticks of `trace` from index i on, each before `stop`, for
+        which `step` would emit only a SampleTaken, as `step` would; return
+        the index of the first tick not taken. Their SampleTaken events are
+        left to the caller."""
+        th, ticks, mode = self.thresholds, trace.ticks, self.mode
+        if mode is MonitorMode.CRITICAL:
+            due = self.last_local_log + th.critical_log_period
+        elif mode is MonitorMode.NORMAL:
+            due = self._next_scheduled_log
+        else:  # escalation can fire from the escalation instant on
+            due = min(self._next_scheduled_log, self.episode_start + th.breach_escalation)
+        if due <= ticks[i]:  # a Critical tick at the default cadence
             return i
-        th, ticks, temps, hums = self.thresholds, trace.ticks, trace.temps, trace.hums
-        j = bisect_left(ticks, min(stop, self._next_scheduled_log, self._next_anchor), i)
-        j = next((k for k in range(i, j)
-                  if not _in_band(temps[k], hums[k], th) and temps[k] != DROPPED), j)
+        j = bisect_left(ticks, min(stop, due, self._next_anchor), i)
+        # In Normal mode a reading out of band starts an episode; during one,
+        # a reading inside the hysteresis band counts toward its end.
+        ends = out_of_band if mode is MonitorMode.NORMAL else _inside_hysteresis_band
+        temps, hums = trace.temps, trace.hums
+        j = next((k for k in range(i, j) if temps[k] != DROPPED and ends(temps[k], hums[k], th)), j)
         if j > i:
             self.last_seen = ticks[j - 1]
-            self._widen([temp for temp in temps[i:j] if temp != DROPPED])
+            taken = [temp for temp in temps[i:j] if temp != DROPPED]
+            if taken:  # each taken reading breaks a debounce streak
+                self.consecutive_in_range = 0
+            self._widen(taken)
         return j
 
     def _widen(self, temps: list[int]) -> None:
@@ -206,7 +220,7 @@ class MonitorEngine:
                         },
                     )
                 )
-        elif _inside_hysteresis_band(reading, th):
+        elif _inside_hysteresis_band(reading.temp_decic, reading.hum_decip, th):
             self.consecutive_in_range += 1
             if self.consecutive_in_range >= RESOLVE_DEBOUNCE_SAMPLES:
                 episode = self.episode_start

@@ -20,10 +20,11 @@ batch anchor at that point are covered by the report digest instead.
 Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
-Quiet ticks (MonitorEngine.fold) are taken a stretch at a time, with one
-write of their SampleTaken lines. A stretch ends at the next clock event's
-instant, included, and before the next crash; none is taken in a paced run
-or while an alert send is queued. Every other tick is stepped.
+Quiet ticks, which would emit only their SampleTaken in any mode
+(MonitorEngine.fold), are taken a stretch at a time, with one write of
+their SampleTaken lines. A stretch ends at the next clock event's instant,
+included, before the alert dispatcher's next try and before the next
+crash; none is taken in a paced run. Every other tick is stepped.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -453,8 +454,8 @@ class _Run:
                 self._clock_events(clock, at - 1)
             if paced or crash_times and at >= crash_times[0]:
                 self._pace_and_recover(at, clock)
-            stop = min([clock.next_at + 1, *crash_times[:1]])
-            j = i if paced or self.dispatcher.queued else self.engine.fold(trace, i, stop)
+            stop = min([clock.next_at + 1, self.dispatcher.next_try(), *crash_times[:1]])
+            j = i if paced else self.engine.fold(trace, i, stop)
             if j > i:
                 lines = [
                     sample_line % (t, t, device_json, hum, temp)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -227,13 +228,14 @@ class TestCaptureFile:
 def test_queued_counts_the_sends_still_waiting():
     messenger = Down(MessengerSink(seed=1), 1000, 1060)
     dispatcher = AlertDispatcher([BuzzerSink(), messenger])
-    assert dispatcher.queued == 0
+    assert (dispatcher.queued, dispatcher.next_try()) == (0, math.inf)
     dispatcher.dispatch(render_alert(critical_event()), now=1000)
-    assert dispatcher.queued == 1  # the buzzer delivered, the messenger is down
+    # The buzzer delivered; the messenger is down and backs off for 30 s.
+    assert (dispatcher.queued, dispatcher.next_try()) == (1, 1030)
     dispatcher.dispatch_notice("report", now=1010)  # backing off: queued behind the alert
-    assert dispatcher.queued == 2
+    assert (dispatcher.queued, dispatcher.next_try()) == (2, 1030)
     dispatcher.flush(now=1030)  # still down
-    assert dispatcher.queued == 2
+    assert (dispatcher.queued, dispatcher.next_try()) == (2, 1090)
     dispatcher.flush(now=1090)
-    assert dispatcher.queued == 0
+    assert (dispatcher.queued, dispatcher.next_try()) == (0, math.inf)
     assert len(messenger.sink.captured) == 2

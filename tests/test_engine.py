@@ -37,15 +37,15 @@ def by_kind(events, kind):
 
 class TestClassify:
     def test_closed_boundary_is_in_range(self):
-        assert not out_of_band(reading(0, temp=60), TH)
-        assert not out_of_band(reading(0, temp=20), TH)
+        assert not out_of_band(60, 520, TH)
+        assert not out_of_band(20, 520, TH)
 
     def test_above_band_is_out(self):
-        assert out_of_band(reading(0, temp=61), TH)
+        assert out_of_band(61, 520, TH)
 
     def test_humidity_branch(self):
-        assert out_of_band(reading(0, temp=40, hum=999), TH)
-        assert not out_of_band(reading(0, temp=40, hum=650), TH)
+        assert out_of_band(40, 999, TH)
+        assert not out_of_band(40, 650, TH)
 
 
 class TestQuietDayCadence:
@@ -289,11 +289,44 @@ class TestFold:
         temps = [IN_TEMP, None, 20, 60, None] + [IN_TEMP] * 35
         assert engine.fold(trace_of(temps, [520, 0, 400, 650, 0] + [520] * 35), 1, math.inf) == 40
 
-    def test_takes_nothing_outside_normal_mode(self):
-        engine, _ = drive([OUT_TEMP])
-        assert engine.mode is MonitorMode.BREACH_PENDING
-        assert engine.fold(trace_of([OUT_TEMP] + [IN_TEMP] * 30), 1, math.inf) == 1
-        assert engine.last_seen == 30
+    @pytest.mark.parametrize("temp, hum", [(IN_TEMP, 520), (IN_TEMP + 1, 646), (24, 404)])
+    def test_takes_episode_ticks_up_to_the_escalation_instant(self, temp, hum):
+        # Escalation is due at 30 + 600 = 630, before the record at 1230. Out-of-band,
+        # neutral and dropped ticks only break the streak that the tick at 60 began.
+        th = Thresholds(breach_escalation=600)
+        engine, _ = drive([OUT_TEMP, IN_TEMP], thresholds=th)
+        assert (engine.mode, engine.consecutive_in_range) == (MonitorMode.BREACH_PENDING, 1)
+        temps = [OUT_TEMP, IN_TEMP] + [OUT_TEMP, DEAD_ZONE_TEMP, None, IN_TEMP, IN_TEMP] * 20
+        hums = [520] * 2 + [520, 520, 0, 651, 649] * 20
+        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == 20
+        assert (engine.last_seen, engine.consecutive_in_range) == (600, 0)
+        # The first reading strictly inside the hysteresis band on both quantities ends a fold.
+        temps[12], hums[12] = temp, hum
+        engine, _ = drive([OUT_TEMP, IN_TEMP], thresholds=th)
+        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == 12
+        assert engine.consecutive_in_range == 0
+
+    def test_dropouts_alone_keep_a_debounce_streak(self):
+        engine, _ = drive([OUT_TEMP, IN_TEMP])
+        assert engine.fold(trace_of([OUT_TEMP, IN_TEMP, None, None, IN_TEMP]), 2, math.inf) == 4
+        assert engine.consecutive_in_range == 1
+
+    def test_takes_the_critical_tick_between_two_records(self):
+        th = Thresholds(breach_escalation=60, critical_log_period=60)
+        temps = [OUT_TEMP, OUT_TEMP, OUT_TEMP, OUT_TEMP - 5, OUT_TEMP]
+        engine, events = drive(temps[:3], thresholds=th)
+        assert engine.mode is MonitorMode.CRITICAL
+        assert by_kind(events, EventKind.LOCAL_LOG_WRITTEN)[-1].at == 90
+        assert engine.fold(trace_of(temps, thresholds=th), 3, math.inf) == 4
+        assert engine.last_seen == 120
+        record = engine.step(reading(150, OUT_TEMP), 150)[-1].payload["record"]
+        assert (record.at, record.window_min_temp_decic) == (150, OUT_TEMP - 5)
+
+    def test_takes_no_critical_tick_at_the_default_cadence(self):
+        engine, _ = drive([OUT_TEMP] * 81)
+        assert engine.mode is MonitorMode.CRITICAL
+        assert engine.fold(trace_of([OUT_TEMP] * 100), 81, math.inf) == 81
+        assert engine.last_seen == 2430
 
     def test_a_step_before_the_last_folded_tick_is_out_of_order(self):
         engine, _ = drive([IN_TEMP])
@@ -313,16 +346,27 @@ class TestFold:
         assert record.window_avg_temp_decic == sum(window) // len(window) == -250
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(
     st.lists(st.one_of(st.none(), st.integers(-60, 120)), min_size=1, max_size=600),
     st.integers(1, 50),
     st.integers(1, 300),
+    st.integers(1, 5),
+    st.integers(1, 3000),
+    st.integers(0, 80),
     st.lists(st.integers(0, 18000), max_size=8),
 )
-def test_folding_gives_the_events_and_windows_of_stepping(temps, log_every, anchor_every, stops):
+def test_folding_gives_the_events_and_windows_of_stepping(
+    temps, log_every, anchor_every, critical_every, escalation, hysteresis, stops
+):
+    # Humidity stays at 520: a hysteresis above 65 keeps it from the shrunk band.
     th = Thresholds(
-        temp_min_decic=-40, normal_log_period=30 * log_every, batch_anchor_period=30 * anchor_every
+        temp_min_decic=-40,
+        hysteresis_decic=hysteresis,
+        breach_escalation=escalation,
+        normal_log_period=30 * log_every,
+        critical_log_period=30 * critical_every,
+        batch_anchor_period=30 * anchor_every,
     )
     trace = trace_of(temps, thresholds=th)
     events = drive_folding(trace, th, stops)

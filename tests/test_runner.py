@@ -3,6 +3,7 @@ import hashlib
 import json
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coldwatch import runner
 from coldwatch.alerts import MessengerSink, SinkUnavailable
+from coldwatch.cli import main
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.engine import MonitorEngine
 from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, ts_to_date
@@ -359,6 +361,45 @@ class FlakyMessenger(MessengerSink):
         if self.down[0] <= now < self.down[1]:
             raise SinkUnavailable("messenger down")
         return super().deliver(text, now)
+
+
+def count_steps(monkeypatch) -> Counter:
+    """Counts MonitorEngine.step calls by the mode each one starts in."""
+    steps = Counter()
+    step = MonitorEngine.step
+
+    def counted(engine, reading, now):
+        steps[engine.mode.value] += 1
+        return step(engine, reading, now)
+
+    monkeypatch.setattr(MonitorEngine, "step", counted)
+    return steps
+
+
+def test_a_breach_day_steps_only_ticks_that_emit_more_than_a_sample(tmp_path, monkeypatch):
+    # Normal: the 12 anchors (the breach starts on the 08:00 one) and the grid
+    # records outside the episode. BreachPending: two grid records and the
+    # escalation. Critical: every tick records at the default cadence.
+    steps = count_steps(monkeypatch)
+    assert main(["simulate", "--scenario", "breach", "--duration", "24h", "--seed", "7",
+                 "--out", str(tmp_path / "breach")]) == 0
+    assert steps == {"Normal": 79, "BreachPending": 3, "Critical": 81}
+
+
+def test_a_queued_send_is_stepped_only_at_its_tries(tmp_path, monkeypatch):
+    # The messenger is down for 12 h from the first midnight, so the report
+    # notice queued then is tried every 120 s: about 360 tries beside the
+    # 144 records and 24 anchors of two quiet days.
+    monkeypatch.setattr(runner, "MessengerSink", FlakyMessenger)
+    midnight = DEFAULT_START + DAY_SECONDS
+    monkeypatch.setattr(FlakyMessenger, "down", (midnight, midnight + 12 * 3600))
+    steps = count_steps(monkeypatch)
+    result = run(tmp_path, normal_day(seed=7), seed=7, horizon=2 * DAY_SECONDS)
+    assert steps == {"Normal": 529}
+    assert result.manifest["counters"]["samples"] == 5760
+    lines = (result.out_dir / "messenger.jsonl").read_text(encoding="utf-8").splitlines()
+    tried = [json.loads(line)["dispatched_at"] - midnight - 12 * 3600 for line in lines]
+    assert len(tried) == 2 and 0 <= tried[0] < 120  # the first try after the outage
 
 
 @st.composite

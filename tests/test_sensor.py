@@ -72,7 +72,7 @@ def test_breach_window_forces_out_of_range_values():
     assert len(in_window) == 3600 // 30
     for r in in_window:
         assert abs(r.temp_decic - 85) <= spec.noise.temp_bound_decic
-        assert out_of_band(r, TH)
+        assert out_of_band(r.temp_decic, r.hum_decip, TH)
 
 
 def test_seed_determinism_and_divergence(tmp_path):
@@ -98,13 +98,13 @@ def test_noise_never_exceeds_bounds():
 
 def test_normal_day_never_out_of_range():
     trace = generate_trace(normal_day(seed=5), TH, 86400)
-    assert not any(out_of_band(r, TH) for r in trace)
+    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in trace)
 
 
 def test_peak_day_spikes_but_stays_in_range():
     start = 0
     trace = generate_trace(peak_hours(start, seed=5), TH, 86400, start=start)
-    assert not any(out_of_band(r, TH) for r in trace)
+    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in trace)
     spiked = [r for r in trace if 41400 <= r.at < 50400]
     calm = [r for r in trace if r.at < 41400]
     assert max(r.temp_decic for r in spiked) > max(r.temp_decic for r in calm)
