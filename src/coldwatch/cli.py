@@ -192,10 +192,7 @@ def cmd_verify(args) -> int:
             m = re.match(r"^(\d{4}-\d{2}-\d{2})\.csv$", args.report.name)
             if m:
                 day = date_to_ts(m.group(1))
-        device = args.device
-        if device is None and args.report.parent.name not in ("", "."):
-            device = args.report.parent.name
-        verdict = verify_report(args.report.read_bytes(), entries, day=day, device_id=device)
+        verdict = verify_report(args.report.read_bytes(), entries, day=day, device_id=args.device)
         print(f"report verdict: {verdict.value}")
         if verdict is not Verdict.AUTHENTIC:
             return EXIT_VERIFY

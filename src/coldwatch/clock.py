@@ -34,17 +34,6 @@ class VirtualClock:
         """The instant of the next queued event; math.inf if none is queued."""
         return self._queue[0][0] if self._queue else math.inf
 
-    def peek(self, until: Timestamp) -> tuple[Timestamp, object] | None:
-        """The next event if it is due by `until`, left queued; if none is,
-        time advances to `until` as `run` would."""
-        if until < self._now:
-            raise SchedulingInPast(f"cannot peek to {until}, now is {self._now}")
-        if self._queue and self._queue[0][0] <= until:
-            at, _, tag = self._queue[0]
-            return at, tag
-        self._now = until
-        return None
-
     def run(self, until: Timestamp) -> Iterator[tuple[Timestamp, object]]:
         """Fire events one at a time up to `until`, allowing new events to be
         scheduled mid-iteration (the usual discrete-event loop)."""

@@ -14,13 +14,13 @@ Cadence rules:
     defaults); records landing on grid instants count as the scheduled ones.
   - Batch anchors fire every batch_anchor_period from the run origin,
     whether or not a reading arrived on that tick.
-  - A quiet tick emits only its SampleTaken: it comes before the next
-    batch anchor and the next record instant (the grid point, or in
-    Critical the last record plus critical_log_period), and in
-    BreachPending before the escalation instant. Its reading is absent,
-    in band (Normal), or not strictly inside the hysteresis band (an
-    episode), where it only breaks a debounce streak. `fold` takes a run
-    of quiet ticks at once.
+  - A quiet tick emits no event: it comes before the next batch anchor
+    and the next record instant (the grid point, or in Critical the last
+    record plus critical_log_period), and in BreachPending before the
+    escalation instant. Its reading is absent, in band (Normal), or not
+    strictly inside the hysteresis band (an episode), where it only
+    breaks a debounce streak. `fold` takes a run of quiet ticks at once.
+    The sample itself is logged by the caller, not emitted here.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -118,13 +118,11 @@ class MonitorEngine:
         self.last_seen = now
 
         # Each helper is entered only when it has something to do: a quiet
-        # Normal-mode tick between record and anchor instants emits just
-        # its SampleTaken.
+        # Normal-mode tick between record and anchor instants emits nothing.
         events: list[MonitorEvent] = []
         if reading is not None:
             if reading.at != now:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
-            events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, now, {"reading": reading}))
             self._widen([reading.temp_decic])
             out = out_of_band(reading.temp_decic, reading.hum_decip, self.thresholds)
             if out or self.mode is not MonitorMode.NORMAL:
@@ -137,9 +135,8 @@ class MonitorEngine:
 
     def fold(self, trace: Trace, i: int, stop: Timestamp) -> int:
         """Take the ticks of `trace` from index i on, each before `stop`, for
-        which `step` would emit only a SampleTaken, as `step` would; return
-        the index of the first tick not taken. Their SampleTaken events are
-        left to the caller."""
+        which `step` would return no event, as `step` would; return the
+        index of the first tick not taken."""
         th, ticks, mode = self.thresholds, trace.ticks, self.mode
         if mode is MonitorMode.CRITICAL:
             due = self.last_local_log + th.critical_log_period

@@ -20,11 +20,12 @@ batch anchor at that point are covered by the report digest instead.
 Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
-Quiet ticks, which would emit only their SampleTaken in any mode
-(MonitorEngine.fold), are taken a stretch at a time, with one write of
-their SampleTaken lines. A stretch ends at the next clock event's instant,
-included, before the alert dispatcher's next try and before the next
-crash; none is taken in a paced run. Every other tick is stepped.
+The run loop alone writes SampleTaken lines, one write per stretch of
+ticks. Quiet ticks, which would emit no event in any mode
+(MonitorEngine.fold), are taken a stretch at a time; a tick that is not
+quiet is a stretch of one, stepped after its line. A stretch ends at the
+next clock event's instant, included, before the alert dispatcher's next
+try and before the next crash; in a paced run it ends after its first tick.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -139,9 +140,10 @@ def _json_default(value):
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
 
 # SampleTaken is nearly every events.log line, so it skips the json hook in
-# both directions. This is the encoder's own output for it: keys sorted,
-# compact separators; only device_id can need escaping. The reader's pattern
-# is derived from the same layout.
+# both directions: the run loop fills this layout from the trace columns.
+# It is the encoder's own output for the event: keys sorted, compact
+# separators; only device_id can need escaping. The reader's pattern is
+# derived from the same layout.
 _SAMPLE_LINE = (
     '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
@@ -168,9 +170,6 @@ def _json_string(text: str) -> str:
 
 def event_to_json(event: MonitorEvent) -> str:
     kind, payload = event.kind, event.payload
-    if kind is EventKind.SAMPLE_TAKEN:
-        r = payload["reading"]
-        return _SAMPLE_LINE % (event.at, r.at, _json_string(r.device_id), r.hum_decip, r.temp_decic)
     if kind is EventKind.LOCAL_LOG_WRITTEN and len(payload) == 1:
         rec = payload.get("record")
         if type(rec) is LocalRecord:
@@ -316,8 +315,6 @@ class _Run:
         was queued."""
         self.events_file.write(event_to_json(event) + "\n")
         self.event_counts[event.kind] += 1
-        if event.kind is EventKind.SAMPLE_TAKEN:
-            return False
         payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
             record: LocalRecord = payload["record"]
@@ -446,36 +443,36 @@ class _Run:
         # Sample ticks merged with the clock's day-ends and retries: clock
         # events due before a tick run first, so at an instant they share
         # the tick fires first, then the clock events in scheduling order.
-        # After a stretch, the next peek moves the clock on as one per tick would.
         i = 0
         while i < len(ticks):
             at = ticks[i]
-            if clock.peek(at - 1) is not None:
+            if clock.next_at < at:
                 self._clock_events(clock, at - 1)
             if paced or crash_times and at >= crash_times[0]:
                 self._pace_and_recover(at, clock)
-            stop = min([clock.next_at + 1, self.dispatcher.next_try(), *crash_times[:1]])
-            j = i if paced else self.engine.fold(trace, i, stop)
-            if j > i:
-                lines = [
-                    sample_line % (t, t, device_json, hum, temp)
-                    for t, temp, hum in zip(ticks[i:j], temps[i:j], hums[i:j])
-                    if temp != DROPPED
-                ]
-                self.events_file.write("".join(lines))
-                self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
-                i = j
-                continue
-            temp = temps[i]
-            reading = None if temp == DROPPED else Reading(device, at, temp, hums[i])
-            queued = False
-            for event in self.engine.step(reading, at):
-                queued = self.emit(event, at) or queued
-            if queued:
-                self.drain(at, clock)
-            if self.dispatcher.queued:
-                self.dispatcher.flush(at)
-            i += 1
+            # A paced stretch is one tick, so that each tick is paced.
+            until = at + 1 if paced else clock.next_at + 1
+            stop = min([until, self.dispatcher.next_try(), *crash_times[:1]])
+            j = self.engine.fold(trace, i, stop)
+            k = max(j, i + 1)  # a tick that fold does not take is stepped alone
+            lines = [
+                sample_line % (t, t, device_json, hum, temp)
+                for t, temp, hum in zip(ticks[i:k], temps[i:k], hums[i:k])
+                if temp != DROPPED
+            ]
+            self.events_file.write("".join(lines))
+            self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
+            if j == i:
+                temp = temps[i]
+                reading = None if temp == DROPPED else Reading(device, at, temp, hums[i])
+                queued = False
+                for event in self.engine.step(reading, at):
+                    queued = self.emit(event, at) or queued
+                if queued:
+                    self.drain(at, clock)
+                if self.dispatcher.queued:
+                    self.dispatcher.flush(at)
+            i = k
         self._clock_events(clock, end)
 
         # Trailing partial day, if it produced any rows.

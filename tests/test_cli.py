@@ -438,6 +438,17 @@ class TestVerify:
         assert code == 3
         assert "DigestMismatch" in capsys.readouterr().out
 
+    def test_a_copied_report_is_authentic_in_any_directory(self, sim_dir, tmp_path, capsys):
+        # The digest covers every row's device id, so the directory names no device.
+        copy = tmp_path / "copies" / "2025-01-01.csv"
+        copy.parent.mkdir()
+        copy.write_bytes((sim_dir / "reports" / "fridge-1" / "2025-01-01.csv").read_bytes())
+        ledger = str(sim_dir / "ledger.bin")
+        assert main(["verify", "--ledger", ledger, "--report", str(copy)]) == 0
+        assert "Authentic" in capsys.readouterr().out
+        assert main(["verify", "--ledger", ledger, "--report", str(copy), "--device", "cooler-9"]) == 3
+        assert "NoAnchor" in capsys.readouterr().out
+
     def test_unanchored_day_reports_no_anchor(self, sim_dir, tmp_path, capsys):
         report = tmp_path / "2030-05-05.csv"
         report.write_text("timestamp,device_id,temp_c,hum_pct,mode,event\n")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,25 +88,14 @@ def test_ties_fire_in_insertion_order():
     assert list(clock.run(50)) == [(50, "first"), (50, "second"), (50, "third")]
 
 
-def test_peek_with_nothing_due_advances_now():
+def test_next_at_is_the_earliest_queued_instant():
     clock = VirtualClock(0)
-    clock.schedule(100, "later")
-    assert clock.peek(99) is None
-    assert_time(clock, 99)
-
-
-def test_peek_returns_an_event_due_exactly_at_until_and_leaves_it_queued():
-    clock = VirtualClock(0)
-    clock.schedule(50, "first")
-    clock.schedule(50, "second")
-    assert clock.peek(50) == (50, "first")
-    assert clock.peek(50) == (50, "first")
-    assert_time(clock, 0)
-    assert list(clock.run(50)) == [(50, "first"), (50, "second")]
-
-
-def test_peek_into_the_past_rejected():
-    clock = VirtualClock(100)
-    with pytest.raises(SchedulingInPast):
-        clock.peek(99)
-    assert_time(clock, 100)
+    assert clock.next_at == math.inf
+    clock.schedule(90, "late")
+    clock.schedule(50, "early")
+    clock.schedule(70, "middle")
+    assert clock.next_at == 50
+    assert list(clock.run(60)) == [(50, "early")]
+    assert clock.next_at == 70
+    assert list(clock.run(90)) == [(70, "middle"), (90, "late")]
+    assert clock.next_at == math.inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
-from coldwatch.model import EventKind, MonitorEvent, Reading, Thresholds
+from coldwatch.model import EventKind, Reading, Thresholds
 from coldwatch.sensor import DROPPED, Trace
 
 TH = Thresholds()
@@ -61,9 +61,11 @@ class TestQuietDayCadence:
         assert not by_kind(events, EventKind.BREACH_STARTED)
         assert not by_kind(events, EventKind.CRITICAL_ESCALATED)
 
-    def test_sample_events_one_per_tick(self):
-        _, events = drive([IN_TEMP] * 2880)
-        assert len(by_kind(events, EventKind.SAMPLE_TAKEN)) == 2880
+    def test_a_quiet_tick_steps_to_no_event(self):
+        # The first tick records; the second is before the next record and anchor.
+        engine, _ = drive([IN_TEMP])
+        assert engine.step(reading(60), 60) == []
+        assert engine.step(None, 90) == []
 
 
 class TestEscalation:
@@ -239,16 +241,11 @@ def trace_of(temps, hums=None, thresholds=TH):
 
 def drive_folding(trace, thresholds=TH, stops=()):
     """The run loop's use of the engine: fold each quiet stretch, ending
-    at the next of `stops`, and step every other tick. Returns the events,
-    with a SampleTaken for each folded reading."""
+    at the next of `stops`, and step every other tick. Returns the events."""
     engine = MonitorEngine(thresholds, DEV, origin=0)
     events, i = [], 0
     while i < len(trace.ticks):
         j = engine.fold(trace, i, min([s for s in stops if s > trace.ticks[i]], default=math.inf))
-        for at, temp, hum in zip(trace.ticks[i:j], trace.temps[i:j], trace.hums[i:j]):
-            if temp != DROPPED:
-                sample = {"reading": Reading(DEV, at, temp, hum)}
-                events.append(MonitorEvent(EventKind.SAMPLE_TAKEN, at, sample))
         if j == i:
             at, temp = trace.ticks[i], trace.temps[i]
             r = None if temp == DROPPED else Reading(DEV, at, temp, trace.hums[i])
@@ -371,12 +368,15 @@ def test_folding_gives_the_events_and_windows_of_stepping(
     trace = trace_of(temps, thresholds=th)
     events = drive_folding(trace, th, stops)
     assert events == drive(temps, thresholds=th)[1]
-    window = []
-    for event in events:
-        if event.kind is EventKind.SAMPLE_TAKEN:
-            window.append(event.payload["reading"].temp_decic)
-        elif event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            rec = event.payload["record"]
-            assert (rec.window_min_temp_decic, rec.window_max_temp_decic) == (min(window), max(window))
-            assert rec.window_avg_temp_decic == sum(window) // len(window)
-            window = []
+    # A record's window is every reading after the previous record, up to its own.
+    after = -math.inf
+    for event in by_kind(events, EventKind.LOCAL_LOG_WRITTEN):
+        rec = event.payload["record"]
+        window = [
+            temp
+            for at, temp in zip(trace.ticks, trace.temps)
+            if after < at <= rec.at and temp != DROPPED
+        ]
+        assert (rec.window_min_temp_decic, rec.window_max_temp_decic) == (min(window), max(window))
+        assert rec.window_avg_temp_decic == sum(window) // len(window)
+        after = rec.at

@@ -461,6 +461,10 @@ def test_folding_quiet_stretches_changes_no_byte(case):
         mp.setattr(runner, "MessengerSink", FlakyMessenger)
         mp.setattr(FlakyMessenger, "down", down)
         folded = _outcome(RunConfig(out_dir=Path(tmp) / "folded", **cfg))
+        # A paced run's stretches are single ticks; its clock never sleeps here.
+        never_sleeps = types.SimpleNamespace(monotonic=lambda: 0.0, sleep=lambda seconds: None)
+        mp.setattr(runner, "time", never_sleeps)
+        assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "paced", realtime_speed=1e9, **cfg))
         # The reference steps every tick: its fold never takes one.
         mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: i)
         assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "stepped", **cfg))

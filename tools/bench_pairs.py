@@ -3,9 +3,12 @@
     python3 tools/bench_pairs.py --parent REV --pr N --seed S --seconds 30 \
         --pairs audit=10 --pairs quiet=3 --pairs incident=3 [--traced audit]
 
-Run from anywhere inside a source checkout. The change side is this
-working tree; the parent side is `git archive REV` unpacked into a
-temporary directory.
+Run from anywhere inside a source checkout. Both sides run from sibling
+temporary directories named `parent` and `change`, because the bench's
+peak RSS moves with the checkout's path alone. The parent side is `git
+archive REV` unpacked; the change side is a copy of this working tree's
+files that git tracks or would track (`git ls-files --cached --others
+--exclude-standard`), as they are on disk.
 Each side runs its own unmodified bench/run.py, one invocation at a time.
 Pair k runs the parent first when k is even and the change first when k
 is odd, so slow drift of the host falls on both sides alike.
@@ -117,10 +120,22 @@ def measure_traced(sides: dict[str, Path], workload: str, parent_first: bool, ar
 
 
 def parent_checkout(rev: str, into: Path) -> None:
+    into.mkdir()
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True
     )
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+
+
+def change_checkout(into: Path) -> None:
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, stdout=subprocess.PIPE, check=True,
+    ).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if (ROOT / name).is_file():  # a tracked file deleted from the tree is no part of the change
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def host() -> str:
@@ -160,17 +175,18 @@ def main(argv: list[str]) -> int:
         cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
     ).stdout.strip()
 
-    parent_dir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    sides = {"parent": parent_dir, "change": ROOT}
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    sides = {"parent": work / "parent", "change": work / "change"}
     try:
-        parent_checkout(parent_rev, parent_dir)
+        parent_checkout(parent_rev, sides["parent"])
+        change_checkout(sides["change"])
         workloads = {w: measure_pairs(sides, w, n, args, metrics) for w, n in plan.items()}
         traced = {
             w: measure_traced(sides, w, parent_first=i % 2 == 0, args=args)
             for i, w in enumerate(args.traced)
         }
     finally:
-        shutil.rmtree(parent_dir, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     doc = {
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
@@ -180,6 +196,7 @@ def main(argv: list[str]) -> int:
         "seed": args.seed,
         "seed_note": args.seed_note,
         "parent": parent_rev,
+        "sides": "sibling temporary checkouts parent/ (git archive) and change/ (working tree)",
         "order": "pairs alternate which side runs first (pair 0: parent first)",
         "statistic": STATISTIC,
         "workloads": workloads,
