@@ -20,7 +20,11 @@ Cadence rules:
     escalation instant. Its reading is absent, in band (Normal), or not
     strictly inside the hysteresis band (an episode), where it only
     breaks a debounce streak. `fold` takes a run of quiet ticks at once.
-    The sample itself is logged by the caller, not emitted here.
+  - In Critical mode `fold` also takes the record ticks: a run stops
+    before the next batch anchor and at the first reading strictly
+    inside the hysteresis band, which starts a resolution streak. Its
+    records come back as tuples, with the windows `step` would give.
+    The sample itself and a folded record are logged by the caller.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -133,19 +137,19 @@ class MonitorEngine:
             events.append(self._batch_anchor(now))
         return events
 
-    def fold(self, trace: Trace, i: int, stop: Timestamp) -> int:
+    def fold(self, trace: Trace, i: int, stop: Timestamp) -> tuple[int, list[tuple]]:
         """Take the ticks of `trace` from index i on, each before `stop`, for
-        which `step` would return no event, as `step` would; return the
-        index of the first tick not taken."""
+        which `step` would return no event, or in Critical mode only a
+        record, as `step` would. Return the index of the first tick not
+        taken and the records, each as (at, temp, hum, window min, max,
+        floor average)."""
         th, ticks, mode = self.thresholds, trace.ticks, self.mode
         if mode is MonitorMode.CRITICAL:
-            due = self.last_local_log + th.critical_log_period
-        elif mode is MonitorMode.NORMAL:
+            return self._critical_run(trace, i, bisect_left(ticks, min(stop, self._next_anchor), i))
+        if mode is MonitorMode.NORMAL:
             due = self._next_scheduled_log
         else:  # escalation can fire from the escalation instant on
             due = min(self._next_scheduled_log, self.episode_start + th.breach_escalation)
-        if due <= ticks[i]:  # a Critical tick at the default cadence
-            return i
         j = bisect_left(ticks, min(stop, due, self._next_anchor), i)
         # In Normal mode a reading out of band starts an episode; during one,
         # a reading inside the hysteresis band counts toward its end.
@@ -158,7 +162,35 @@ class MonitorEngine:
             if taken:  # each taken reading breaks a debounce streak
                 self.consecutive_in_range = 0
             self._widen(taken)
-        return j
+        return j, []
+
+    def _critical_run(self, trace: Trace, i: int, j: int) -> tuple[int, list[tuple]]:
+        """fold in Critical mode, for the ticks before index j: up to the
+        first reading strictly inside the hysteresis band, which starts a
+        resolution streak. A record falls due critical_log_period after the
+        last one."""
+        th, ticks, temps, hums = self.thresholds, trace.ticks, trace.temps, trace.hums
+        last, lo, hi, total, count = self.last_local_log, *self._window
+        records = []
+        for k in range(i, j):
+            temp, hum = temps[k], hums[k]
+            if temp == DROPPED:
+                continue
+            if _inside_hysteresis_band(temp, hum, th):
+                j = k
+                break
+            self.consecutive_in_range = 0  # out of band or neutral
+            lo, hi, total, count = min(lo, temp), max(hi, temp), total + temp, count + 1
+            if ticks[k] - last >= th.critical_log_period:
+                last = ticks[k]
+                records.append((last, temp, hum, lo, hi, total // count))
+                lo, hi, total, count = _EMPTY_WINDOW
+        if j > i:
+            self.last_seen = ticks[j - 1]
+            self._window = lo, hi, total, count
+        if records:
+            self._recorded(last)
+        return j, records
 
     def _widen(self, temps: list[int]) -> None:
         lo, hi, total, count = self._window
@@ -264,13 +296,18 @@ class MonitorEngine:
             window_max_temp_decic=high,
             window_avg_temp_decic=total // count,
         )
-        self.last_local_log = now
         self._window = _EMPTY_WINDOW
+        self._recorded(now)
+        return [MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, now, {"record": record})]
+
+    def _recorded(self, now: Timestamp) -> None:
+        """The critical cadence counts from a record at `now`, and the grid
+        moves past it when it lands on or after the next grid point."""
+        self.last_local_log = now
         if now >= self._next_scheduled_log:
             self._next_scheduled_log = self._next_grid_point(
-                now, self._record_grid_origin, th.normal_log_period
+                now, self._record_grid_origin, self.thresholds.normal_log_period
             )
-        return [MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, now, {"record": record})]
 
     def _batch_anchor(self, now: Timestamp) -> MonitorEvent:
         event = MonitorEvent(EventKind.BATCH_ANCHORED, now, {"scheduled_at": self._next_anchor})

@@ -170,6 +170,11 @@ class Outbox:
         self._file.append(bytes([_REC_ROW]) + row)
         self._rows.append(row)
 
+    def add_rows(self, rows: list[bytes]) -> None:
+        """add_row for each row in turn, in one write to the record file."""
+        self._file.extend([bytes([_REC_ROW]) + row for row in rows])
+        self._rows.extend(rows)
+
     def rows(self, start: Timestamp, end: Timestamp) -> list[bytes]:
         return [
             row for row in self._rows if start <= int.from_bytes(row[:8], "big", signed=True) < end

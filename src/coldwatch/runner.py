@@ -21,11 +21,16 @@ Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
 The run loop alone writes SampleTaken lines, one write per stretch of
-ticks. Quiet ticks, which would emit no event in any mode
-(MonitorEngine.fold), are taken a stretch at a time; a tick that is not
-quiet is a stretch of one, stepped after its line. A stretch ends at the
-next clock event's instant, included, before the alert dispatcher's next
-try and before the next crash; in a paced run it ends after its first tick.
+ticks. Quiet ticks, which would emit no event in any mode, and in
+Critical mode ticks whose only event is their record, are taken a
+stretch at a time (MonitorEngine.fold); any other tick is a stretch of
+one, stepped after its line. A Critical run stops before the next batch
+anchor and at the first reading strictly inside the hysteresis band. A
+stretch ends at the next clock event's instant, included, before the
+alert dispatcher's next try and before the next crash; in a paced run it
+ends after its first tick. The loop writes each taken record's line
+after its tick's sample line, and the stretch's report rows in one
+outbox write, so each row is durable before any crash point or drain.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -59,7 +64,7 @@ from .alerts import (
     render_alert,
 )
 from .clock import VirtualClock
-from .engine import LocalRecord, MonitorEngine, MonitorMode
+from .engine import MonitorEngine, MonitorMode
 from .ledger import (
     BATCH_LIMIT,
     AlertPayload,
@@ -148,13 +153,13 @@ _SAMPLE_LINE = (
     '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
 )
-# A LocalLogWritten line (one per critical-mode sample) whose payload is
-# exactly {"record": LocalRecord} is written the same way; the mode values
-# are plain names. It is read back through json.loads like any other line.
+# A LocalLogWritten line (one per critical-mode sample) is written the same
+# way, by _record_line alone; the mode values are plain names. It is read
+# back through json.loads like any other line.
 _RECORD_LINE = (
     '{"at":%d,"kind":"LocalLogWritten","payload":{"record":{"at":%d,"mode":"%s","reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d},"window_avg_temp_decic":%d,'
-    '"window_max_temp_decic":%d,"window_min_temp_decic":%d}}}'
+    '"window_max_temp_decic":%d,"window_min_temp_decic":%d}}}\n'
 )
 _INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
 _STR = r'"([^"\\\x00-\x1f]*)"'  # a JSON string without escapes
@@ -168,18 +173,15 @@ def _json_string(text: str) -> str:
     return _EVENT_ENCODER.encode(text)
 
 
+def _record_line(mode: str, device_json: str, at: Timestamp, temp: int, hum: int,
+                 low: int, high: int, avg: int) -> str:
+    """The events.log line of a record of the reading at `at` with its
+    window's min, max and floor average."""
+    return _RECORD_LINE % (at, at, mode, at, device_json, hum, temp, avg, high, low)
+
+
 def event_to_json(event: MonitorEvent) -> str:
-    kind, payload = event.kind, event.payload
-    if kind is EventKind.LOCAL_LOG_WRITTEN and len(payload) == 1:
-        rec = payload.get("record")
-        if type(rec) is LocalRecord:
-            r = rec.reading
-            return _RECORD_LINE % (
-                event.at, rec.at, rec.mode.value,
-                r.at, _json_string(r.device_id), r.hum_decip, r.temp_decic,
-                rec.window_avg_temp_decic, rec.window_max_temp_decic, rec.window_min_temp_decic,
-            )
-    doc = {"at": event.at, "kind": kind.value, "payload": payload}
+    doc = {"at": event.at, "kind": event.kind.value, "payload": event.payload}
     return _EVENT_ENCODER.encode(doc)  # as _json_default would give it, one hook call fewer
 
 
@@ -306,24 +308,30 @@ class _Run:
             cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed
         )
         self.dispatcher = AlertDispatcher(list(self._sinks))
-        self.batch_pending: list[LocalRecord] = []
+        self.batch_pending: list[Reading] = []
 
     # -- event plumbing ----------------------------------------------------
 
     def emit(self, event: MonitorEvent, now: Timestamp) -> bool:
         """Log, count and route one event; returns True if a ledger write
         was queued."""
-        self.events_file.write(event_to_json(event) + "\n")
         self.event_counts[event.kind] += 1
         payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            record: LocalRecord = payload["record"]
-            self.batch_pending.append(record)
+            record = payload["record"]
             reading = record.reading
+            self.events_file.write(_record_line(
+                record.mode.value, _json_string(reading.device_id), reading.at,
+                reading.temp_decic, reading.hum_decip, record.window_min_temp_decic,
+                record.window_max_temp_decic, record.window_avg_temp_decic,
+            ))
+            self.batch_pending.append(reading)
             self.outbox.add_row(encode_row(
                 record.at, reading.device_id, reading.temp_decic, reading.hum_decip, record.mode
             ))
-        elif event.kind is EventKind.CRITICAL_ESCALATED or (
+            return False
+        self.events_file.write(event_to_json(event) + "\n")
+        if event.kind is EventKind.CRITICAL_ESCALATED or (
             event.kind is EventKind.BREACH_RESOLVED and payload["was_critical"]
         ):
             reading: Reading = payload["reading"]
@@ -347,7 +355,7 @@ class _Run:
                 # More than BATCH_LIMIT records go out as consecutive batches.
                 for k in range(0, len(self.batch_pending), BATCH_LIMIT):
                     chunk = self.batch_pending[k : k + BATCH_LIMIT]
-                    payload = ReadingBatchPayload(tuple(r.reading for r in chunk))
+                    payload = ReadingBatchPayload(tuple(chunk))
                     self.outbox.enqueue(LedgerKind.READING_BATCH, self.cfg.device_id, now, payload)
                 self.batch_pending = []
                 return True
@@ -453,15 +461,27 @@ class _Run:
             # A paced stretch is one tick, so that each tick is paced.
             until = at + 1 if paced else clock.next_at + 1
             stop = min([until, self.dispatcher.next_try(), *crash_times[:1]])
-            j = self.engine.fold(trace, i, stop)
+            j, records = self.engine.fold(trace, i, stop)
             k = max(j, i + 1)  # a tick that fold does not take is stepped alone
             lines = [
                 sample_line % (t, t, device_json, hum, temp)
                 for t, temp, hum in zip(ticks[i:k], temps[i:k], hums[i:k])
                 if temp != DROPPED
             ]
-            self.events_file.write("".join(lines))
             self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
+            if records:  # a Critical run: each record's line follows its tick's sample line
+                mode = MonitorMode.CRITICAL.value
+                recorded = {rec[0]: _record_line(mode, device_json, *rec) for rec in records}
+                sampled = (t for t, temp in zip(ticks[i:k], temps[i:k]) if temp != DROPPED)
+                lines = [line + recorded.get(t, "") for line, t in zip(lines, sampled)]
+                self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
+                readings = [Reading(device, at, temp, hum) for at, temp, hum, *_ in records]
+                self.batch_pending.extend(readings)
+                self.outbox.add_rows([
+                    encode_row(r.at, device, r.temp_decic, r.hum_decip, MonitorMode.CRITICAL)
+                    for r in readings
+                ])
+            self.events_file.write("".join(lines))
             if j == i:
                 temp = temps[i]
                 reading = None if temp == DROPPED else Reading(device, at, temp, hums[i])

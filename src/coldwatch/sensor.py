@@ -17,14 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
 
 from .model import (
     HUM_MAX_DECIP,
     HUM_MIN_DECIP,
     TEMP_MAX_DECIC,
     TEMP_MIN_DECIC,
-    Reading,
     Thresholds,
     Timestamp,
     check_reading,
@@ -157,11 +155,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.temps) - self.temps.count(DROPPED)
-
-    def __iter__(self) -> Iterator[Reading]:
-        for at, temp, hum in zip(self.ticks, self.temps, self.hums):
-            if temp != DROPPED:
-                yield Reading(self.device_id, at, temp, hum)
 
 
 def generate_trace(

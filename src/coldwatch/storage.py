@@ -62,7 +62,11 @@ class RecordFile:
         return dropped
 
     def append(self, payload: bytes) -> None:
-        self._f.write(_frame(payload))
+        self.extend([payload])
+
+    def extend(self, payloads: list[bytes]) -> None:
+        """Append each payload's frame, in one write and one flush."""
+        self._f.write(b"".join(map(_frame, payloads)))
         self._f.flush()
 
     def close(self) -> None:

@@ -42,14 +42,17 @@ SIMULATE_SPANS = [
 def test_traced_incident_day_sees_every_simulate_layer(tmp_path, monkeypatch):
     # The run loop writes every SampleTaken line straight from the trace
     # columns, without event_to_json; the manifest counts them. Some come
-    # from folded quiet stretches.
-    folded = []
+    # from folded stretches. No LocalLogWritten line goes through
+    # event_to_json either: the loop writes a Critical run's records, and
+    # emit a stepped one, both with runner._record_line.
+    folded, run_records = [], []
     fold = MonitorEngine.fold
 
     def counted_fold(self, trace, i, stop):
-        j = fold(self, trace, i, stop)
+        j, records = fold(self, trace, i, stop)
         folded.append(sum(temp != DROPPED for temp in trace.temps[i:j]))
-        return j
+        run_records.append(len(records))
+        return j, records
 
     monkeypatch.setattr(MonitorEngine, "fold", counted_fold)
     # One incident day: excursions, alerts, an outage (retries) and a crash.
@@ -62,8 +65,11 @@ def test_traced_incident_day_sees_every_simulate_layer(tmp_path, monkeypatch):
     assert [name for name in SIMULATE_SPANS if tr.calls[name] == 0] == []
     assert tr.counts["sensor.readings"] == result.manifest["counters"]["samples"]
     lines = (run_dir / "events.log").read_text(encoding="utf-8").splitlines()
-    assert sum(folded) > 0
-    assert tr.calls["runner.event_to_json"] + result.manifest["counters"]["samples"] == len(lines)
+    assert sum(folded) > 0 and sum(run_records) > 0
+    counters = result.manifest["counters"]
+    assert tr.calls["runner.event_to_json"] + counters["samples"] + counters["local_records"] == len(
+        lines
+    )
     assert not tr.errors.keys() - {"ledger.submit:LedgerOutage"}
 
 

@@ -4,8 +4,8 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
-from coldwatch.model import EventKind, Reading, Thresholds
+from coldwatch.engine import LocalRecord, MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
+from coldwatch.model import EventKind, MonitorEvent, Reading, Thresholds
 from coldwatch.sensor import DROPPED, Trace
 
 TH = Thresholds()
@@ -20,13 +20,14 @@ def reading(at, temp=IN_TEMP, hum=520):
     return Reading(device_id=DEV, at=at, temp_decic=temp, hum_decip=hum)
 
 
-def drive(temps, start=0, thresholds=TH):
-    """Feed one reading per tick (None entries are dropouts); returns all events."""
+def drive(temps, start=0, thresholds=TH, hums=None):
+    """Feed one reading per tick (None entries are dropouts; humidity 520
+    unless `hums` gives it); returns all events."""
     engine = MonitorEngine(thresholds, DEV, origin=start)
     events = []
-    for k, temp in enumerate(temps, start=1):
+    for k, (temp, hum) in enumerate(zip(temps, hums or [520] * len(temps)), start=1):
         at = start + k * thresholds.sample_period
-        r = None if temp is None else reading(at, temp)
+        r = None if temp is None else reading(at, temp, hum)
         events.extend(engine.step(r, at))
     return engine, events
 
@@ -126,6 +127,15 @@ class TestResolution:
         temps = [OUT_TEMP] * 81 + [IN_TEMP, None, IN_TEMP]
         _, events = drive(temps)
         assert [e.at for e in by_kind(events, EventKind.BREACH_RESOLVED)] == [84 * 30]
+
+    @pytest.mark.parametrize("temp, hum", [(57, 520), (23, 520), (40, 403), (40, 647)])
+    def test_a_reading_on_the_hysteresis_edge_breaks_the_streak(self, temp, hum):
+        # The shrunk band is (23, 57) x (403, 647), open: its edge is neutral.
+        # Stepped, and through the Critical run that fold takes.
+        temps = [OUT_TEMP] * 81 + [temp, IN_TEMP, IN_TEMP]
+        hums = [520] * 81 + [hum, 520, 520]
+        for events in (drive(temps, hums=hums)[1], drive_folding(trace_of(temps, hums))):
+            assert [e.at for e in by_kind(events, EventKind.BREACH_RESOLVED)] == [2520]
 
     def test_resolution_from_pending_is_not_critical(self):
         temps = [OUT_TEMP] * 10 + [IN_TEMP, IN_TEMP]
@@ -240,12 +250,21 @@ def trace_of(temps, hums=None, thresholds=TH):
 
 
 def drive_folding(trace, thresholds=TH, stops=()):
-    """The run loop's use of the engine: fold each quiet stretch, ending
-    at the next of `stops`, and step every other tick. Returns the events."""
+    """The run loop's use of the engine: fold each stretch, ending at the
+    next of `stops`, and step every other tick. Returns the events, a
+    folded record as the LocalLogWritten event that step gives."""
     engine = MonitorEngine(thresholds, DEV, origin=0)
     events, i = [], 0
     while i < len(trace.ticks):
-        j = engine.fold(trace, i, min([s for s in stops if s > trace.ticks[i]], default=math.inf))
+        j, records = engine.fold(
+            trace, i, min([s for s in stops if s > trace.ticks[i]], default=math.inf)
+        )
+        events.extend(
+            MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, at, {"record": LocalRecord(
+                at, Reading(DEV, at, temp, hum), MonitorMode.CRITICAL, low, high, avg
+            )})
+            for at, temp, hum, low, high, avg in records
+        )
         if j == i:
             at, temp = trace.ticks[i], trace.temps[i]
             r = None if temp == DROPPED else Reading(DEV, at, temp, trace.hums[i])
@@ -259,19 +278,19 @@ class TestFold:
     def test_stops_at_the_next_record_grid_point(self):
         # The first tick (t=30) records; the next record is due at t=1230.
         engine, _ = drive([IN_TEMP])
-        assert engine.fold(trace_of([IN_TEMP] * 100), 1, math.inf) == 40
+        assert engine.fold(trace_of([IN_TEMP] * 100), 1, math.inf) == (40, [])
         assert engine.last_seen == 1200
 
     def test_stops_at_the_next_batch_anchor(self):
         th = Thresholds(normal_log_period=14400)
         engine = MonitorEngine(th, DEV, origin=0)
         engine.step(reading(30), 30)
-        assert engine.fold(trace_of([IN_TEMP] * 300, thresholds=th), 1, math.inf) == 239
+        assert engine.fold(trace_of([IN_TEMP] * 300, thresholds=th), 1, math.inf) == (239, [])
 
     def test_stops_before_stop(self):
         engine, _ = drive([IN_TEMP])
-        assert engine.fold(trace_of([IN_TEMP] * 100), 1, 600) == 19
-        assert engine.fold(trace_of([IN_TEMP] * 100), 19, 601) == 20
+        assert engine.fold(trace_of([IN_TEMP] * 100), 1, 600) == (19, [])
+        assert engine.fold(trace_of([IN_TEMP] * 100), 19, 601) == (20, [])
         assert engine.last_seen == 600
 
     @pytest.mark.parametrize("temp, hum", [(OUT_TEMP, 520), (19, 520), (IN_TEMP, 651), (IN_TEMP, 399)])
@@ -279,12 +298,12 @@ class TestFold:
         engine, _ = drive([IN_TEMP])
         temps, hums = [IN_TEMP] * 30, [520] * 30
         temps[12], hums[12] = temp, hum
-        assert engine.fold(trace_of(temps, hums), 1, math.inf) == 12
+        assert engine.fold(trace_of(temps, hums), 1, math.inf) == (12, [])
 
     def test_takes_dropouts_and_boundary_readings(self):
         engine, _ = drive([IN_TEMP])
         temps = [IN_TEMP, None, 20, 60, None] + [IN_TEMP] * 35
-        assert engine.fold(trace_of(temps, [520, 0, 400, 650, 0] + [520] * 35), 1, math.inf) == 40
+        assert engine.fold(trace_of(temps, [520, 0, 400, 650, 0] + [520] * 35), 1, math.inf) == (40, [])
 
     @pytest.mark.parametrize("temp, hum", [(IN_TEMP, 520), (IN_TEMP + 1, 646), (24, 404)])
     def test_takes_episode_ticks_up_to_the_escalation_instant(self, temp, hum):
@@ -295,39 +314,61 @@ class TestFold:
         assert (engine.mode, engine.consecutive_in_range) == (MonitorMode.BREACH_PENDING, 1)
         temps = [OUT_TEMP, IN_TEMP] + [OUT_TEMP, DEAD_ZONE_TEMP, None, IN_TEMP, IN_TEMP] * 20
         hums = [520] * 2 + [520, 520, 0, 651, 649] * 20
-        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == 20
+        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == (20, [])
         assert (engine.last_seen, engine.consecutive_in_range) == (600, 0)
         # The first reading strictly inside the hysteresis band on both quantities ends a fold.
         temps[12], hums[12] = temp, hum
         engine, _ = drive([OUT_TEMP, IN_TEMP], thresholds=th)
-        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == 12
+        assert engine.fold(trace_of(temps, hums, th), 2, math.inf) == (12, [])
         assert engine.consecutive_in_range == 0
 
     def test_dropouts_alone_keep_a_debounce_streak(self):
         engine, _ = drive([OUT_TEMP, IN_TEMP])
-        assert engine.fold(trace_of([OUT_TEMP, IN_TEMP, None, None, IN_TEMP]), 2, math.inf) == 4
+        assert engine.fold(trace_of([OUT_TEMP, IN_TEMP, None, None, IN_TEMP]), 2, math.inf) == (4, [])
         assert engine.consecutive_in_range == 1
 
     def test_takes_the_critical_tick_between_two_records(self):
+        # 120 is taken without a record, 150 with one over both readings;
+        # the reading at 180 is inside the hysteresis band and ends the run.
         th = Thresholds(breach_escalation=60, critical_log_period=60)
-        temps = [OUT_TEMP, OUT_TEMP, OUT_TEMP, OUT_TEMP - 5, OUT_TEMP]
+        temps = [OUT_TEMP, OUT_TEMP, OUT_TEMP, OUT_TEMP - 5, OUT_TEMP, IN_TEMP]
         engine, events = drive(temps[:3], thresholds=th)
         assert engine.mode is MonitorMode.CRITICAL
         assert by_kind(events, EventKind.LOCAL_LOG_WRITTEN)[-1].at == 90
-        assert engine.fold(trace_of(temps, thresholds=th), 3, math.inf) == 4
-        assert engine.last_seen == 120
-        record = engine.step(reading(150, OUT_TEMP), 150)[-1].payload["record"]
-        assert (record.at, record.window_min_temp_decic) == (150, OUT_TEMP - 5)
+        record = (150, OUT_TEMP, 520, OUT_TEMP - 5, OUT_TEMP, OUT_TEMP - 3)
+        assert engine.fold(trace_of(temps, thresholds=th), 3, math.inf) == (5, [record])
+        assert (engine.last_seen, engine.last_local_log) == (150, 150)
 
-    def test_takes_no_critical_tick_at_the_default_cadence(self):
+    def test_takes_critical_record_ticks_at_the_default_cadence(self):
+        # Every reading records, a neutral one too; a dropout records
+        # nothing. The run ends before the batch anchor at 7200.
         engine, _ = drive([OUT_TEMP] * 81)
         assert engine.mode is MonitorMode.CRITICAL
-        assert engine.fold(trace_of([OUT_TEMP] * 100), 81, math.inf) == 81
-        assert engine.last_seen == 2430
+        temps = [OUT_TEMP] * 81 + [DEAD_ZONE_TEMP, None] + [OUT_TEMP] * 300
+        j, records = engine.fold(trace_of(temps), 81, math.inf)
+        assert (j, engine.last_seen) == (239, 7170)
+        assert records[0] == (2460, DEAD_ZONE_TEMP, 520) + (DEAD_ZONE_TEMP,) * 3
+        assert [rec[0] for rec in records[1:]] == list(range(2520, 7200, 30))
+        assert set(records[1:]) == {(at, OUT_TEMP, 520) + (OUT_TEMP,) * 3 for at in range(2520, 7200, 30)}
+
+    def test_a_critical_run_breaks_a_debounce_streak(self):
+        # The reading at 2460 begins a streak and ends the run; the next run
+        # takes the neutral reading at 2490, which breaks it.
+        temps = [OUT_TEMP] * 81 + [IN_TEMP, DEAD_ZONE_TEMP, IN_TEMP, IN_TEMP]
+        events = drive_folding(trace_of(temps))
+        assert [e.at for e in by_kind(events, EventKind.BREACH_RESOLVED)] == [2550]
+
+    def test_a_critical_run_stops_before_stop_and_at_a_reading_inside_the_band(self):
+        engine, _ = drive([OUT_TEMP] * 81)
+        trace = trace_of([OUT_TEMP] * 90 + [IN_TEMP] * 10)
+        assert engine.fold(trace, 81, 2520)[0] == 83
+        j, records = engine.fold(trace, 83, math.inf)
+        assert (j, [rec[0] for rec in records]) == (90, list(range(2520, 2730, 30)))
+        assert (engine.mode, engine.consecutive_in_range) == (MonitorMode.CRITICAL, 0)
 
     def test_a_step_before_the_last_folded_tick_is_out_of_order(self):
         engine, _ = drive([IN_TEMP])
-        assert engine.fold(trace_of([IN_TEMP] * 30), 1, math.inf) == 30
+        assert engine.fold(trace_of([IN_TEMP] * 30), 1, math.inf) == (30, [])
         with pytest.raises(OutOfOrderSample):
             engine.step(reading(870), 870)
 
@@ -343,9 +384,27 @@ class TestFold:
         assert record.window_avg_temp_decic == sum(window) // len(window) == -250
 
 
+@st.composite
+def stretches(draw):
+    """Up to 600 ticks as (temperature or None, humidity edge, offset), in
+    stretches that each cycle through a few temperatures from one range
+    (any, above the band, below it) and humidities next to one edge: a
+    long breach reaches Critical mode."""
+    ticks = []
+    for _ in range(draw(st.integers(1, 8))):
+        low, high = draw(st.sampled_from([(-60, 120), (61, 120), (-60, -41)]))
+        temps = draw(st.lists(st.one_of(st.none(), st.integers(low, high)), min_size=1, max_size=8))
+        edge, offsets = draw(st.integers(0, 4)), draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+        ticks += [
+            (temps[k % len(temps)], edge, offsets[k % len(offsets)])
+            for k in range(draw(st.integers(1, 150)))
+        ]
+    return ticks[:600]
+
+
 @settings(deadline=None)
 @given(
-    st.lists(st.one_of(st.none(), st.integers(-60, 120)), min_size=1, max_size=600),
+    stretches(),
     st.integers(1, 50),
     st.integers(1, 300),
     st.integers(1, 5),
@@ -354,9 +413,12 @@ class TestFold:
     st.lists(st.integers(0, 18000), max_size=8),
 )
 def test_folding_gives_the_events_and_windows_of_stepping(
-    temps, log_every, anchor_every, critical_every, escalation, hysteresis, stops
+    ticks, log_every, anchor_every, critical_every, escalation, hysteresis, stops
 ):
-    # Humidity stays at 520: a hysteresis above 65 keeps it from the shrunk band.
+    # Humidity on and next to the band's edges and the shrunk band's, or 520.
+    edges = (400, 650, 400 + hysteresis, 650 - hysteresis, 520)
+    temps = [temp for temp, _, _ in ticks]
+    hums = [edges[edge] + off for _, edge, off in ticks]
     th = Thresholds(
         temp_min_decic=-40,
         hysteresis_decic=hysteresis,
@@ -365,9 +427,9 @@ def test_folding_gives_the_events_and_windows_of_stepping(
         critical_log_period=30 * critical_every,
         batch_anchor_period=30 * anchor_every,
     )
-    trace = trace_of(temps, thresholds=th)
+    trace = trace_of(temps, hums, thresholds=th)
     events = drive_folding(trace, th, stops)
-    assert events == drive(temps, thresholds=th)[1]
+    assert events == drive(temps, thresholds=th, hums=hums)[1]
     # A record's window is every reading after the previous record, up to its own.
     after = -math.inf
     for event in by_kind(events, EventKind.LOCAL_LOG_WRITTEN):

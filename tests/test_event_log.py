@@ -2,9 +2,9 @@
 
 The run loop writes a SampleTaken line by filling one format string
 (`runner._SAMPLE_LINE`) and `events_from_log` reads that layout back with
-one regex; `event_to_json` writes a LocalLogWritten event holding one
-record with a second format string, and every other line goes through the
-json module. The fast paths must give exactly what the json module gives:
+one regex; `runner._record_line` writes every LocalLogWritten line from a
+record's columns with a second format string, and every other line goes
+through the json module. The fast paths must give exactly what the json module gives:
 the same bytes on the way out, the same events (or the same rejected line)
 on the way in.
 """
@@ -53,18 +53,18 @@ SAMPLES = st.builds(
     READINGS,
     st.integers(),
 )
+# A record, its reading and its event share one instant.
 RECORDS = st.builds(
-    lambda at, record: MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, at, {"record": record}),
-    st.integers(),
-    st.builds(
-        LocalRecord,
-        at=st.integers(),
-        reading=READINGS,
-        mode=st.sampled_from(MonitorMode),
-        window_min_temp_decic=st.integers(),
-        window_max_temp_decic=st.integers(),
-        window_avg_temp_decic=st.integers(),
+    lambda reading, mode, low, high, avg: MonitorEvent(
+        EventKind.LOCAL_LOG_WRITTEN,
+        reading.at,
+        {"record": LocalRecord(reading.at, reading, mode, low, high, avg)},
     ),
+    READINGS,
+    st.sampled_from(MonitorMode),
+    st.integers(),
+    st.integers(),
+    st.integers(),
 )
 OTHER_EVENTS = st.builds(
     lambda kind, at, n: MonitorEvent(kind, at, {"row_count": n}),
@@ -127,6 +127,26 @@ def loop_line(event):
     return runner._SAMPLE_LINE % (event.at, r.at, device_json, r.hum_decip, r.temp_decic)
 
 
+def record_line(event):
+    """A LocalLogWritten line as the run writes it, from the record's
+    columns and the device id as a JSON string; it ends in a newline."""
+    rec = event.payload["record"]
+    r = rec.reading
+    return runner._record_line(
+        rec.mode.value, runner._json_string(r.device_id), r.at, r.temp_decic, r.hum_decip,
+        rec.window_min_temp_decic, rec.window_max_temp_decic, rec.window_avg_temp_decic,
+    )
+
+
+def written_line(event):
+    """An events.log line as the run writes it, newline included."""
+    if event.kind is EventKind.SAMPLE_TAKEN:
+        return loop_line(event) + "\n"
+    if "record" in event.payload:
+        return record_line(event)
+    return event_to_json(event) + "\n"
+
+
 def assert_reads_like_reference(path):
     try:
         expected = reference_events(path)
@@ -146,7 +166,7 @@ def test_sample_line_is_the_encoders_output(event):
 @settings(max_examples=500, deadline=None)
 @given(RECORDS)
 def test_record_line_is_the_encoders_output(event):
-    assert event_to_json(event) == reference_line(event)
+    assert record_line(event) == reference_line(event) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,13 +176,10 @@ def test_other_lines_are_the_encoders_output(event):
 
 
 @FILE_EXAMPLES
-@given(st.lists(st.one_of(SAMPLES, OTHER_EVENTS), min_size=1, max_size=6))
+@given(st.lists(st.one_of(SAMPLES, RECORDS, OTHER_EVENTS), min_size=1, max_size=6))
 def test_written_log_reads_back_like_json(tmp_path, events):
     path = tmp_path / "events.log"
-    lines = [
-        (loop_line if event.kind is EventKind.SAMPLE_TAKEN else event_to_json)(event) + "\n"
-        for event in events
-    ]
+    lines = [written_line(event) for event in events]
     path.write_text("".join(lines), encoding="utf-8")
     assert_reads_like_reference(path)
     for event, line in zip(events, lines):

@@ -18,6 +18,7 @@ from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
+from coldwatch.storage import RecordFile
 from coldwatch.sensor import (
     FaultKind,
     FaultSpec,
@@ -379,11 +380,32 @@ def count_steps(monkeypatch) -> Counter:
 def test_a_breach_day_steps_only_ticks_that_emit_more_than_a_sample(tmp_path, monkeypatch):
     # Normal: the 12 anchors (the breach starts on the 08:00 one) and the grid
     # records outside the episode. BreachPending: two grid records and the
-    # escalation. Critical: every tick records at the default cadence.
+    # escalation. Critical: the two readings of the resolving streak; fold
+    # takes the ticks whose only event is their record.
     steps = count_steps(monkeypatch)
     assert main(["simulate", "--scenario", "breach", "--duration", "24h", "--seed", "7",
                  "--out", str(tmp_path / "breach")]) == 0
-    assert steps == {"Normal": 79, "BreachPending": 3, "Critical": 81}
+    assert steps == {"Normal": 79, "BreachPending": 3, "Critical": 2}
+
+
+def test_a_breach_day_writes_its_critical_run_of_rows_at_once(tmp_path, monkeypatch):
+    # Every write to the outbox file goes through RecordFile.extend and is
+    # flushed. One write each: 14 ledger requests, their 28 marks, and the
+    # rows of the 72 records that step writes, of the alert and of the
+    # resolution. The 79 records of the Critical run after the escalation
+    # tick go out in one write.
+    writes = Counter()
+    extend = RecordFile.extend
+    names = {1: "enqueue", 2: "mark", 3: "row"}
+
+    def counted_extend(self, payloads):
+        writes[names[payloads[0][0]], len(payloads)] += 1
+        extend(self, payloads)
+
+    monkeypatch.setattr(RecordFile, "extend", counted_extend)
+    assert main(["simulate", "--scenario", "breach", "--duration", "24h", "--seed", "7",
+                 "--out", str(tmp_path / "breach")]) == 0
+    assert writes == {("enqueue", 1): 14, ("mark", 1): 28, ("row", 1): 74, ("row", 79): 1}
 
 
 def test_a_queued_send_is_stepped_only_at_its_tries(tmp_path, monkeypatch):
@@ -465,6 +487,7 @@ def test_folding_quiet_stretches_changes_no_byte(case):
         never_sleeps = types.SimpleNamespace(monotonic=lambda: 0.0, sleep=lambda seconds: None)
         mp.setattr(runner, "time", never_sleeps)
         assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "paced", realtime_speed=1e9, **cfg))
-        # The reference steps every tick: its fold never takes one.
-        mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: i)
+        # The reference steps every tick: its fold never takes one, nor a
+        # Critical run's record.
+        mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: (i, []))
         assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "stepped", **cfg))

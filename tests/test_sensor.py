@@ -46,20 +46,29 @@ TH = Thresholds()
 DAY_TICKS = sample_ticks(0, 86400, TH.sample_period)
 
 
+def readings(trace: Trace) -> list[Reading]:
+    """The trace's readings in tick order; a dropped tick has none."""
+    return [
+        Reading(trace.device_id, at, temp, hum)
+        for at, temp, hum in zip(trace.ticks, trace.temps, trace.hums)
+        if temp != DROPPED
+    ]
+
+
 def test_normal_day_has_exactly_one_reading_per_tick():
     # 86400 / 30 = 2880
     trace = generate_trace(normal_day(seed=1), TH, 86400)
-    readings = list(trace)
-    assert len(trace) == len(readings) == 2880
-    assert readings[0].at == 30
-    assert readings[-1].at == 86400
+    taken = readings(trace)
+    assert len(trace) == len(taken) == 2880
+    assert taken[0].at == 30
+    assert taken[-1].at == 86400
 
 
 def test_zero_noise_identity():
     spec = ScenarioSpec(kind=ScenarioKind.NORMAL_DAY, base_temp_decic=40, noise=NoiseModel(0, 0))
     trace = generate_trace(spec, TH, 3600)
-    assert all(r.temp_decic == 40 for r in trace)
-    assert all(r.hum_decip == 520 for r in trace)
+    assert all(r.temp_decic == 40 for r in readings(trace))
+    assert all(r.hum_decip == 520 for r in readings(trace))
 
 
 def test_breach_window_forces_out_of_range_values():
@@ -68,7 +77,7 @@ def test_breach_window_forces_out_of_range_values():
         breach_window=BreachWindow(start=7200, end=10800, forced_temp_decic=85),
     )
     trace = generate_trace(spec, TH, 86400)
-    in_window = [r for r in trace if 7200 <= r.at < 10800]
+    in_window = [r for r in readings(trace) if 7200 <= r.at < 10800]
     assert len(in_window) == 3600 // 30
     for r in in_window:
         assert abs(r.temp_decic - 85) <= spec.noise.temp_bound_decic
@@ -92,21 +101,21 @@ def test_noise_never_exceeds_bounds():
     spec = ScenarioSpec(kind=ScenarioKind.NORMAL_DAY, seed=3)
     trace = generate_trace(spec, TH, 100_000 * 30)
     assert len(trace) == 100_000
-    assert max(abs(r.temp_decic - spec.base_temp_decic) for r in trace) <= 5
-    assert max(abs(r.hum_decip - spec.base_hum_decip) for r in trace) <= 20
+    assert max(abs(r.temp_decic - spec.base_temp_decic) for r in readings(trace)) <= 5
+    assert max(abs(r.hum_decip - spec.base_hum_decip) for r in readings(trace)) <= 20
 
 
 def test_normal_day_never_out_of_range():
     trace = generate_trace(normal_day(seed=5), TH, 86400)
-    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in trace)
+    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in readings(trace))
 
 
 def test_peak_day_spikes_but_stays_in_range():
     start = 0
     trace = generate_trace(peak_hours(start, seed=5), TH, 86400, start=start)
-    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in trace)
-    spiked = [r for r in trace if 41400 <= r.at < 50400]
-    calm = [r for r in trace if r.at < 41400]
+    assert not any(out_of_band(r.temp_decic, r.hum_decip, TH) for r in readings(trace))
+    spiked = [r for r in readings(trace) if 41400 <= r.at < 50400]
+    calm = [r for r in readings(trace) if r.at < 41400]
     assert max(r.temp_decic for r in spiked) > max(r.temp_decic for r in calm)
 
 
@@ -116,7 +125,7 @@ def test_dropout_window_emits_nothing():
         faults=(FaultSpec(FaultKind.SENSOR_DROPOUT, start=3000, end=6000),),
     )
     trace = generate_trace(spec, TH, 86400)
-    assert not any(3000 <= r.at < 6000 for r in trace)
+    assert not any(3000 <= r.at < 6000 for r in readings(trace))
     assert len(trace) == 2880 - 100  # 3000 s of 30 s ticks
 
 
@@ -171,13 +180,13 @@ class TestReplay:
         trace = generate_trace(normal_day(seed=4), TH, 86400)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
-        assert list(replay_trace(path, DAY_TICKS)) == list(trace)
+        assert readings(replay_trace(path, DAY_TICKS)) == readings(trace)
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("timestamp,device_id,temp_decic,hum_decip\n")
         trace = replay_trace(path, DAY_TICKS)
-        assert list(trace) == [] and len(trace) == 0
+        assert readings(trace) == [] and len(trace) == 0
 
     def test_non_monotonic_reports_line(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -302,13 +311,13 @@ def _noisy(seed: int, t_bound: int, h_bound: int, temp: int = 40, hum: int = 520
 @example(seed=0, t_bound=1650, h_bound=1000, temp=1250, hum=0)
 def test_noise_draw_is_randint_inlined(seed, t_bound, h_bound, temp, hum):
     spec = _noisy(seed, t_bound, h_bound, temp, hum)
-    assert list(generate_trace(spec, TH, 60 * 30)) == _randint_trace(spec, 60)
+    assert readings(generate_trace(spec, TH, 60 * 30)) == _randint_trace(spec, 60)
 
 
 @pytest.mark.parametrize("bound", POWER_BOUNDS)
 def test_noise_draw_at_power_of_two_bounds(bound):
     spec = _noisy(11, bound, bound, temp=400, hum=500)
-    assert list(generate_trace(spec, TH, 500 * 30)) == _randint_trace(spec, 500)
+    assert readings(generate_trace(spec, TH, 500 * 30)) == _randint_trace(spec, 500)
 
 
 # Values before clamping may lie far outside the envelope (and int16): they
@@ -332,11 +341,11 @@ def test_noise_draw_at_power_of_two_bounds(bound):
     ids=["spike-up", "spike-down", "base-hum-below", "base-temp-above"],
 )
 def test_values_beyond_int16_clamp_to_the_envelope(spec):
-    trace = list(generate_trace(spec, TH, 60 * 30))
-    assert trace == _randint_trace(spec, 60)
+    taken = readings(generate_trace(spec, TH, 60 * 30))
+    assert taken == _randint_trace(spec, 60)
     assert any(
         r.temp_decic in (TEMP_MIN_DECIC, TEMP_MAX_DECIC) or r.hum_decip in (HUM_MIN_DECIP, HUM_MAX_DECIP)
-        for r in trace
+        for r in taken
     )
 
 
@@ -349,14 +358,14 @@ def test_a_dropout_over_the_first_and_the_last_tick(tmp_path):
         ),
     )
     trace = generate_trace(spec, TH, 86400)
-    readings = list(trace)
-    assert readings == _randint_trace(spec, 2880)
-    assert len(trace) == len(readings) == 2878
-    assert (readings[0].at, readings[-1].at) == (60, 86370)
+    taken = readings(trace)
+    assert taken == _randint_trace(spec, 2880)
+    assert len(trace) == len(taken) == 2878
+    assert (taken[0].at, taken[-1].at) == (60, 86370)
     path = tmp_path / "trace.csv"
     assert write_trace(trace, path) == 2878
     assert len(path.read_text().splitlines()) == 1 + 2878
-    assert list(replay_trace(path, DAY_TICKS)) == readings
+    assert readings(replay_trace(path, DAY_TICKS)) == taken
 
 
 # A window inside a 40-tick run; its ends fall on a tick or between two, and
@@ -385,7 +394,7 @@ def test_windows_match_the_tick_by_tick_reference(seed, spikes, breach, dropouts
     )
     trace = generate_trace(spec, TH, 40 * 30)
     expected = _randint_trace(spec, 40)
-    assert list(trace) == expected
+    assert readings(trace) == expected
     assert len(trace) == len(expected)
 
 
@@ -449,10 +458,10 @@ def test_trace_file_is_the_csv_modules_and_reads_back(device, values):
             with pytest.raises(ValueError, match="is not UTF-8 text"):
                 write_trace(trace, path)
             return
-        readings = list(trace)
-        assert write_trace(trace, path) == len(readings)
-        assert path.read_bytes() == _csv_module_trace(readings)
-        assert list(replay_trace(path, trace.ticks)) == readings
+        taken = readings(trace)
+        assert write_trace(trace, path) == len(taken)
+        assert path.read_bytes() == _csv_module_trace(taken)
+        assert readings(replay_trace(path, trace.ticks)) == taken
 
 
 def test_a_refused_device_id_is_refused_before_the_trace_file_is_opened(tmp_path):
