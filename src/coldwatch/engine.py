@@ -14,17 +14,15 @@ Cadence rules:
     defaults); records landing on grid instants count as the scheduled ones.
   - Batch anchors fire every batch_anchor_period from the run origin,
     whether or not a reading arrived on that tick.
-  - A quiet tick emits no event: it comes before the next batch anchor
-    and the next record instant (the grid point, or in Critical the last
-    record plus critical_log_period), and in BreachPending before the
-    escalation instant. Its reading is absent, in band (Normal), or not
-    strictly inside the hysteresis band (an episode), where it only
-    breaks a debounce streak. `fold` takes a run of quiet ticks at once.
-  - In Critical mode `fold` also takes the record ticks: a run stops
-    before the next batch anchor and at the first reading strictly
-    inside the hysteresis band, which starts a resolution streak. Its
-    records come back as tuples, with the windows `step` would give.
-    The sample itself and a folded record are logged by the caller.
+  - `fold` takes a run of ticks for which `step` would return no event
+    but at most a record: each comes before the next batch anchor, and
+    in BreachPending before the escalation instant. Its reading is
+    absent, in band (Normal), or not strictly inside the hysteresis band
+    (an episode), where it only breaks a debounce streak. A taken
+    reading records when the cadence above makes one due, and the grid
+    moves inside the run as it does when stepping. The run's records
+    come back as tuples, with the windows `step` would give; the caller
+    logs them and every sample.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -41,7 +39,6 @@ import enum
 import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .model import EventKind, MonitorEvent, Reading, Thresholds, Timestamp
 from .sensor import DROPPED, Trace
@@ -77,18 +74,6 @@ class MonitorMode(enum.Enum):
     NORMAL = "Normal"
     BREACH_PENDING = "BreachPending"
     CRITICAL = "Critical"
-
-
-@dataclass(frozen=True)
-class LocalRecord:
-    """Periodic local log entry with window extremes since the last record."""
-
-    at: Timestamp
-    reading: Reading
-    mode: MonitorMode
-    window_min_temp_decic: int
-    window_max_temp_decic: int
-    window_avg_temp_decic: int
 
 
 class MonitorEngine:
@@ -127,74 +112,66 @@ class MonitorEngine:
         if reading is not None:
             if reading.at != now:
                 raise OutOfOrderSample(f"reading at {reading.at} fed to tick {now}")
-            self._widen([reading.temp_decic])
-            out = out_of_band(reading.temp_decic, reading.hum_decip, self.thresholds)
+            temp = reading.temp_decic
+            lo, hi, total, count = self._window
+            self._window = min(lo, temp), max(hi, temp), total + temp, count + 1
+            out = out_of_band(temp, reading.hum_decip, self.thresholds)
             if out or self.mode is not MonitorMode.NORMAL:
                 events.extend(self._transition(reading, now, out))
-            if self.mode is MonitorMode.CRITICAL or now >= self._next_scheduled_log:
-                events.extend(self._local_log(reading, now))
+            if now >= self._record_due():
+                events.append(self._local_log(reading, now))
         if now >= self._next_anchor:
             events.append(self._batch_anchor(now))
         return events
 
     def fold(self, trace: Trace, i: int, stop: Timestamp) -> tuple[int, list[tuple]]:
         """Take the ticks of `trace` from index i on, each before `stop`, for
-        which `step` would return no event, or in Critical mode only a
-        record, as `step` would. Return the index of the first tick not
-        taken and the records, each as (at, temp, hum, window min, max,
-        floor average)."""
-        th, ticks, mode = self.thresholds, trace.ticks, self.mode
-        if mode is MonitorMode.CRITICAL:
-            return self._critical_run(trace, i, bisect_left(ticks, min(stop, self._next_anchor), i))
-        if mode is MonitorMode.NORMAL:
-            due = self._next_scheduled_log
-        else:  # escalation can fire from the escalation instant on
-            due = min(self._next_scheduled_log, self.episode_start + th.breach_escalation)
-        j = bisect_left(ticks, min(stop, due, self._next_anchor), i)
+        which `step` would return no event but at most a record, and change
+        the engine as those steps would. Return the index of the first tick not
+        taken and the records, in the engine's mode, each as (at, temp, hum,
+        window min, max, floor average)."""
+        th, mode = self.thresholds, self.mode
+        ticks, temps, hums = trace.ticks, trace.temps, trace.hums
+        end = min(stop, self._next_anchor)
+        if mode is MonitorMode.BREACH_PENDING:  # escalation can fire from the escalation instant on
+            end = min(end, self.episode_start + th.breach_escalation)
+        j = bisect_left(ticks, end, i)
         # In Normal mode a reading out of band starts an episode; during one,
         # a reading inside the hysteresis band counts toward its end.
         ends = out_of_band if mode is MonitorMode.NORMAL else _inside_hysteresis_band
-        temps, hums = trace.temps, trace.hums
-        j = next((k for k in range(i, j) if temps[k] != DROPPED and ends(temps[k], hums[k], th)), j)
-        if j > i:
-            self.last_seen = ticks[j - 1]
-            taken = [temp for temp in temps[i:j] if temp != DROPPED]
-            if taken:  # each taken reading breaks a debounce streak
-                self.consecutive_in_range = 0
-            self._widen(taken)
-        return j, []
-
-    def _critical_run(self, trace: Trace, i: int, j: int) -> tuple[int, list[tuple]]:
-        """fold in Critical mode, for the ticks before index j: up to the
-        first reading strictly inside the hysteresis band, which starts a
-        resolution streak. A record falls due critical_log_period after the
-        last one."""
-        th, ticks, temps, hums = self.thresholds, trace.ticks, trace.temps, trace.hums
-        last, lo, hi, total, count = self.last_local_log, *self._window
+        # After each record the next falls due as _record_due would give it.
+        critical, due = mode is MonitorMode.CRITICAL, self._record_due()
+        period = th.critical_log_period if critical else th.normal_log_period
+        grid = self._record_grid_origin
+        lo, hi, total, count = self._window
         records = []
         for k in range(i, j):
-            temp, hum = temps[k], hums[k]
+            temp = temps[k]
             if temp == DROPPED:
                 continue
-            if _inside_hysteresis_band(temp, hum, th):
+            hum = hums[k]
+            if ends(temp, hum, th):
                 j = k
                 break
-            self.consecutive_in_range = 0  # out of band or neutral
-            lo, hi, total, count = min(lo, temp), max(hi, temp), total + temp, count + 1
-            if ticks[k] - last >= th.critical_log_period:
-                last = ticks[k]
-                records.append((last, temp, hum, lo, hi, total // count))
+            if temp < lo:
+                lo = temp
+            if temp > hi:
+                hi = temp
+            total += temp
+            count += 1
+            now = ticks[k]
+            if now >= due:
+                records.append((now, temp, hum, lo, hi, total // count))
                 lo, hi, total, count = _EMPTY_WINDOW
+                due = now + period if critical else self._next_grid_point(now, grid, period)
         if j > i:
             self.last_seen = ticks[j - 1]
             self._window = lo, hi, total, count
+            if temps[i:j].count(DROPPED) < j - i:  # each taken reading breaks a debounce streak
+                self.consecutive_in_range = 0
         if records:
-            self._recorded(last)
+            self._recorded(records[-1][0])
         return j, records
-
-    def _widen(self, temps: list[int]) -> None:
-        lo, hi, total, count = self._window
-        self._window = min([lo, *temps]), max([hi, *temps]), total + sum(temps), count + len(temps)
 
     # -- state transitions ------------------------------------------------
 
@@ -277,28 +254,20 @@ class MonitorEngine:
 
     # -- periodic emissions ------------------------------------------------
 
-    def _local_log(self, reading: Reading, now: Timestamp) -> list[MonitorEvent]:
-        """Entered only in Critical mode or with a grid record due (see
-        step), so only the Critical cadence is tested here."""
-        th = self.thresholds
-        if (
-            self.mode is MonitorMode.CRITICAL
-            and self.last_local_log is not None
-            and now - self.last_local_log < th.critical_log_period
-        ):
-            return []
+    def _record_due(self) -> Timestamp:
+        """The first instant at which a reading is recorded: the next grid
+        point, or in Critical mode critical_log_period after the last record
+        (there is one: the first reading records, and escalation comes later)."""
+        if self.mode is MonitorMode.CRITICAL:
+            return self.last_local_log + self.thresholds.critical_log_period
+        return self._next_scheduled_log
+
+    def _local_log(self, reading: Reading, now: Timestamp) -> MonitorEvent:
         low, high, total, count = self._window
-        record = LocalRecord(
-            at=now,
-            reading=reading,
-            mode=self.mode,
-            window_min_temp_decic=low,
-            window_max_temp_decic=high,
-            window_avg_temp_decic=total // count,
-        )
         self._window = _EMPTY_WINDOW
         self._recorded(now)
-        return [MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, now, {"record": record})]
+        record = (now, reading.temp_decic, reading.hum_decip, low, high, total // count)
+        return MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, now, {"mode": self.mode, "record": record})
 
     def _recorded(self, now: Timestamp) -> None:
         """The critical cadence counts from a record at `now`, and the grid

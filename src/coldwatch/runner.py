@@ -21,16 +21,16 @@ Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
 The run loop alone writes SampleTaken lines, one write per stretch of
-ticks. Quiet ticks, which would emit no event in any mode, and in
-Critical mode ticks whose only event is their record, are taken a
-stretch at a time (MonitorEngine.fold); any other tick is a stretch of
-one, stepped after its line. A Critical run stops before the next batch
-anchor and at the first reading strictly inside the hysteresis band. A
-stretch ends at the next clock event's instant, included, before the
-alert dispatcher's next try and before the next crash; in a paced run it
-ends after its first tick. The loop writes each taken record's line
-after its tick's sample line, and the stretch's report rows in one
-outbox write, so each row is durable before any crash point or drain.
+ticks. Ticks for which the engine would emit no event but at most their
+record, in any mode, are taken a stretch at a time (MonitorEngine.fold);
+any other tick is a stretch of one, stepped after its line. A stretch
+ends at the next clock event's instant, included, before the alert
+dispatcher's next try and before the next crash; in a paced run it ends
+after its first tick. Every record, taken or stepped, goes through one
+writer (_Run._store_records): it queues the readings for the next batch
+and appends the report rows in one outbox write, and its lines follow
+their ticks' sample lines. So each row is durable before any crash
+point or drain.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -133,7 +133,7 @@ class RunResult:
 
 
 def _json_default(value):
-    """Enums as their value, dataclasses (readings, records, specs) as their
+    """Enums as their value, dataclasses (readings, specs) as their
     fields."""
     if isinstance(value, enum.Enum):
         return value.value
@@ -153,9 +153,9 @@ _SAMPLE_LINE = (
     '{"at":%d,"kind":"SampleTaken","payload":{"reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d}}}'
 )
-# A LocalLogWritten line (one per critical-mode sample) is written the same
-# way, by _record_line alone; the mode values are plain names. It is read
-# back through json.loads like any other line.
+# A LocalLogWritten line (one per record) is written the same way, by
+# _record_line alone; the mode values are plain names. It is read back
+# through json.loads like any other line.
 _RECORD_LINE = (
     '{"at":%d,"kind":"LocalLogWritten","payload":{"record":{"at":%d,"mode":"%s","reading":'
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d},"window_avg_temp_decic":%d,'
@@ -315,21 +315,11 @@ class _Run:
     def emit(self, event: MonitorEvent, now: Timestamp) -> bool:
         """Log, count and route one event; returns True if a ledger write
         was queued."""
-        self.event_counts[event.kind] += 1
         payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            record = payload["record"]
-            reading = record.reading
-            self.events_file.write(_record_line(
-                record.mode.value, _json_string(reading.device_id), reading.at,
-                reading.temp_decic, reading.hum_decip, record.window_min_temp_decic,
-                record.window_max_temp_decic, record.window_avg_temp_decic,
-            ))
-            self.batch_pending.append(reading)
-            self.outbox.add_row(encode_row(
-                record.at, reading.device_id, reading.temp_decic, reading.hum_decip, record.mode
-            ))
+            self.events_file.writelines(self._store_records(payload["mode"], [payload["record"]]))
             return False
+        self.event_counts[event.kind] += 1
         self.events_file.write(event_to_json(event) + "\n")
         if event.kind is EventKind.CRITICAL_ESCALATED or (
             event.kind is EventKind.BREACH_RESOLVED and payload["was_critical"]
@@ -360,6 +350,20 @@ class _Run:
                 self.batch_pending = []
                 return True
         return False
+
+    def _store_records(self, mode: MonitorMode, records: list[tuple]) -> list[str]:
+        """Count the records taken in `mode`, each (at, temp, hum, window
+        min, max, floor average), queue their readings for the next batch
+        and append their report rows in one outbox write; return their
+        events.log lines."""
+        device = self.cfg.device_id
+        self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
+        self.batch_pending.extend([Reading(device, at, temp, hum) for at, temp, hum, *_ in records])
+        self.outbox.add_rows([
+            encode_row(at, device, temp, hum, mode) for at, temp, hum, *_ in records
+        ])
+        device_json = _json_string(device)
+        return [_record_line(mode.value, device_json, *record) for record in records]
 
     def day_end(self, boundary: Timestamp, clock: VirtualClock) -> None:
         self._anchor_day_report(boundary - DAY_SECONDS, boundary, clock)
@@ -463,24 +467,16 @@ class _Run:
             stop = min([until, self.dispatcher.next_try(), *crash_times[:1]])
             j, records = self.engine.fold(trace, i, stop)
             k = max(j, i + 1)  # a tick that fold does not take is stepped alone
+            recorded = {}
+            if records:  # each record's line follows its tick's sample line
+                stored = self._store_records(self.engine.mode, records)
+                recorded = dict(zip([rec[0] for rec in records], stored))
             lines = [
-                sample_line % (t, t, device_json, hum, temp)
+                sample_line % (t, t, device_json, hum, temp) + recorded.get(t, "")
                 for t, temp, hum in zip(ticks[i:k], temps[i:k], hums[i:k])
                 if temp != DROPPED
             ]
             self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
-            if records:  # a Critical run: each record's line follows its tick's sample line
-                mode = MonitorMode.CRITICAL.value
-                recorded = {rec[0]: _record_line(mode, device_json, *rec) for rec in records}
-                sampled = (t for t, temp in zip(ticks[i:k], temps[i:k]) if temp != DROPPED)
-                lines = [line + recorded.get(t, "") for line, t in zip(lines, sampled)]
-                self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
-                readings = [Reading(device, at, temp, hum) for at, temp, hum, *_ in records]
-                self.batch_pending.extend(readings)
-                self.outbox.add_rows([
-                    encode_row(r.at, device, r.temp_decic, r.hum_decip, MonitorMode.CRITICAL)
-                    for r in readings
-                ])
             self.events_file.write("".join(lines))
             if j == i:
                 temp = temps[i]

@@ -43,8 +43,8 @@ def test_traced_incident_day_sees_every_simulate_layer(tmp_path, monkeypatch):
     # The run loop writes every SampleTaken line straight from the trace
     # columns, without event_to_json; the manifest counts them. Some come
     # from folded stretches. No LocalLogWritten line goes through
-    # event_to_json either: the loop writes a Critical run's records, and
-    # emit a stepped one, both with runner._record_line.
+    # event_to_json either: one writer, _Run._store_records, gives the
+    # lines of every record, folded or stepped.
     folded, run_records = [], []
     fold = MonitorEngine.fold
 

@@ -4,7 +4,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldwatch.engine import LocalRecord, MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
+from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
 from coldwatch.model import EventKind, MonitorEvent, Reading, Thresholds
 from coldwatch.sensor import DROPPED, Trace
 
@@ -154,7 +154,7 @@ class TestCriticalCadence:
         critical_records = [
             e.at
             for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)
-            if e.payload["record"].mode is MonitorMode.CRITICAL
+            if e.payload["mode"] is MonitorMode.CRITICAL
         ]
         assert critical_records[0] == crit_at
         gaps = {b - a for a, b in zip(critical_records, critical_records[1:])}
@@ -193,19 +193,15 @@ def test_out_of_order_tick_rejected():
 def test_window_stats_cover_the_elapsed_window():
     temps = [40, 44] * 21  # records at tick 1 (t=30) and tick 41 (t=1230)
     _, events = drive(temps)
-    records = [e.payload["record"] for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)]
-    first, second = records[0], records[1]
-    assert (first.window_min_temp_decic, first.window_max_temp_decic) == (40, 40)
+    # A record is (at, temp, hum, window min, max, floor average).
+    first, second = [e.payload["record"] for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)]
+    assert first[3:5] == (40, 40)
     # Window after the first record: ticks 2..41 inclusive, 20 at 44, 20 at 40.
-    assert second.at == 1230
-    assert second.window_min_temp_decic == 40
-    assert second.window_max_temp_decic == 44
-    assert second.window_avg_temp_decic == (44 * 20 + 40 * 20) // 40
-    assert (
-        second.window_min_temp_decic
-        <= second.window_avg_temp_decic
-        <= second.window_max_temp_decic
-    )
+    at, _, _, low, high, avg = second
+    assert at == 1230
+    assert (low, high) == (40, 44)
+    assert avg == (44 * 20 + 40 * 20) // 40
+    assert low <= avg <= high
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,7 +248,8 @@ def trace_of(temps, hums=None, thresholds=TH):
 def drive_folding(trace, thresholds=TH, stops=()):
     """The run loop's use of the engine: fold each stretch, ending at the
     next of `stops`, and step every other tick. Returns the events, a
-    folded record as the LocalLogWritten event that step gives."""
+    folded record as the LocalLogWritten event that step gives, in the
+    engine's mode."""
     engine = MonitorEngine(thresholds, DEV, origin=0)
     events, i = [], 0
     while i < len(trace.ticks):
@@ -260,10 +257,8 @@ def drive_folding(trace, thresholds=TH, stops=()):
             trace, i, min([s for s in stops if s > trace.ticks[i]], default=math.inf)
         )
         events.extend(
-            MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, at, {"record": LocalRecord(
-                at, Reading(DEV, at, temp, hum), MonitorMode.CRITICAL, low, high, avg
-            )})
-            for at, temp, hum, low, high, avg in records
+            MonitorEvent(EventKind.LOCAL_LOG_WRITTEN, rec[0], {"mode": engine.mode, "record": rec})
+            for rec in records
         )
         if j == i:
             at, temp = trace.ticks[i], trace.temps[i]
@@ -274,12 +269,72 @@ def drive_folding(trace, thresholds=TH, stops=()):
     return events
 
 
+def cadence_state(engine):
+    """What the engine keeps between ticks, but its anchor grid."""
+    return (
+        engine.mode, engine.last_seen, engine.last_local_log, engine._next_scheduled_log,
+        engine._window, engine.consecutive_in_range,
+    )
+
+
 class TestFold:
-    def test_stops_at_the_next_record_grid_point(self):
-        # The first tick (t=30) records; the next record is due at t=1230.
+    def test_takes_the_normal_grid_records_up_to_the_next_batch_anchor(self):
+        # The first tick (t=30) records; the run takes the grid records at
+        # 1230, 2430, ..., 6030, each over the readings since the last one,
+        # and stops before the anchor at 7200.
         engine, _ = drive([IN_TEMP])
-        assert engine.fold(trace_of([IN_TEMP] * 100), 1, math.inf) == (40, [])
-        assert engine.last_seen == 1200
+        temps = [IN_TEMP + k % 3 for k in range(300)]
+        j, records = engine.fold(trace_of(temps), 1, math.inf)
+        assert (j, engine.last_seen) == (239, 7170)
+        recorded = [40 * k for k in range(6)]  # the grid ticks' indices
+        assert records == [
+            (30 * (b + 1), temps[b], 520, min(window), max(window), sum(window) // len(window))
+            for a, b in zip(recorded, recorded[1:])
+            for window in [temps[a + 1 : b + 1]]
+        ]
+        assert (engine.last_local_log, engine._next_scheduled_log) == (6030, 7230)
+
+    def test_a_dropout_on_a_grid_tick_moves_its_record_to_the_next_reading(self):
+        # The grid does not drift: the record after the late one is at 2430.
+        engine, _ = drive([IN_TEMP])
+        temps = [IN_TEMP] * 100
+        temps[40] = None
+        j, records = engine.fold(trace_of(temps), 1, math.inf)
+        assert (j, [rec[0] for rec in records]) == (100, [1260, 2430])
+        assert records[0][3:] == (IN_TEMP,) * 3
+        assert engine._next_scheduled_log == 3630
+
+    def test_a_breach_pending_run_records_in_its_mode_up_to_the_escalation_instant(self):
+        # The episode starts at 1200 and escalates at 3600: the run takes
+        # the grid records at 1230 and 2430 and stops before 3600.
+        temps = [IN_TEMP] * 39 + [OUT_TEMP] * 161
+        engine, _ = drive(temps[:40])
+        j, records = engine.fold(trace_of(temps), 40, math.inf)
+        assert (j, engine.last_seen, engine.mode) == (119, 3570, MonitorMode.BREACH_PENDING)
+        assert [rec[0] for rec in records] == [1230, 2430]
+        events = drive_folding(trace_of(temps))
+        assert events == drive(temps)[1]
+        modes = {e.at: e.payload["mode"] for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)}
+        assert (modes[1230], modes[2430], modes[3600]) == (
+            MonitorMode.BREACH_PENDING, MonitorMode.BREACH_PENDING, MonitorMode.CRITICAL
+        )
+
+    @pytest.mark.parametrize("lead, critical_every", [(1, 1), (81, 1), (81, 7)])
+    def test_one_fold_across_grid_points_leaves_the_state_of_stepping(self, lead, critical_every):
+        # From a Normal tick, or from the escalation at 2430 with a record
+        # every 30 s or every 210 s (landing on and past grid points), up
+        # to the anchor at 7200.
+        th = Thresholds(critical_log_period=30 * critical_every)
+        temps = [IN_TEMP if lead == 1 else OUT_TEMP] * 300
+        folded, _ = drive(temps[:lead], thresholds=th)
+        j, records = folded.fold(trace_of(temps, thresholds=th), lead, math.inf)
+        stepped, events = drive(temps[:j], thresholds=th)
+        assert j == 239 and len(records) >= 4
+        assert records == [
+            e.payload["record"] for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)
+            if e.at > 30 * lead
+        ]
+        assert cadence_state(folded) == cadence_state(stepped)
 
     def test_stops_at_the_next_batch_anchor(self):
         th = Thresholds(normal_log_period=14400)
@@ -377,11 +432,11 @@ class TestFold:
         th = Thresholds(temp_min_decic=-400, temp_max_decic=-100)
         temps = [-101] + [-250, None, -399, -100] * 10
         events = drive_folding(trace_of(temps, thresholds=th), th)
-        record = by_kind(events, EventKind.LOCAL_LOG_WRITTEN)[1].payload["record"]
+        at, _, _, low, high, avg = by_kind(events, EventKind.LOCAL_LOG_WRITTEN)[1].payload["record"]
         window = [t for t in temps[1:] if t is not None]
-        assert record.at == 1230
-        assert (record.window_min_temp_decic, record.window_max_temp_decic) == (-399, -100)
-        assert record.window_avg_temp_decic == sum(window) // len(window) == -250
+        assert at == 1230
+        assert (low, high) == (-399, -100)
+        assert avg == sum(window) // len(window) == -250
 
 
 @st.composite
@@ -433,12 +488,11 @@ def test_folding_gives_the_events_and_windows_of_stepping(
     # A record's window is every reading after the previous record, up to its own.
     after = -math.inf
     for event in by_kind(events, EventKind.LOCAL_LOG_WRITTEN):
-        rec = event.payload["record"]
+        recorded_at, _, _, low, high, avg = event.payload["record"]
         window = [
             temp
             for at, temp in zip(trace.ticks, trace.temps)
-            if after < at <= rec.at and temp != DROPPED
+            if after < at <= recorded_at and temp != DROPPED
         ]
-        assert (rec.window_min_temp_decic, rec.window_max_temp_decic) == (min(window), max(window))
-        assert rec.window_avg_temp_decic == sum(window) // len(window)
-        after = rec.at
+        assert (low, high, avg) == (min(window), max(window), sum(window) // len(window))
+        after = recorded_at

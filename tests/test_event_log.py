@@ -17,7 +17,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coldwatch.engine import LocalRecord, MonitorMode
+from coldwatch.engine import MonitorMode
 from coldwatch.model import (
     HUM_MAX_DECIP,
     HUM_MIN_DECIP,
@@ -53,12 +53,20 @@ SAMPLES = st.builds(
     READINGS,
     st.integers(),
 )
-# A record, its reading and its event share one instant.
+# A record, its reading and its event share one instant; the payload holds
+# the record object of its events.log line.
 RECORDS = st.builds(
     lambda reading, mode, low, high, avg: MonitorEvent(
         EventKind.LOCAL_LOG_WRITTEN,
         reading.at,
-        {"record": LocalRecord(reading.at, reading, mode, low, high, avg)},
+        {"record": {
+            "at": reading.at,
+            "mode": mode,
+            "reading": reading,
+            "window_avg_temp_decic": avg,
+            "window_max_temp_decic": high,
+            "window_min_temp_decic": low,
+        }},
     ),
     READINGS,
     st.sampled_from(MonitorMode),
@@ -131,10 +139,10 @@ def record_line(event):
     """A LocalLogWritten line as the run writes it, from the record's
     columns and the device id as a JSON string; it ends in a newline."""
     rec = event.payload["record"]
-    r = rec.reading
+    r = rec["reading"]
     return runner._record_line(
-        rec.mode.value, runner._json_string(r.device_id), r.at, r.temp_decic, r.hum_decip,
-        rec.window_min_temp_decic, rec.window_max_temp_decic, rec.window_avg_temp_decic,
+        rec["mode"].value, runner._json_string(r.device_id), r.at, r.temp_decic, r.hum_decip,
+        rec["window_min_temp_decic"], rec["window_max_temp_decic"], rec["window_avg_temp_decic"],
     )
 
 

@@ -378,22 +378,25 @@ def count_steps(monkeypatch) -> Counter:
 
 
 def test_a_breach_day_steps_only_ticks_that_emit_more_than_a_sample(tmp_path, monkeypatch):
-    # Normal: the 12 anchors (the breach starts on the 08:00 one) and the grid
-    # records outside the episode. BreachPending: two grid records and the
-    # escalation. Critical: the two readings of the resolving streak; fold
-    # takes the ticks whose only event is their record.
+    # Normal: the 12 anchors (the breach starts on the 08:00 one).
+    # BreachPending: the escalation. Critical: the two readings of the
+    # resolving streak. fold takes every tick whose only event is its
+    # record, in any mode.
     steps = count_steps(monkeypatch)
     assert main(["simulate", "--scenario", "breach", "--duration", "24h", "--seed", "7",
                  "--out", str(tmp_path / "breach")]) == 0
-    assert steps == {"Normal": 79, "BreachPending": 3, "Critical": 2}
+    assert steps == {"Normal": 12, "BreachPending": 1, "Critical": 2}
 
 
 def test_a_breach_day_writes_its_critical_run_of_rows_at_once(tmp_path, monkeypatch):
     # Every write to the outbox file goes through RecordFile.extend and is
-    # flushed. One write each: 14 ledger requests, their 28 marks, and the
-    # rows of the 72 records that step writes, of the alert and of the
-    # resolution. The 79 records of the Critical run after the escalation
-    # tick go out in one write.
+    # flushed. One write each: 14 ledger requests, their 28 marks, the rows
+    # of the alert and of the resolution, the records of the escalation tick,
+    # of the first resolving tick and of the resolving tick (a grid point),
+    # and the lone grid record between the resolution and the next anchor.
+    # A folded stretch's records go out in one write: the 79 of the Critical
+    # run after the escalation tick, BreachPending's 2 and the 6 of each of
+    # the other 11 anchor-to-anchor Normal stretches.
     writes = Counter()
     extend = RecordFile.extend
     names = {1: "enqueue", 2: "mark", 3: "row"}
@@ -405,19 +408,22 @@ def test_a_breach_day_writes_its_critical_run_of_rows_at_once(tmp_path, monkeypa
     monkeypatch.setattr(RecordFile, "extend", counted_extend)
     assert main(["simulate", "--scenario", "breach", "--duration", "24h", "--seed", "7",
                  "--out", str(tmp_path / "breach")]) == 0
-    assert writes == {("enqueue", 1): 14, ("mark", 1): 28, ("row", 1): 74, ("row", 79): 1}
+    assert writes == {
+        ("enqueue", 1): 14, ("mark", 1): 28,
+        ("row", 1): 6, ("row", 2): 1, ("row", 6): 11, ("row", 79): 1,
+    }
 
 
 def test_a_queued_send_is_stepped_only_at_its_tries(tmp_path, monkeypatch):
     # The messenger is down for 12 h from the first midnight, so the report
     # notice queued then is tried every 120 s: about 360 tries beside the
-    # 144 records and 24 anchors of two quiet days.
+    # 24 anchors of two quiet days (fold takes their 144 record ticks).
     monkeypatch.setattr(runner, "MessengerSink", FlakyMessenger)
     midnight = DEFAULT_START + DAY_SECONDS
     monkeypatch.setattr(FlakyMessenger, "down", (midnight, midnight + 12 * 3600))
     steps = count_steps(monkeypatch)
     result = run(tmp_path, normal_day(seed=7), seed=7, horizon=2 * DAY_SECONDS)
-    assert steps == {"Normal": 529}
+    assert steps == {"Normal": 386}
     assert result.manifest["counters"]["samples"] == 5760
     lines = (result.out_dir / "messenger.jsonl").read_text(encoding="utf-8").splitlines()
     tried = [json.loads(line)["dispatched_at"] - midnight - 12 * 3600 for line in lines]
@@ -487,7 +493,7 @@ def test_folding_quiet_stretches_changes_no_byte(case):
         never_sleeps = types.SimpleNamespace(monotonic=lambda: 0.0, sleep=lambda seconds: None)
         mp.setattr(runner, "time", never_sleeps)
         assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "paced", realtime_speed=1e9, **cfg))
-        # The reference steps every tick: its fold never takes one, nor a
-        # Critical run's record.
+        # The reference steps every tick: its fold never takes one, nor
+        # any record.
         mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: (i, []))
         assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "stepped", **cfg))
