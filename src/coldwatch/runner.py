@@ -45,6 +45,7 @@ import dataclasses
 import enum
 import functools
 import gc
+import io
 import json
 import math
 import os
@@ -53,6 +54,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .alerts import (
     AlertDispatcher,
@@ -78,6 +80,8 @@ from .ledger import (
 from .model import (
     DAY_SECONDS,
     DEFAULT_START,
+    TEMP_MAX_DECIC,
+    TEMP_MIN_DECIC,
     EventKind,
     MonitorEvent,
     Reading,
@@ -186,7 +190,7 @@ def event_to_json(event: MonitorEvent) -> str:
 
 
 def events_from_log(path: Path) -> list[MonitorEvent]:
-    """Every event of an events.log; ValueError names the first bad line.
+    """Every event of an events.log, as iter_events reads it.
 
     The list is built with the cyclic garbage collector paused: its events
     hold no reference cycles, so each collection during the build would
@@ -194,27 +198,85 @@ def events_from_log(path: Path) -> list[MonitorEvent]:
     caller's collector state is restored, also when a line is bad."""
     enabled = gc.isenabled()
     gc.disable()
-    events = []
-    sample, match = EventKind.SAMPLE_TAKEN, _SAMPLE_LINE_RE.fullmatch
     try:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                m = match(line)
-                if m is None:
-                    events.append(_event_from_json(line, path, line_no))
-                    continue
-                at, reading_at, device_id, hum, temp = m.groups()
-                reading = {
-                    "at": int(reading_at),
-                    "device_id": device_id,
-                    "hum_decip": int(hum),
-                    "temp_decic": int(temp),
-                }
-                events.append(MonitorEvent(sample, int(at), {"reading": reading}))
+        return list(iter_events(path))
     finally:
         if enabled:
             gc.enable()
-    return events
+
+
+class _Shared(dict):
+    """Read-back text -> its one shared value, with at most `limit` entries."""
+
+    def __init__(self, convert, limit: int):
+        super().__init__()
+        self.convert, self.limit = convert, limit
+
+    def __missing__(self, text: str):
+        value = self.convert(text)
+        if len(self) < self.limit:
+            self[text] = value
+        return value
+
+
+def iter_events(path: Path) -> Iterator[MonitorEvent]:
+    """Every event of an events.log, in file order; ValueError names the
+    first bad line.
+
+    A SampleTaken line shares its repeated values with earlier ones: one
+    str per device id, one int per temperature or humidity text, and the
+    reading's `at` is the event's own when the two texts are equal. The
+    device table is kept apart from the number table, so an id "0" stays
+    text."""
+    with open(path, encoding="utf-8") as f:
+        yield from _events(f, path)
+
+
+def _events(lines: Iterable[str], path: Path) -> Iterator[MonitorEvent]:
+    # Every humidity value is in the temperature envelope too.
+    devices, numbers = _Shared(str, 64), _Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
+    sample, match = EventKind.SAMPLE_TAKEN, _SAMPLE_LINE_RE.fullmatch
+    for line_no, line in enumerate(lines, start=1):
+        m = match(line)
+        if m is None:
+            yield _event_from_json(line, path, line_no)
+            continue
+        at_text, reading_at, device_id, hum, temp = m.groups()
+        at = int(at_text)
+        reading = {
+            "at": at if reading_at == at_text else int(reading_at),
+            "device_id": devices[device_id],
+            "hum_decip": numbers[hum],
+            "temp_decic": numbers[temp],
+        }
+        yield MonitorEvent(sample, at, {"reading": reading})
+
+
+def last_event(path: Path) -> MonitorEvent | None:
+    """The event of an events.log's last line, read from the end of the
+    file; None for an empty log or a last line that is no event (iter_events
+    raises at it, or at an earlier bad line)."""
+    with open(path, "rb") as f:
+        start = size = f.seek(0, os.SEEK_END)
+        while start > 0:  # back to the line break before the last line
+            end, start = start, max(start - 4096, 0)
+            f.seek(start)
+            block = f.read(end - start)
+            if end == size:  # the last line's own line break
+                block = block[:-2] if block.endswith(b"\r\n") else block[:-1]
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r"))
+            if cut >= 0:
+                start += cut + 1
+                break
+        f.seek(start)
+        tail = f.read()
+    if not tail:
+        return None
+    try:
+        *_, event = _events(io.TextIOWrapper(io.BytesIO(tail), encoding="utf-8"), path)
+    except ValueError:
+        return None
+    return event
 
 
 _KINDS = frozenset(kind.value for kind in EventKind)

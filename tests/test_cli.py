@@ -1,14 +1,23 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import sys
+import tempfile
+import threading
 import types
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldwatch import cli, runner
 from coldwatch.cli import main, parse_duration
 from coldwatch.ledger import LedgerKind, load_ledger_entries, verify_entries
-from coldwatch.model import DEFAULT_START as START
+from coldwatch.energy import DutyPolicy, PowerProfile, energy_for_interval, render_csv, render_table
+from coldwatch.model import DAY_SECONDS, DEFAULT_START as START, EventKind, MonitorEvent
+from coldwatch.model import date_to_ts, day_start
 from coldwatch.reports import REPORT_HEADER
 
 CONFIG = """
@@ -563,19 +572,62 @@ class TestEnergy:
         assert "96.7%" in capsys.readouterr().out
 
     def test_event_log_is_swept_once(self, sim_dir, tmp_path, monkeypatch):
-        sweeps = []
+        """A time-ordered log is read once, as a stream; one out of time
+        order is read again, into a list."""
+        reads = []
+        read = runner.iter_events
 
-        class CountedEvents(list):
-            def __iter__(self):
-                sweeps.append(len(self))
-                return super().__iter__()
+        def counted(path):
+            reads.append(path)
+            return read(path)
 
-        read = cli.events_from_log
-        monkeypatch.setattr(cli, "events_from_log", lambda path: CountedEvents(read(path)))
-        code = main(["energy", "--events", str(sim_dir / "events.log"),
-                     "--csv", str(tmp_path / "energy.csv")])
-        assert code == 0
-        assert len(sweeps) == 1
+        monkeypatch.setattr(runner, "iter_events", counted)  # events_from_log's
+        monkeypatch.setattr(cli, "iter_events", counted)
+        log, moved = sim_dir / "events.log", tmp_path / "moved.log"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        moved.write_text(lines[-1] + "".join(lines[:-1]), encoding="utf-8")
+        for path, passes in ((log, 1), (moved, 2)):
+            reads.clear()
+            code = main(["energy", "--events", str(path), "--csv", str(tmp_path / "energy.csv")])
+            assert code == 0
+            assert reads == [path] * passes
+
+    def test_a_moved_line_changes_no_figure(self, tmp_path, capsys):
+        """The interval runs from the earliest event to the latest, wherever
+        their lines are. Taken from the first and last lines, a two-day log
+        whose last line was moved to the top covered its second day only."""
+        run = tmp_path / "run"
+        assert main(["simulate", "--scenario", "normal", "--seed", "7", "--duration", "2d",
+                     "--out", str(run)]) == 0
+        lines = (run / "events.log").read_text(encoding="utf-8").splitlines(keepends=True)
+        moved = tmp_path / "moved.log"
+        moved.write_text(lines[-1] + "".join(lines[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        tables = []
+        for path in (run / "events.log", moved):
+            assert main(["energy", "--events", str(path)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[1] == tables[0]
+        assert "1036800.0" in tables[0]  # the controller's baseline over two days
+
+    def test_a_pipe_is_read_into_a_list(self, sim_dir, tmp_path, capsys):
+        """A pipe can be read neither from its end nor twice."""
+        assert main(["energy", "--events", str(sim_dir / "events.log")]) == 0
+        expected = capsys.readouterr().out
+        read, write = os.pipe()
+
+        def feed():  # the 24 h log overfills a pipe's buffer
+            with open(write, "wb") as f:
+                f.write((sim_dir / "events.log").read_bytes())
+
+        thread = threading.Thread(target=feed)
+        thread.start()
+        try:
+            assert main(["energy", "--events", f"/dev/fd/{read}"]) == 0
+        finally:
+            os.close(read)
+            thread.join()
+        assert capsys.readouterr().out == expected
 
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2
@@ -643,3 +695,74 @@ def test_internal_invariant_violation_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_cost", broken)
     assert main(["cost", "--ledger", "ledger.bin"]) == 1
     assert "internal error: seq went backwards" in capsys.readouterr().err
+
+
+def reference_energy(path, day, csv_path):
+    """`coldwatch energy` by the book: the whole log as a list, the interval
+    from --day or else from the earliest and the latest event, and
+    energy_for_interval. Its exit code, stdout, stderr and CSV text."""
+    try:
+        events = runner.events_from_log(path)
+        if day is not None:
+            start = date_to_ts(day)
+            end = start + DAY_SECONDS
+        elif events:
+            start = day_start(min(event.at for event in events))
+            end = -(-max(event.at for event in events) // DAY_SECONDS) * DAY_SECONDS
+            end = max(end, start + DAY_SECONDS)
+        else:
+            return 2, "", "error: empty event log and no --day given\n", None
+        duty = energy_for_interval(events, PowerProfile(), DutyPolicy(), start, end)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n", None
+    return 0, f"{render_table(duty)}\ncsv written to {csv_path}\n", "", render_csv(duty)
+
+
+def drawn_line(offset, kind):
+    at = START + offset
+    if kind is EventKind.SAMPLE_TAKEN:
+        return runner._SAMPLE_LINE % (at, at, '"fridge-1"', 550, 45) + "\n"
+    return runner.event_to_json(MonitorEvent(kind, at, {})) + "\n"
+
+
+# Instants over three days, many of them on or near a midnight (an interval's
+# end), and close enough together for camera and buzzer windows to overlap.
+OFFSETS = st.builds(
+    lambda day, second: day * DAY_SECONDS + second,
+    st.integers(0, 2),
+    st.one_of(st.integers(-12, 12), st.integers(0, DAY_SECONDS - 1)),
+)
+LOG_EVENTS = st.lists(st.tuples(OFFSETS, st.sampled_from(list(EventKind))), max_size=8)
+BAD_LINES = st.sampled_from(["[1]\n", "\n", '{"at":1', '{"at":1735689630,"kind":"Sample"}\n'])
+
+
+@st.composite
+def energy_logs(draw):
+    """An events.log's text: time-ordered, with one line moved, or with a
+    bad line before a bad last line."""
+    drawn = sorted(draw(LOG_EVENTS), key=lambda event: event[0])
+    lines = [drawn_line(offset, kind) for offset, kind in drawn]
+    shape = draw(st.sampled_from(["ordered", "moved", "bad"]))
+    if shape == "moved" and lines:
+        line = lines.pop(draw(st.integers(0, len(lines) - 1)))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    elif shape == "bad":
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+        last = draw(st.one_of(BAD_LINES, st.sampled_from(lines[-1:]).map(lambda l: l[:-9])))
+        lines.append(last)
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(energy_logs(), st.sampled_from([None, "2025-01-01", "2025-01-02", "2025-01-04"]))
+def test_energy_streams_what_the_whole_list_gives(text, day):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv_path = Path(tmp) / "events.log", Path(tmp) / "energy.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_energy(path, day, csv_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["energy", "--events", str(path), "--csv", str(csv_path),
+                         *(["--day", day] if day else [])])
+        csv_text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else None
+        assert (code, out.getvalue(), err.getvalue(), csv_text) == expected

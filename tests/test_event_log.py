@@ -12,6 +12,7 @@ on the way in.
 import dataclasses
 import enum
 import gc
+import itertools
 import json
 
 import pytest
@@ -290,3 +291,69 @@ def test_reading_pauses_the_collector_and_restores_its_state(tmp_path, monkeypat
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False, False]
+
+
+def test_a_written_logs_samples_share_their_values(breach_run):
+    """Across the sample events of a written log there is one device-id
+    object, each reading's instant is its event's own object, and each
+    temperature or humidity value is one object."""
+    samples = [
+        event for event in events_from_log(breach_run.out_dir / "events.log")
+        if event.kind is EventKind.SAMPLE_TAKEN
+    ]
+    readings = [event.payload["reading"] for event in samples]
+    assert len(readings) == 2880
+    assert len({id(r["device_id"]) for r in readings}) == 1
+    assert all(r["at"] is event.at for r, event in zip(readings, samples))
+    for field in ("hum_decip", "temp_decic"):
+        assert len({id(r[field]) for r in readings}) == len({r[field] for r in readings})
+
+
+def test_the_shared_tables_are_bounded():
+    table = runner._Shared(int, 3)
+    assert [table[text] for text in ("7", "-0", "7", "12", "13", "14")] == [7, 0, 7, 12, 13, 14]
+    assert table == {"7": 7, "-0": 0, "12": 12}
+
+
+def test_iter_events_yields_the_lines_before_a_bad_one(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_text(sample_line() + sample_line() + "[1]\n" + sample_line(), encoding="utf-8")
+    events = runner.iter_events(path)
+    assert [event.at for event in itertools.islice(events, 2)] == [1735689630] * 2
+    with pytest.raises(ValueError, match=": line 3: not a JSON object"):
+        next(events)
+
+
+# Lines as a run writes them and as an edit or a torn write leaves them,
+# some longer than last_event's 4096-byte block, with every line end the
+# reader's universal newlines take.
+ANY_LINES = st.lists(
+    st.tuples(
+        st.one_of(
+            st.builds(written_line, st.one_of(SAMPLES, RECORDS, OTHER_EVENTS)).map(str.rstrip),
+            st.builds(sample_line, device_id=st.sampled_from(["a" * 5000, "b"]), end=st.just("")),
+            st.sampled_from(["", "[1]", '{"at":1', " ", "\x00"]),
+        ),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    ),
+    max_size=5,
+)
+
+
+@FILE_EXAMPLES
+@given(ANY_LINES)
+def test_last_event_reads_the_last_line(tmp_path, lines):
+    path = tmp_path / "events.log"
+    path.write_text("".join(text + end for text, end in lines), encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as f:
+        *_, last = [None, *f]
+    if last is None:
+        expected = None
+    else:
+        alone = tmp_path / "last.log"
+        alone.write_text(last, encoding="utf-8", newline="")
+        try:
+            expected = reference_events(alone)[0]
+        except LineRejected:
+            expected = None
+    assert runner.last_event(path) == expected

@@ -1,13 +1,14 @@
-"""Wall time and peak RSS of one `coldwatch simulate` run at a given horizon.
+"""Wall time and peak RSS of `coldwatch simulate` at a given horizon, and of reading its run back.
 
-    python3 tools/rss_horizon.py --days 90 [--replay]
+    python3 tools/rss_horizon.py --days 90 [--replay] [--energy]
 
 Runs `coldwatch simulate --scenario normal --seed 7 --duration <days>d` in
 a fresh Python process on the sources under this checkout's src/, and
 prints one JSON line: the run, the days, the wall time and the child's
 peak resident set size in MiB. With --replay it then replays that run's
-trace.csv (`--scenario replay --trace`) in another fresh process and
-prints a second line. Each child is reaped with os.wait4, so each line's
+trace.csv (`--scenario replay --trace`) in another fresh process, and with
+--energy it runs `coldwatch energy` over the run's events.log in another;
+each prints one more line. Each child is reaped with os.wait4, so each line's
 peak is that child's own (resource.getrusage(RUSAGE_CHILDREN) would fold
 every child reaped so far into one maximum). The run directories live in
 a temporary directory removed on exit. A child that exits non-zero ends
@@ -50,6 +51,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--days", type=int, required=True, help="simulated horizon in days")
     parser.add_argument("--replay", action="store_true", help="also replay the run's trace.csv")
+    parser.add_argument("--energy", action="store_true", help="also run energy over its events.log")
     args = parser.parse_args(argv)
     if args.days < 1:
         parser.error("--days must be at least 1")
@@ -61,6 +63,8 @@ def main(argv: list[str]) -> int:
                 "simulate", "--scenario", "replay", "--trace", str(run / "trace.csv"),
                 *duration, "--out", str(Path(tmp) / "replay"),
             ]
+        if args.energy:
+            runs["energy"] = ["energy", "--events", str(run / "events.log")]
         for name, cmd in runs.items():
             print(json.dumps({"run": name, "days": args.days, **measure(cmd)}), flush=True)
     return 0
