@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import re
 import sys
@@ -31,9 +30,9 @@ from .ledger import (
     load_ledger_entries,
     verify_entries,
 )
-from .model import DAY_SECONDS, MonitorEvent, date_to_ts, day_start, ts_to_date
+from .model import DAY_SECONDS, MonitorEvent, date_to_ts, ts_to_date
 from .reports import Verdict, verify_report
-from .runner import RunConfig, events_from_log, iter_events, last_event, run_simulation
+from .runner import RunConfig, events_from_log, iter_events, run_simulation
 from .sensor import FaultKind, FaultSpec, ScenarioKind, scenario_for
 
 EXIT_OK = 0
@@ -221,69 +220,26 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
-class _Reread(Exception):
-    """The events.log is to be read again, into a list."""
+@dataclasses.dataclass(frozen=True)
+class _EventLog:
+    """The events of an events.log, read from the file at each iteration."""
 
-
-class _SweptOnce:
-    """An event stream that energy_for_interval may sweep once. It sweeps
-    again only to sort events out of time order, which a stream cannot
-    give twice: that second sweep raises _Reread."""
-
-    def __init__(self, events: Iterator[MonitorEvent]):
-        self.events = events
+    path: Path
 
     def __iter__(self) -> Iterator[MonitorEvent]:
-        events, self.events = self.events, None
-        if events is None:
-            raise _Reread
-        return events
-
-
-def _whole_days(first: int, last: int) -> tuple[int, int]:
-    """From the midnight at or before `first` to the one at or after
-    `last`, one day at least."""
-    start = day_start(first)
-    end = last + (DAY_SECONDS - last % DAY_SECONDS) % DAY_SECONDS
-    return start, end if end > start else start + DAY_SECONDS
-
-
-def _log_energy(path: Path, cfg, day: tuple[int, int] | None) -> energy_mod.EnergyBreakdown | None:
-    """The energy over `day`, else over the whole days from the earliest
-    event to the latest; None for an empty log and no day.
-
-    A time-ordered log (a written one is) is swept once, in bounded memory.
-    Any other is read again into a list, as is a file that cannot be read
-    from its end or twice, such as a pipe."""
-    try:
-        if not path.is_file():
-            raise _Reread
-        events = iter_events(path)
-        interval = day
-        if day is None:
-            first = next(events, None)
-            if first is None:
-                return None
-            # In time order the last line holds the latest event; a last line
-            # that is no event stops the sweep, at the first bad line.
-            interval = _whole_days(first.at, (last_event(path) or first).at)
-            events = itertools.chain((first,), events)
-        return energy_mod.energy_for_interval(_SweptOnce(events), cfg.power, cfg.duty, *interval)
-    except _Reread:
-        events = events_from_log(path)
-        if day is None and not events:
-            return None
-        interval = day or _whole_days(min(e.at for e in events), max(e.at for e in events))
-        return energy_mod.energy_for_interval(events, cfg.power, cfg.duty, *interval)
+        return iter_events(self.path)
 
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.profile)
-    day = None
+    start = end = None
     if args.day is not None:
         start = date_to_ts(args.day)
-        day = start, start + DAY_SECONDS
-    duty = _log_energy(args.events, cfg, day)
+        end = start + DAY_SECONDS
+    # A log is swept as a stream, and read again only to be sorted; a file
+    # that cannot be read twice, such as a pipe, is read into a list first.
+    events = _EventLog(args.events) if args.events.is_file() else events_from_log(args.events)
+    duty = energy_mod.energy_for_interval(events, cfg.power, cfg.duty, start, end)
     if duty is None:
         print("error: empty event log and no --day given", file=sys.stderr)
         return EXIT_USAGE

@@ -15,13 +15,14 @@ sensor/display savings come from the deployment being modeled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .model import EventKind, MonitorEvent, Timestamp
+from .model import DAY_SECONDS, EventKind, MonitorEvent, Timestamp, day_start
 
 COMPONENTS = ("controller", "sensor", "display", "camera", "buzzer")
 
@@ -102,18 +103,32 @@ class EnergyBreakdown:
 
 
 def _sweep(
-    events: Iterable[MonitorEvent], policy: DutyPolicy, start: Timestamp, end: Timestamp
-) -> dict[str, int] | None:
-    """Active seconds of [start, end) per component, in one pass that keeps
-    a (reach, active seconds) pair per component; None if the events are
-    out of time order.
+    events: Iterable[MonitorEvent], policy: DutyPolicy, start: Timestamp | None, end: Timestamp | None
+) -> tuple[dict[str, int] | None, Timestamp, Timestamp] | None:
+    """Active seconds of [start, end) per component and the interval, in
+    one pass that keeps a (reach, active seconds) pair per component; None
+    if the events are out of time order.
 
     A component's windows all have one length, so time order is window
     order. The display holds the last message, so its overlapping windows
     merge; every other component does one thing at a time, so an overlap
     there is InconsistentTimeline. It is raised after the pass, for the
     first such component in COMPONENTS order at its first overlap: a pass
-    that meets an event out of time order returns None instead."""
+    that meets an event out of time order returns None instead.
+
+    With no interval, start is the first event's UTC midnight (no events:
+    no active seconds) and end the midnight at or after the last event, a
+    day past start at least. The pass clips nothing at that end, and need
+    not: every window starts at or before it, so afterwards each pair drops
+    its reach past it, and only an overlap that starts before it counts."""
+    if start is None:
+        events = iter(events)
+        first = next(events, None)
+        if first is None:
+            return None, 0, 0
+        start = day_start(first.at)
+        events = itertools.chain((first,), events)
+    limit = math.inf if end is None else end
     wakes = {
         kind: tuple((name, getattr(policy, attr)) for name, attr in parts)
         for kind, parts in _WAKES.items()
@@ -134,7 +149,7 @@ def _sweep(
             s = at - warm_up
             if s < start:
                 s = start
-            e = at if at < end else end
+            e = at if at < limit else limit
             if s < e:
                 if s < reach:
                     overlaps.setdefault("sensor", s)
@@ -144,8 +159,8 @@ def _sweep(
         for name, length in wakes.get(ev.kind, ()):
             s = at if at > start else start
             e = at + length
-            if e > end:
-                e = end
+            if e > limit:
+                e = limit
             if s >= e:
                 continue
             pair = state[name]
@@ -155,29 +170,41 @@ def _sweep(
             if s < e:
                 pair[0] = e
                 pair[1] += e - s
+    if end is None:
+        end = max(-(-last // DAY_SECONDS) * DAY_SECONDS, start + DAY_SECONDS)
+        for pair in state.values():
+            pair[1] -= max(pair[0] - end, 0)
     for name in ("sensor", "camera", "buzzer"):
-        if name in overlaps:
+        if overlaps.get(name, end) < end:
             raise InconsistentTimeline(f"{name} windows overlap at {overlaps[name]}")
     # The controller services each sample: it is active exactly when the sensor is.
     active = {"controller": sensor_s, "sensor": sensor_s}
     active.update((name, pair[1]) for name, pair in state.items())
-    return active
+    return active, start, end
 
 
 def energy_for_interval(
-    events: Sequence[MonitorEvent],
+    events: Iterable[MonitorEvent],
     profile: PowerProfile,
     policy: DutyPolicy,
-    start: Timestamp,
-    end: Timestamp,
-) -> EnergyBreakdown:
-    """Time-ordered events (a written log's are) are swept once; events out
-    of time order are sorted by time first and swept again."""
-    if end < start:
+    start: Timestamp | None = None,
+    end: Timestamp | None = None,
+) -> EnergyBreakdown | None:
+    """The energy over [start, end), or with neither given over the whole
+    UTC days from the earliest event to the latest; None for no events and
+    no interval. Time-ordered events (a written log's are) are swept once;
+    others are sorted by time and swept again, so `events` is iterated
+    twice then."""
+    if (start is None) != (end is None):
+        raise TypeError("give both start and end, or neither")
+    if start is not None and end < start:
         raise ValueError("end must be >= start")
-    active = _sweep(events, policy, start, end)
+    swept = _sweep(events, policy, start, end)
+    if swept is None:
+        swept = _sweep(sorted(events, key=attrgetter("at")), policy, start, end)
+    active, start, end = swept
     if active is None:
-        active = _sweep(sorted(events, key=attrgetter("at")), policy, start, end)
+        return None
     duration = end - start
     per: dict[str, ComponentEnergy] = {}
     for name in COMPONENTS:

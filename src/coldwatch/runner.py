@@ -45,7 +45,6 @@ import dataclasses
 import enum
 import functools
 import gc
-import io
 import json
 import math
 import os
@@ -54,7 +53,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .alerts import (
     AlertDispatcher,
@@ -166,7 +165,7 @@ _RECORD_LINE = (
     '"window_max_temp_decic":%d,"window_min_temp_decic":%d}}}\n'
 )
 _INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
-_STR = r'"([^"\\\x00-\x1f]*)"'  # a JSON string without escapes
+_STR = r'"([^"\\\x00-\x1f\udc80-\udcff]*)"'  # no escapes, no byte that is not UTF-8
 _SAMPLE_LINE_RE = re.compile(
     re.escape(_SAMPLE_LINE).replace("%d", _INT).replace("%s", _STR) + r"\n?"
 )
@@ -221,68 +220,43 @@ class _Shared(dict):
 
 def iter_events(path: Path) -> Iterator[MonitorEvent]:
     """Every event of an events.log, in file order; ValueError names the
-    first bad line.
+    first bad line, also one that holds a byte that is not UTF-8.
 
     A SampleTaken line shares its repeated values with earlier ones: one
     str per device id, one int per temperature or humidity text, and the
     reading's `at` is the event's own when the two texts are equal. The
     device table is kept apart from the number table, so an id "0" stays
     text."""
-    with open(path, encoding="utf-8") as f:
-        yield from _events(f, path)
-
-
-def _events(lines: Iterable[str], path: Path) -> Iterator[MonitorEvent]:
     # Every humidity value is in the temperature envelope too.
     devices, numbers = _Shared(str, 64), _Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
     sample, match = EventKind.SAMPLE_TAKEN, _SAMPLE_LINE_RE.fullmatch
-    for line_no, line in enumerate(lines, start=1):
-        m = match(line)
-        if m is None:
-            yield _event_from_json(line, path, line_no)
-            continue
-        at_text, reading_at, device_id, hum, temp = m.groups()
-        at = int(at_text)
-        reading = {
-            "at": at if reading_at == at_text else int(reading_at),
-            "device_id": devices[device_id],
-            "hum_decip": numbers[hum],
-            "temp_decic": numbers[temp],
-        }
-        yield MonitorEvent(sample, at, {"reading": reading})
-
-
-def last_event(path: Path) -> MonitorEvent | None:
-    """The event of an events.log's last line, read from the end of the
-    file; None for an empty log or a last line that is no event (iter_events
-    raises at it, or at an earlier bad line)."""
-    with open(path, "rb") as f:
-        start = size = f.seek(0, os.SEEK_END)
-        while start > 0:  # back to the line break before the last line
-            end, start = start, max(start - 4096, 0)
-            f.seek(start)
-            block = f.read(end - start)
-            if end == size:  # the last line's own line break
-                block = block[:-2] if block.endswith(b"\r\n") else block[:-1]
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r"))
-            if cut >= 0:
-                start += cut + 1
-                break
-        f.seek(start)
-        tail = f.read()
-    if not tail:
-        return None
-    try:
-        *_, event = _events(io.TextIOWrapper(io.BytesIO(tail), encoding="utf-8"), path)
-    except ValueError:
-        return None
-    return event
+    # A byte that is not UTF-8 reads as a lone surrogate, for _event_from_json to name.
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            m = match(line)
+            if m is None:
+                yield _event_from_json(line, path, line_no)
+                continue
+            at_text, reading_at, device_id, hum, temp = m.groups()
+            at = int(at_text)
+            reading = {
+                "at": at if reading_at == at_text else int(reading_at),
+                "device_id": devices[device_id],
+                "hum_decip": numbers[hum],
+                "temp_decic": numbers[temp],
+            }
+            yield MonitorEvent(sample, at, {"reading": reading})
 
 
 _KINDS = frozenset(kind.value for kind in EventKind)
+_ESCAPED_BYTE = re.compile(r"[\udc80-\udcff]")
 
 
 def _event_from_json(line: str, path: Path, line_no: int) -> MonitorEvent:
+    escaped = None if line.isascii() else _ESCAPED_BYTE.search(line)  # a written line is ASCII
+    if escaped:
+        byte = ord(escaped[0]) - 0xDC00
+        raise ValueError(f"{path}: line {line_no}: byte 0x{byte:02x} is not UTF-8")
     try:
         doc = json.loads(line)
     except ValueError as exc:

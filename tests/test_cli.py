@@ -659,6 +659,19 @@ class TestEnergy:
         assert main(["energy", "--events", str(events)]) == 2
         assert "line 3:" in capsys.readouterr().err
 
+    def test_a_byte_that_is_not_utf8_is_a_usage_error_naming_its_line(
+        self, sim_dir, tmp_path, capsys
+    ):
+        lines = (sim_dir / "events.log").read_bytes().splitlines(keepends=True)[:500]
+        assert b'"device_id":"fridge-1"' in lines[300]
+        lines[300] = lines[300].replace(b"fridge-1", b"fridge-\xff")
+        events = tmp_path / "events.log"
+        events.write_bytes(b"".join(lines))
+        assert main(["energy", "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {events}: line 301: byte 0xff is not UTF-8\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "draw, message",
         [

@@ -225,6 +225,62 @@ def test_event_order_does_not_change_the_breakdown(drawn, duties, start, length,
     assert outcomes[0] == outcomes[1]
 
 
+# Instants over three days, many of them on or near a midnight (the end of
+# the whole-days interval), close enough together for windows to overlap.
+NEAR_MIDNIGHTS = st.builds(
+    lambda day, second: day * DAY + second,
+    st.integers(0, 2),
+    st.one_of(st.just(0), st.integers(-12, 12), st.integers(0, DAY - 1)),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(list(EventKind)), NEAR_MIDNIGHTS), max_size=12),
+    st.tuples(*[st.integers(0, 30)] * 4),
+    st.randoms(use_true_random=False),
+)
+def test_no_interval_is_the_whole_days_of_the_events(drawn, duties, rng):
+    """With no interval, time-ordered or shuffled events give what the
+    whole UTC days from the earliest event to the latest give: the same
+    breakdown, or the same InconsistentTimeline; None exactly when there
+    are no events."""
+    ordered = sorted((ev(kind, at) for kind, at in drawn), key=lambda e: e.at)
+    shuffled = list(ordered)
+    rng.shuffle(shuffled)
+    profile, policy = PowerProfile(), DutyPolicy(*duties)
+
+    def outcome(events, *interval):
+        try:
+            return energy_for_interval(events, profile, policy, *interval)
+        except InconsistentTimeline as exc:
+            return str(exc)
+
+    if ordered:
+        start = ordered[0].at // DAY * DAY
+        end = max(-(-ordered[-1].at // DAY) * DAY, start + DAY)
+        expected = outcome(ordered, start, end)
+        assert expected is not None
+    else:
+        expected = None
+    assert outcome(ordered) == expected
+    assert outcome(shuffled) == expected
+
+
+def test_a_window_that_starts_at_the_whole_days_end_is_empty():
+    """The latest event, at a midnight, ends the interval there: its camera
+    window is empty and overlaps nothing, and the one before it is clipped."""
+    events = [ev(EventKind.IMAGE_CAPTURED, DAY - 2), ev(EventKind.IMAGE_CAPTURED, DAY)]
+    duty = energy_for_interval(events, PowerProfile(), DutyPolicy())
+    assert duty.per_component["camera"].active_s == 2
+    assert duty.per_component["camera"].baseline_uj == DAY * 1_400_000
+
+
+def test_an_interval_needs_both_ends():
+    with pytest.raises(TypeError, match="both start and end"):
+        energy_for_interval([], PowerProfile(), DutyPolicy(), 0)
+
+
 def test_baseline_energy_is_always_on():
     duty = energy_for_interval([], PowerProfile(), DutyPolicy(), 0, DAY)
     assert duty.per_component["sensor"].baseline_uj == DAY * 2500  # 2.5 mW in microwatts

@@ -324,36 +324,19 @@ def test_iter_events_yields_the_lines_before_a_bad_one(tmp_path):
         next(events)
 
 
-# Lines as a run writes them and as an edit or a torn write leaves them,
-# some longer than last_event's 4096-byte block, with every line end the
-# reader's universal newlines take.
-ANY_LINES = st.lists(
-    st.tuples(
-        st.one_of(
-            st.builds(written_line, st.one_of(SAMPLES, RECORDS, OTHER_EVENTS)).map(str.rstrip),
-            st.builds(sample_line, device_id=st.sampled_from(["a" * 5000, "b"]), end=st.just("")),
-            st.sampled_from(["", "[1]", '{"at":1', " ", "\x00"]),
-        ),
-        st.sampled_from(["\n", "\r\n", "\r", ""]),
-    ),
-    max_size=5,
+@pytest.mark.parametrize(
+    "line",
+    [
+        sample_line(device_id="fridge\udcff1"),
+        sample_line(end="\udcff\n"),
+        '{"at":1735689630,"kind":"BatchAnchored","payload":{"note":"\udcff"}}\n',
+        sample_line(device_id="\udced\udcb3\udcbf"),  # a surrogate encoded as UTF-8
+    ],
+    ids=["in-a-device-id", "at-a-line-end", "in-a-json-line", "encoded-surrogate"],
 )
-
-
-@FILE_EXAMPLES
-@given(ANY_LINES)
-def test_last_event_reads_the_last_line(tmp_path, lines):
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, line):
+    """A byte that is not UTF-8 is named with its line, wherever it is."""
     path = tmp_path / "events.log"
-    path.write_text("".join(text + end for text, end in lines), encoding="utf-8", newline="")
-    with open(path, encoding="utf-8") as f:
-        *_, last = [None, *f]
-    if last is None:
-        expected = None
-    else:
-        alone = tmp_path / "last.log"
-        alone.write_text(last, encoding="utf-8", newline="")
-        try:
-            expected = reference_events(alone)[0]
-        except LineRejected:
-            expected = None
-    assert runner.last_event(path) == expected
+    path.write_bytes((sample_line() + line + sample_line()).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError, match=r": line 2: byte 0x(ff|ed) is not UTF-8$"):
+        events_from_log(path)
