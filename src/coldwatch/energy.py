@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .model import DAY_SECONDS, EventKind, MonitorEvent, Timestamp, day_start
+from .model import DAY_SECONDS, EventKind, MonitorEvent, Timestamp, collector_paused, day_start
 
 COMPONENTS = ("controller", "sensor", "display", "camera", "buzzer")
 
@@ -201,7 +201,7 @@ def energy_for_interval(
         raise ValueError("end must be >= start")
     swept = _sweep(events, policy, start, end)
     if swept is None:
-        swept = _sweep(sorted(events, key=attrgetter("at")), policy, start, end)
+        swept = _sweep(collector_paused(sorted, events, key=attrgetter("at")), policy, start, end)
     active, start, end = swept
     if active is None:
         return None

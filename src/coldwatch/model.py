@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import gc
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -166,14 +167,32 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MonitorEvent:
     """One observable fact emitted by the monitor pipeline.
 
     Payload keys are kind-specific; every kind except SAMPLE_TAKEN
-    references the reading or episode that caused it.
+    references the reading or episode that caused it. Not frozen: the
+    payload dict leaves an event mutable and unhashable anyway, and a
+    frozen __init__ costs a fifth of reading an events.log line back.
     """
 
     kind: EventKind
     at: Timestamp
     payload: dict = field(default_factory=dict)
+
+
+def collector_paused(build, /, *args, **kwargs):
+    """build(*args, **kwargs) with the cyclic garbage collector paused.
+
+    For building a list of events read back from a log: they hold no
+    reference cycles, so each collection during the build would only
+    rescan the growing list. The caller's collector state is restored,
+    also when build raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args, **kwargs)
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,13 +2,14 @@
 
 The run loop writes a SampleTaken line by filling one format string
 (`runner._SAMPLE_LINE`) and `events_from_log` reads that layout back with
-one regex; `runner._record_line` writes every LocalLogWritten line from a
-record's columns with a second format string, and every other line goes
-through the json module. The fast paths must give exactly what the json module gives:
-the same bytes on the way out, the same events (or the same rejected line)
-on the way in.
+one regex, a block of lines at a time; `runner._record_line` writes every
+LocalLogWritten line from a record's columns with a second format string,
+and every other line goes through the json module. The fast paths must
+give exactly what the json module gives: the same bytes on the way out,
+the same events (or the same rejected line) on the way in.
 """
 
+import contextlib
 import dataclasses
 import enum
 import gc
@@ -28,8 +29,9 @@ from coldwatch.model import (
     MonitorEvent,
     Reading,
 )
-from coldwatch import runner
-from coldwatch.runner import _SAMPLE_LINE_RE, event_to_json, events_from_log
+from coldwatch import cli, runner
+from coldwatch.energy import DutyPolicy, PowerProfile, energy_for_interval
+from coldwatch.runner import _LINE_RE, event_to_json, events_from_log
 
 KIND_NAMES = [kind.value for kind in EventKind]
 
@@ -82,15 +84,18 @@ OTHER_EVENTS = st.builds(
     st.integers(),
 )
 
+# 200 examples, or the profile's budget where that is larger (CI's 1000).
 FILE_EXAMPLES = settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=max(200, settings().max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
 class LineRejected(Exception):
-    def __init__(self, line_no: int):
+    def __init__(self, line_no: int, events: list):
         super().__init__(line_no)
-        self.line_no = line_no
+        self.line_no, self.events = line_no, events  # the events of the lines before
 
 
 def reference_events(path):
@@ -101,14 +106,14 @@ def reference_events(path):
             try:
                 doc = json.loads(line)
             except ValueError:
-                raise LineRejected(line_no) from None
+                raise LineRejected(line_no, events) from None
             if not (
                 isinstance(doc, dict)
                 and doc.get("kind") in KIND_NAMES
                 and type(doc.get("at")) is int
                 and isinstance(doc.get("payload"), dict)
             ):
-                raise LineRejected(line_no)
+                raise LineRejected(line_no, events)
             events.append(MonitorEvent(EventKind(doc["kind"]), doc["at"], doc["payload"]))
     return events
 
@@ -194,7 +199,7 @@ def test_written_log_reads_back_like_json(tmp_path, events):
     for event, line in zip(events, lines):
         if event.kind is EventKind.SAMPLE_TAKEN:
             # The reader's own layout covers every sample line without an escape.
-            assert (_SAMPLE_LINE_RE.fullmatch(line) is None) == ("\\" in line)
+            assert (_LINE_RE.fullmatch(line)[1] is None) == ("\\" in line)
 
 
 # Near misses of the fixed layout: numbers JSON refuses or reads another way,
@@ -214,18 +219,59 @@ LINE_PARTS = st.tuples(
 )
 
 
-@FILE_EXAMPLES
-@given(LINE_PARTS)
-def test_any_line_reads_like_json(tmp_path, parts):
+def near_miss_line(parts):
     at, kind, reading_at, device_id, hum, temp, end = parts
-    line = (
+    return (
         '{"at":%s,"kind":%s,"payload":{"reading":{"at":%s,"device_id":"%s",'
         '"hum_decip":%s,"temp_decic":%s}}}%s' % (at, kind, reading_at, device_id, hum, temp, end)
     )
+
+
+@FILE_EXAMPLES
+@given(LINE_PARTS)
+def test_any_line_reads_like_json(tmp_path, parts):
     first = event_to_json(MonitorEvent(EventKind.BATCH_ANCHORED, 0, {}))
     path = tmp_path / "events.log"
-    path.write_text(first + "\n" + line, encoding="utf-8", newline="")
+    path.write_text(first + "\n" + near_miss_line(parts), encoding="utf-8", newline="")
     assert_reads_like_reference(path)
+
+
+@FILE_EXAMPLES
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.one_of(SAMPLES, RECORDS, OTHER_EVENTS).map(written_line),
+                LINE_PARTS.map(near_miss_line),
+            ),
+            st.booleans(),  # \r\n line ends
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+    st.integers(1, 200),
+)
+def test_lines_across_blocks_read_like_json(tmp_path, monkeypatch, lines, unterminated, block):
+    """With blocks of 1 to 200 characters most lines cross a block's end:
+    the reader still gives what the reference gives, and before a bad line
+    it yields exactly the events of the lines before it."""
+    text = "".join(line.replace("\n", "\r\n") if crlf else line for line, crlf in lines)
+    if unterminated:  # the last line has no line end
+        text = text.removesuffix("\n").removesuffix("\r")
+    path = tmp_path / "events.log"
+    path.write_text(text, encoding="utf-8", newline="")
+    monkeypatch.setattr(runner, "_BLOCK_CHARS", block)
+    assert_reads_like_reference(path)
+    try:
+        expected, bad = reference_events(path), None
+    except LineRejected as exc:
+        expected, bad = exc.events, exc.line_no
+    read = []
+    with pytest.raises(ValueError, match=f": line {bad}: ") if bad else contextlib.nullcontext():
+        for event in runner.iter_events(path):
+            read.append(event)
+    assert read == expected
 
 
 def sample_line(at="1735689630", device_id="fridge-1", end="\n"):
@@ -245,11 +291,14 @@ def sample_line(at="1735689630", device_id="fridge-1", end="\n"):
         (sample_line(at="١٧٣"), None),
         (sample_line(at="1٧"), None),
         (sample_line(end=""), ("at", 1735689630)),
+        (sample_line(end=" \n"), ("at", 1735689630)),
+        (sample_line(end="x\n"), None),
         (sample_line(at="true"), None),
         ('{"at":1735689630,"kind":"SampleTaken","payload":[]}\n', None),
     ],
     ids=["raw-non-ascii", "raw-del", "minus-zero", "leading-zero", "unicode-digits",
-         "trailing-unicode-digit", "no-final-newline", "bool-at", "payload-not-an-object"],
+         "trailing-unicode-digit", "no-final-newline", "space-after-a-sample",
+         "junk-after-a-sample", "bool-at", "payload-not-an-object"],
 )
 def test_hand_written_lines(tmp_path, line, expected):
     path = tmp_path / "events.log"
@@ -272,6 +321,13 @@ def test_reading_pauses_the_collector_and_restores_its_state(tmp_path, monkeypat
     good.write_text(sample_line() + '{"at":1735689630,"kind":"BatchAnchored","payload":{}}\n')
     bad = tmp_path / "bad.log"
     bad.write_text(sample_line() + "[1]\n")
+    # Out of time order, so energy sweeps it once as it is and then reads it
+    # again to sort it; the bad line is past where the first sweep stops.
+    late = '{"at":1735689660,"kind":"BatchAnchored","payload":{}}\n'
+    unordered = tmp_path / "unordered.log"
+    unordered.write_text(late + sample_line())
+    unordered_bad = tmp_path / "unordered_bad.log"
+    unordered_bad.write_text(late + sample_line() + "[1]\n")
     during = []
     parse = runner._event_from_json
 
@@ -288,9 +344,15 @@ def test_reading_pauses_the_collector_and_restores_its_state(tmp_path, monkeypat
         with pytest.raises(ValueError, match=": line 2: "):
             events_from_log(bad)
         assert gc.isenabled() is enabled
+        assert energy_for_interval(cli._EventLog(unordered), PowerProfile(), DutyPolicy())
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match=": line 3: "):
+            energy_for_interval(cli._EventLog(unordered_bad), PowerProfile(), DutyPolicy())
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert during == [False, False]
+    # The streamed sweep runs with the caller's state; every list build pauses it.
+    assert during == [False, False, enabled, False, enabled, False, False]
 
 
 def test_a_written_logs_samples_share_their_values(breach_run):

@@ -1,6 +1,6 @@
 """Wall time and peak RSS of `coldwatch simulate` at a given horizon, and of reading its run back.
 
-    python3 tools/rss_horizon.py --days 90 [--replay] [--energy]
+    python3 tools/rss_horizon.py --days 90 [--replay] [--energy] [--repeat N]
 
 Runs `coldwatch simulate --scenario normal --seed 7 --duration <days>d` in
 a fresh Python process on the sources under this checkout's src/, and
@@ -10,9 +10,12 @@ trace.csv (`--scenario replay --trace`) in another fresh process, and with
 --energy it runs `coldwatch energy` over the run's events.log in another;
 each prints one more line. Each child is reaped with os.wait4, so each line's
 peak is that child's own (resource.getrusage(RUSAGE_CHILDREN) would fold
-every child reaped so far into one maximum). The run directories live in
-a temporary directory removed on exit. A child that exits non-zero ends
-the script with its status.
+every child reaped so far into one maximum). With --repeat N each command
+runs N times, each in a fresh process, and its line gives the minimum
+wall time, the highest peak and "repeat": N; a run's output directory is
+removed before each rerun, which writes the same bytes again. The run
+directories live in a temporary directory removed on exit. A child that
+exits non-zero ends the script with its status.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -52,9 +56,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--days", type=int, required=True, help="simulated horizon in days")
     parser.add_argument("--replay", action="store_true", help="also replay the run's trace.csv")
     parser.add_argument("--energy", action="store_true", help="also run energy over its events.log")
+    parser.add_argument("--repeat", type=int, help="run each command N times; min wall, max peak")
     args = parser.parse_args(argv)
     if args.days < 1:
         parser.error("--days must be at least 1")
+    if args.repeat is not None and args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory(prefix="rss-horizon-") as tmp:
         run, duration = Path(tmp) / "run", ["--seed", "7", "--duration", f"{args.days}d"]
         runs = {"simulate": ["simulate", "--scenario", "normal", *duration, "--out", str(run)]}
@@ -66,7 +73,20 @@ def main(argv: list[str]) -> int:
         if args.energy:
             runs["energy"] = ["energy", "--events", str(run / "events.log")]
         for name, cmd in runs.items():
-            print(json.dumps({"run": name, "days": args.days, **measure(cmd)}), flush=True)
+            results = [measure(cmd)]
+            for _ in range((args.repeat or 1) - 1):
+                if "--out" in cmd:  # simulate refuses a directory that is not empty
+                    shutil.rmtree(cmd[cmd.index("--out") + 1])
+                results.append(measure(cmd))
+            line = {
+                "run": name,
+                "days": args.days,
+                "wall_s": min(r["wall_s"] for r in results),
+                "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
+            }
+            if args.repeat is not None:
+                line["repeat"] = args.repeat
+            print(json.dumps(line), flush=True)
     return 0
 
 
