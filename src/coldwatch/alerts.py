@@ -11,9 +11,8 @@ Message texts are byte-stable templates:
   ALERT|CRITICAL|dev=<id>|temp=<x.x>C|hum=<y.y>%|since=<iso8601>
   RESOLVED|dev=<id>|temp=<x.x>C|hum=<y.y>%|since=<iso8601>|duration=<seconds>s
 
-The default messenger sink captures to a JSONL file with the
-Telegram-style body {"chat_id": ..., "text": ...}; a real HTTP adapter
-is optional and reads its token from the environment.
+The messenger sink captures to a JSONL file with the Telegram-style
+body {"chat_id": ..., "text": ...}.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, t
 from .outbox import retry_delay
 
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
-NOTICE_SINKS = ("messenger", "telegram")  # the remote sinks, which get report notices
+NOTICE_SINKS = ("messenger",)  # the remote sinks, which get report notices
 
 
 class UnsupportedEvent(ValueError):
@@ -124,33 +123,6 @@ class MessengerSink(Sink):
             for msg in ordered:
                 f.write(json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n")
         return len(ordered)
-
-
-class TelegramHTTPSink(Sink):
-    """Optional real adapter for the Telegram bot send-message endpoint.
-    Requires the `requests` extra; credentials come from the environment
-    (MONITOR_BOT_TOKEN, MONITOR_CHAT_ID)."""
-
-    name = "telegram"
-
-    def __init__(self, token: str, chat_id: str):
-        self.token = token
-        self.chat_id = chat_id
-
-    def deliver(self, text: str, now: Timestamp) -> Timestamp:
-        import requests
-
-        try:
-            resp = requests.post(
-                f"https://api.telegram.org/bot{self.token}/sendMessage",
-                json={"chat_id": self.chat_id, "text": text},
-                timeout=10,
-            )
-        except requests.RequestException as exc:
-            raise SinkUnavailable(f"telegram unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise SinkUnavailable(f"telegram returned {resp.status_code}")
-        return now
 
 
 @dataclass

@@ -2,18 +2,12 @@
 
 Exit codes are stable: 0 success, 1 internal invariant violation,
 2 usage/config/IO error, 3 verification failure.
-
-Everything is flag-driven except the optional real messenger adapter:
-`simulate --live-messenger` reads MONITOR_BOT_TOKEN and MONITOR_CHAT_ID
-from the environment and sends alerts over the Telegram bot API in
-addition to the offline capture file.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import re
 import sys
 from pathlib import Path
@@ -53,16 +47,6 @@ def parse_duration(text: str) -> int:
     return sum(int(n) * _DURATION_UNITS[unit] for n, unit in _DURATION_PART_RE.findall(text))
 
 
-def _speedup(text: str) -> float:
-    try:
-        speed = float(text)
-    except ValueError:
-        speed = math.nan
-    if not 0 < speed < math.inf:  # nan fails both
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return speed
-
-
 def _parse_fault(text: str, start: int) -> FaultSpec:
     parts = text.split(":")
     if len(parts) != 3:
@@ -86,18 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, default=Path("monitor-run"))
     sim.add_argument("--device")
     sim.add_argument("--start", help="run start, YYYY-MM-DD (default 2025-01-01)")
-    sim.add_argument("--realtime", type=_speedup, metavar="SPEEDUP", help="pace to wall time")
     sim.add_argument(
         "--fault",
         action="append",
         default=[],
         metavar="KIND:START:END",
         help="inject sensor_dropout / ledger_outage / process_crash (offsets from start)",
-    )
-    sim.add_argument(
-        "--live-messenger",
-        action="store_true",
-        help="also send alerts via the Telegram bot API (env: MONITOR_BOT_TOKEN, MONITOR_CHAT_ID)",
     )
 
     ver = sub.add_parser("verify", help="verify a ledger file and optionally a report")
@@ -155,9 +133,7 @@ def cmd_simulate(args) -> int:
         thresholds=cfg_file.thresholds,
         gas=cfg_file.gas,
         chat_id=cfg_file.chat_id,
-        realtime_speed=args.realtime,
         scenario_name=args.scenario,
-        live_messenger=args.live_messenger,
     )
     result = run_simulation(run_cfg)
     c = result.manifest["counters"]

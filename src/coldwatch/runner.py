@@ -25,12 +25,11 @@ ticks. Ticks for which the engine would emit no event but at most their
 record, in any mode, are taken a stretch at a time (MonitorEngine.fold);
 any other tick is a stretch of one, stepped after its line. A stretch
 ends at the next clock event's instant, included, before the alert
-dispatcher's next try and before the next crash; in a paced run it ends
-after its first tick. Every record, taken or stepped, goes through one
-writer (_Run._store_records): it queues the readings for the next batch
-and appends the report rows in one outbox write, and its lines follow
-their ticks' sample lines. So each row is durable before any crash
-point or drain.
+dispatcher's next try and before the next crash. Every record, taken or
+stepped, goes through one writer (_Run._store_records): it queues the
+readings for the next batch and appends the report rows in one outbox
+write, and its lines follow their ticks' sample lines. So each row is
+durable before any crash point or drain.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -45,10 +44,7 @@ import dataclasses
 import enum
 import functools
 import json
-import math
-import os
 import re
-import time
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
@@ -60,7 +56,6 @@ from .alerts import (
     DeliveryRecord,
     DisplaySink,
     MessengerSink,
-    TelegramHTTPSink,
     render_alert,
 )
 from .clock import VirtualClock
@@ -122,9 +117,7 @@ class RunConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     gas: GasSchedule = field(default_factory=GasSchedule)
     chat_id: str = "owner"
-    realtime_speed: float | None = None
     scenario_name: str = "normal"
-    live_messenger: bool = False  # real Telegram sink from env credentials
 
 
 @dataclass
@@ -275,20 +268,13 @@ def _event_from_json(line: str, path: Path, line_no: int) -> MonitorEvent:
 
 class _Run:
     def __init__(self, cfg: RunConfig):
-        speed = cfg.realtime_speed
-        if speed is not None and not 0 < speed < math.inf:  # nan fails both
-            raise ValueError(f"realtime speed-up must be a finite number > 0, got {speed}")
         if not (_FIRST_DATED <= cfg.start and cfg.start + cfg.horizon <= _END_DATED):
             raise ValueError(
                 f"a run from {cfg.start} for {cfg.horizon} s leaves the UTC years 1 to 9999 "
                 "(--start or [run] start, --duration)"
             )
-        # Sinks first: a missing live-messenger credential or extra fails
-        # before the run writes anything.
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
         self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
-        if cfg.live_messenger:
-            self._sinks.append(_live_messenger_from_env())
         # The trace, and with it a replay's device id, comes before the
         # output directory: a bad row or device id leaves nothing behind.
         if cfg.trace_path is not None:
@@ -433,31 +419,23 @@ class _Run:
         if result.retry_at is not None and result.retry_at <= self.cfg.start + self.cfg.horizon:
             clock.schedule(result.retry_at, "retry")
 
-    def crash_and_recover(self) -> None:
-        self.outbox.close()
-        # Already-dispatched deliveries survive (they left the process);
-        # sends still queued for a down sink are lost with the process.
-        self.deliveries.extend(self.dispatcher.deliveries)
-        self._start_process()
-
     # -- main loop ----------------------------------------------------------
 
-    def _pace_and_recover(self, at: Timestamp, clock: VirtualClock) -> None:
-        """Pacing and crash handling, ahead of each tick and clock event."""
-        speed = self.cfg.realtime_speed
-        if speed is not None:
-            delay = self._wall + (at - self._sim) / speed - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            self._wall, self._sim = time.monotonic(), at
+    def _recover(self, at: Timestamp, clock: VirtualClock) -> None:
+        """Each crash due by `at`, ahead of a stretch or clock event, drops
+        the process and recovers it from the store."""
         while self.crash_times and at >= self.crash_times[0]:
             self.crash_times.pop(0)
-            self.crash_and_recover()
+            self.outbox.close()
+            # Already-dispatched deliveries survive (they left the process);
+            # sends still queued for a down sink are lost with the process.
+            self.deliveries.extend(self.dispatcher.deliveries)
+            self._start_process()
             self.drain(at, clock)
 
     def _clock_events(self, clock: VirtualClock, until: Timestamp) -> None:
         for at, tag in clock.run(until):
-            self._pace_and_recover(at, clock)
+            self._recover(at, clock)
             if tag == "retry":
                 self.drain(at, clock)
                 self.dispatcher.flush(at)
@@ -480,8 +458,7 @@ class _Run:
             clock.schedule(boundary, "day-end")
             boundary += DAY_SECONDS
 
-        self._wall, self._sim = time.monotonic(), cfg.start
-        paced, crash_times = cfg.realtime_speed is not None, self.crash_times
+        crash_times = self.crash_times
         trace, device = self.trace, cfg.device_id
         ticks, temps, hums = trace.ticks, trace.temps, trace.hums
         sample_line, device_json = _SAMPLE_LINE + "\n", _json_string(device)
@@ -493,11 +470,8 @@ class _Run:
             at = ticks[i]
             if clock.next_at < at:
                 self._clock_events(clock, at - 1)
-            if paced or crash_times and at >= crash_times[0]:
-                self._pace_and_recover(at, clock)
-            # A paced stretch is one tick, so that each tick is paced.
-            until = at + 1 if paced else clock.next_at + 1
-            stop = min([until, self.dispatcher.next_try(), *crash_times[:1]])
+            self._recover(at, clock)
+            stop = min([clock.next_at + 1, self.dispatcher.next_try(), *crash_times[:1]])
             j, records = self.engine.fold(trace, i, stop)
             k = max(j, i + 1)  # a tick that fold does not take is stepped alone
             recorded = {}
@@ -524,9 +498,10 @@ class _Run:
             i = k
         self._clock_events(clock, end)
 
-        # Trailing partial day, if it produced any rows.
+        # The day of the last tick, if it holds rows: a partial day, or only
+        # the tick at `end` when that is a midnight.
         last_boundary = day_start(end)
-        if end % DAY_SECONDS != 0 and self.outbox.rows(last_boundary, end):
+        if self.outbox.rows(last_boundary, end + 1):
             self._anchor_day_report(last_boundary, end, clock)
         # Ledger writes still pending at the horizon go out at their retry
         # times; fault windows are finite, so the outbox empties.
@@ -582,22 +557,6 @@ class _Run:
                 "messages": messages,
             },
         }
-
-
-def _live_messenger_from_env() -> TelegramHTTPSink:
-    try:
-        import requests  # noqa: F401  (the sink posts through it)
-    except ImportError as exc:
-        raise ValueError(
-            "live messenger needs the 'messenger' extra: pip install 'coldwatch[messenger]'"
-        ) from exc
-    token = os.environ.get("MONITOR_BOT_TOKEN")
-    chat = os.environ.get("MONITOR_CHAT_ID")
-    if not token or not chat:
-        raise ValueError(
-            "live messenger needs MONITOR_BOT_TOKEN and MONITOR_CHAT_ID in the environment"
-        )
-    return TelegramHTTPSink(token=token, chat_id=chat)
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:

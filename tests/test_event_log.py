@@ -17,7 +17,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from coldwatch.engine import MonitorMode
 from coldwatch.model import (
@@ -85,9 +85,12 @@ OTHER_EVENTS = st.builds(
 )
 
 # 200 examples, or the profile's budget where that is larger (CI's 1000).
+# No explain phase: on a broken reader it takes far longer, and far more
+# memory, than finding and shrinking the failing example did.
 FILE_EXAMPLES = settings(
     max_examples=max(200, settings().max_examples),
     deadline=None,
+    phases=[p for p in Phase if p is not Phase.explain],
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 

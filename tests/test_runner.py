@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import tempfile
-import types
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from coldwatch.alerts import MessengerSink, SinkUnavailable
 from coldwatch.cli import main
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.engine import MonitorEngine
-from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, ts_to_date
+from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, iso_to_ts, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
@@ -254,6 +253,40 @@ class TestHorizonEdges:
         assert anchors == [7200 * k for k in range(1, 19)]
 
 
+def _hot_day_trace(tmp_path) -> Path:
+    """The seed-0 day's trace with every temperature at 9.0 C: the run
+    turns Critical and records its last tick, a midnight."""
+    source = run(tmp_path, normal_day(seed=0), name="src")
+    header, *rows = (source.out_dir / "trace.csv").read_text().splitlines()
+    hot = [f"{at},{device},90,{hum}" for at, device, _, hum in (row.split(",") for row in rows)]
+    path = tmp_path / "hot.csv"
+    path.write_text("\n".join([header, *hot]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", ["30 s", "a day and 30 s", "a hot day"])
+def test_every_record_is_a_row_of_a_verified_day_report(tmp_path, case):
+    # The run samples its last tick, at start + horizon, and that tick's
+    # record lands in the report of its own day, also when it is a midnight.
+    if case == "a hot day":
+        cfg = RunConfig(out_dir=tmp_path / "x", trace_path=_hot_day_trace(tmp_path))
+    else:
+        horizon = 30 if case == "30 s" else DAY_SECONDS + 30
+        cfg = RunConfig(out_dir=tmp_path / "x", scenario=normal_day(seed=0), horizon=horizon)
+    out = run_simulation(cfg).out_dir
+    records = [
+        e.at for e in events_from_log(out / "events.log") if e.kind is EventKind.LOCAL_LOG_WRITTEN
+    ]
+    entries = load_ledger_entries(out / "ledger.bin")
+    rows = []
+    for report in sorted((out / "reports" / "fridge-1").glob("*.csv")):
+        assert verify_report(report.read_bytes(), entries) is Verdict.AUTHENTIC
+        lines = report.read_text().splitlines()[1:]
+        rows += [iso_to_ts(line.split(",")[0]) for line in lines if line.endswith(",")]
+    assert records[-1] == cfg.start + cfg.horizon
+    assert rows == records
+
+
 def test_compaction_keeps_store_bounded(tmp_path):
     result = run(tmp_path, normal_day(seed=8), horizon=2 * DAY_SECONDS, seed=8)
     assert result.manifest["counters"]["reports"] == 2
@@ -318,13 +351,6 @@ def test_replay_reproduces_the_generated_run(tmp_path):
         assert (original.out_dir / name).read_bytes() == (replayed.out_dir / name).read_bytes()
 
 
-@pytest.mark.parametrize("speedup", [0, -2.0, float("nan"), float("inf")])
-def test_realtime_speedup_must_be_finite_and_positive(tmp_path, speedup):
-    with pytest.raises(ValueError, match="finite number > 0"):
-        run(tmp_path, normal_day(seed=1), horizon=300, realtime_speed=speedup)
-    assert not (tmp_path / "x").exists()
-
-
 def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
     runs = []
 
@@ -338,16 +364,6 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
     [failed] = runs
     assert failed.events_file.closed
     assert failed.outbox._file._f.closed
-
-
-def test_a_paced_run_sleeps_before_every_tick(tmp_path, monkeypatch):
-    # Wall time moves only when the run sleeps, so each tick of a paced run
-    # is seen as one sleep of a sample period over the speed-up.
-    sleeps = []
-    monkeypatch.setattr(runner, "time", types.SimpleNamespace(
-        monotonic=lambda: sum(sleeps), sleep=sleeps.append))
-    run(tmp_path, normal_day(seed=1), horizon=3600, realtime_speed=1000.0)
-    assert sleeps == pytest.approx([0.03] * 120)
 
 
 # -- quiet stretches ---------------------------------------------------------
@@ -489,10 +505,6 @@ def test_folding_quiet_stretches_changes_no_byte(case):
         mp.setattr(runner, "MessengerSink", FlakyMessenger)
         mp.setattr(FlakyMessenger, "down", down)
         folded = _outcome(RunConfig(out_dir=Path(tmp) / "folded", **cfg))
-        # A paced run's stretches are single ticks; its clock never sleeps here.
-        never_sleeps = types.SimpleNamespace(monotonic=lambda: 0.0, sleep=lambda seconds: None)
-        mp.setattr(runner, "time", never_sleeps)
-        assert folded == _outcome(RunConfig(out_dir=Path(tmp) / "paced", realtime_speed=1e9, **cfg))
         # The reference steps every tick: its fold never takes one, nor
         # any record.
         mp.setattr(MonitorEngine, "fold", lambda self, trace, i, stop: (i, []))

@@ -1,9 +1,11 @@
 """Source checks that need no linter: every name a coldwatch module
-imports is used in it, every function, class and method it defines
-is referenced from the sources or the benchmark, and only the record
-codec and the file frames import struct."""
+imports is used in it, every module it imports is in the standard
+library, every function, class and method it defines is referenced from
+the sources or the benchmark, and only the record codec and the file
+frames import struct."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -66,6 +68,13 @@ def imported_modules(source: str) -> set[str]:
 def test_import_check_reads_both_import_forms():
     source = "import struct as s\nfrom os.path import join\nfrom . import ledger\nfrom .model import x\n"
     assert imported_modules(source) == {"struct", "os"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path):
+    """The simulator runs with no third-party package and no network."""
+    modules = imported_modules(path.read_text(encoding="utf-8"))
+    assert sorted(modules - sys.stdlib_module_names) == []
 
 
 def test_only_the_codec_and_the_frames_import_struct():

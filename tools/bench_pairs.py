@@ -17,8 +17,11 @@ A run's value is the bench's own median over its reps (the metrics of its
 last stdout line). Per side the file keeps every run, their median and
 quartiles; per metric the pairs the change won or tied (better as
 BENCHMARK.json declares it), the median ratio and gap, and the parent's
-interquartile range. --traced adds one `--trace 1` invocation per side
-with its per-layer metrics.
+interquartile range. --traced adds TRACED_RUNS `--trace 1` invocations
+per side, alternating which side runs first as the pairs do; per side the
+file keeps every traced run's per-layer metrics and each metric's minimum
+over them, because one traced run cannot show a 10-15% move on a span of
+a few ms.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ STATISTIC = (
     "each run's value is the bench's own median over its reps; "
     "quartiles are statistics.quantiles(n=4) over runs"
 )
+TRACED_RUNS = 3  # traced invocations per side and traced workload
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -107,16 +111,27 @@ def measure_pairs(sides: dict[str, Path], workload: str, pairs: int, args, metri
 
 
 def measure_traced(sides: dict[str, Path], workload: str, parent_first: bool, args) -> dict:
-    traced = {}
-    for side in ("parent", "change") if parent_first else ("change", "parent"):
-        r = run_bench(sides[side], workload, args.seed, args.seconds, trace=1)
-        traced[side] = {
-            "correct": r["correct"],
-            "baseline": r["baseline"],
-            "per_layer": {name: m["value"] for name, m in r["metrics"].items()},
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(TRACED_RUNS):
+        order = ("parent", "change") if (k % 2 == 0) == parent_first else ("change", "parent")
+        for side in order:
+            r = run_bench(sides[side], workload, args.seed, args.seconds, trace=1)
+            runs[side].append({
+                "correct": r["correct"],
+                "baseline": r["baseline"],
+                "per_layer": {name: m["value"] for name, m in r["metrics"].items()},
+            })
+            print(f"{workload} traced run {k} {side}: correct={r['correct']}", file=sys.stderr)
+    return {
+        side: {
+            "per_layer_min": {
+                name: min(run["per_layer"][name] for run in side_runs)
+                for name in side_runs[0]["per_layer"]
+            },
+            "runs": side_runs,
         }
-        print(f"{workload} traced {side}: correct={r['correct']}", file=sys.stderr)
-    return traced
+        for side, side_runs in runs.items()
+    }
 
 
 def parent_checkout(rev: str, into: Path) -> None:
@@ -157,7 +172,7 @@ def main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--traced", action="append", default=[], metavar="WORKLOAD",
-        help="also one --trace 1 invocation per side (repeatable)",
+        help=f"also {TRACED_RUNS} --trace 1 invocations per side (repeatable)",
     )
     parser.add_argument("--seed-note", default="", help="why the seed is a fair one")
     args = parser.parse_args(argv)
@@ -204,9 +219,11 @@ def main(argv: list[str]) -> int:
     if traced:
         doc["traced"] = traced
         doc["traced_note"] = (
-            "one --trace 1 invocation per side, the first traced workload parent first and "
-            "the next change first; each per-layer value is the bench's median over its "
-            "traced runs; per-layer times are raw host seconds, trace.overhead_s is normalized"
+            f"{TRACED_RUNS} --trace 1 invocations per side; they alternate which side runs "
+            "first, the first traced workload starting with the parent and the next with the "
+            "change; each run's per-layer value is the bench's median over its traced reps, "
+            "and per_layer_min is each metric's minimum over the runs; per-layer times are "
+            "raw host seconds, trace.overhead_s is normalized"
         )
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
