@@ -23,6 +23,12 @@ Cadence rules:
     moves inside the run as it does when stepping. The run's records
     come back as tuples, with the windows `step` would give; the caller
     logs them and every sample.
+  - In Normal mode, when every slot of the run holds a reading and the
+    min and max of both columns lie in the closed band, no tick can end
+    it: fold visits only the record ticks, and each window's min, max
+    and sum come from the slice since the previous record. Every other
+    run (a dropout, a reading out of band, an episode) is taken tick by
+    tick.
 
 Escalation fires at the first out-of-range sample with at least
 breach_escalation seconds elapsed since the episode started (closed
@@ -60,6 +66,18 @@ def _inside_hysteresis_band(temp: int, hum: int, th: Thresholds) -> bool:
     return (
         th.temp_min_decic + h < temp < th.temp_max_decic - h
         and th.hum_min_decip + h < hum < th.hum_max_decip - h
+    )
+
+
+def _all_in_band(temps, hums, th: Thresholds) -> bool:
+    """Every slot of the columns holds a reading in the closed band. A
+    dropout is tested for itself: neither band has a lower limit, so a band
+    can hold a dropped slot's values. An excursion is most often too warm,
+    so that test comes first."""
+    return (
+        max(temps) <= th.temp_max_decic and th.temp_min_decic <= min(temps)
+        and th.hum_min_decip <= min(hums) and max(hums) <= th.hum_max_decip
+        and DROPPED not in temps
     )
 
 
@@ -145,25 +163,42 @@ class MonitorEngine:
         grid = self._record_grid_origin
         lo, hi, total, count = self._window
         records = []
-        for k in range(i, j):
-            temp = temps[k]
-            if temp == DROPPED:
-                continue
-            hum = hums[k]
-            if ends(temp, hum, th):
-                j = k
-                break
-            if temp < lo:
-                lo = temp
-            if temp > hi:
-                hi = temp
-            total += temp
-            count += 1
-            now = ticks[k]
-            if now >= due:
-                records.append((now, temp, hum, lo, hi, total // count))
-                lo, hi, total, count = _EMPTY_WINDOW
-                due = now + period if critical else self._next_grid_point(now, grid, period)
+        if mode is MonitorMode.NORMAL and j > i and _all_in_band(temps[i:j], hums[i:j], th):
+            # No tick ends the stretch, so the window grows a slice at a time:
+            # up to and including the next record's tick, or to j.
+            a = i
+            while a < j:
+                k = bisect_left(ticks, due, a, j)
+                b = min(k + 1, j)
+                window = temps[a:b]
+                lo, hi = min(lo, min(window)), max(hi, max(window))
+                total, count = total + sum(window), count + b - a
+                if k < j:
+                    now = ticks[k]
+                    records.append((now, temps[k], hums[k], lo, hi, total // count))
+                    lo, hi, total, count = _EMPTY_WINDOW
+                    due = self._next_grid_point(now, grid, period)
+                a = b
+        else:
+            for k in range(i, j):
+                temp = temps[k]
+                if temp == DROPPED:
+                    continue
+                hum = hums[k]
+                if ends(temp, hum, th):
+                    j = k
+                    break
+                if temp < lo:
+                    lo = temp
+                if temp > hi:
+                    hi = temp
+                total += temp
+                count += 1
+                now = ticks[k]
+                if now >= due:
+                    records.append((now, temp, hum, lo, hi, total // count))
+                    lo, hi, total, count = _EMPTY_WINDOW
+                    due = now + period if critical else self._next_grid_point(now, grid, period)
         if j > i:
             self.last_seen = ticks[j - 1]
             self._window = lo, hi, total, count

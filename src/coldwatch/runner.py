@@ -21,14 +21,16 @@ Runs should start at a UTC midnight for that composition to hold (the
 default start does).
 
 The run loop alone writes SampleTaken lines, one write per stretch of
-ticks. Ticks for which the engine would emit no event but at most their
-record, in any mode, are taken a stretch at a time (MonitorEngine.fold);
-any other tick is a stretch of one, stepped after its line. A stretch
-ends at the next clock event's instant, included, before the alert
-dispatcher's next try and before the next crash. Every record, taken or
-stepped, goes through one writer (_Run._store_records): it queues the
-readings for the next batch and appends the report rows in one outbox
-write, and its lines follow their ticks' sample lines. So each row is
+ticks, formatted with one `%` over the sample layout repeated once per
+reading, with the device's JSON text in the layout. Ticks for which the
+engine would emit no event but at most their record, in any mode, are
+taken a stretch at a time (MonitorEngine.fold); any other tick is a
+stretch of one, stepped after its line. A stretch ends at the next clock
+event's instant, included, before the alert dispatcher's next try and
+before the next crash. Every record, taken or stepped, goes through one
+writer (_Run._store_records): it queues the readings for the next batch
+and appends the report rows in one outbox write, and its lines are
+arguments of that `%`, each after its tick's sample line. So each row is
 durable before any crash point or drain.
 
 A ProcessCrash fault drops all in-memory state at its start time and
@@ -47,6 +49,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -93,6 +96,7 @@ from .sensor import (
     FaultKind,
     ScenarioSpec,
     generate_trace,
+    kept,
     replay_trace,
     sample_ticks,
     write_trace,
@@ -336,7 +340,8 @@ class _Run:
         was queued."""
         payload = event.payload
         if event.kind is EventKind.LOCAL_LOG_WRITTEN:
-            self.events_file.writelines(self._store_records(payload["mode"], [payload["record"]]))
+            lines = self._store_records(payload["mode"], [payload["record"]])
+            self.events_file.writelines(lines.values())
             return False
         self.event_counts[event.kind] += 1
         self.events_file.write(event_to_json(event) + "\n")
@@ -370,11 +375,11 @@ class _Run:
                 return True
         return False
 
-    def _store_records(self, mode: MonitorMode, records: list[tuple]) -> list[str]:
+    def _store_records(self, mode: MonitorMode, records: list[tuple]) -> dict[Timestamp, str]:
         """Count the records taken in `mode`, each (at, temp, hum, window
         min, max, floor average), queue their readings for the next batch
         and append their report rows in one outbox write; return their
-        events.log lines."""
+        events.log lines by instant."""
         device = self.cfg.device_id
         self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
         self.batch_pending.extend([Reading(device, at, temp, hum) for at, temp, hum, *_ in records])
@@ -382,7 +387,7 @@ class _Run:
             encode_row(at, device, temp, hum, mode) for at, temp, hum, *_ in records
         ])
         device_json = _json_string(device)
-        return [_record_line(mode.value, device_json, *record) for record in records]
+        return {record[0]: _record_line(mode.value, device_json, *record) for record in records}
 
     def day_end(self, boundary: Timestamp, clock: VirtualClock) -> None:
         self._anchor_day_report(boundary - DAY_SECONDS, boundary, clock)
@@ -461,7 +466,8 @@ class _Run:
         crash_times = self.crash_times
         trace, device = self.trace, cfg.device_id
         ticks, temps, hums = trace.ticks, trace.temps, trace.hums
-        sample_line, device_json = _SAMPLE_LINE + "\n", _json_string(device)
+        # The device's text is part of the layout, with any `%` doubled.
+        sample_line = _SAMPLE_LINE.replace("%s", _json_string(device).replace("%", "%%")) + "\n%s"
         # Sample ticks merged with the clock's day-ends and retries: clock
         # events due before a tick run first, so at an instant they share
         # the tick fires first, then the clock events in scheduling order.
@@ -474,17 +480,13 @@ class _Run:
             stop = min([clock.next_at + 1, self.dispatcher.next_try(), *crash_times[:1]])
             j, records = self.engine.fold(trace, i, stop)
             k = max(j, i + 1)  # a tick that fold does not take is stepped alone
-            recorded = {}
-            if records:  # each record's line follows its tick's sample line
-                stored = self._store_records(self.engine.mode, records)
-                recorded = dict(zip([rec[0] for rec in records], stored))
-            lines = [
-                sample_line % (t, t, device_json, hum, temp) + recorded.get(t, "")
-                for t, temp, hum in zip(ticks[i:k], temps[i:k], hums[i:k])
-                if temp != DROPPED
-            ]
-            self.event_counts[EventKind.SAMPLE_TAKEN] += len(lines)
-            self.events_file.write("".join(lines))
+            recorded = self._store_records(self.engine.mode, records) if records else {}
+            # The stretch's lines in one `%`: each reading's sample line, then
+            # its record's line or "".
+            s_ticks, s_temps, s_hums = kept(trace, i, k)
+            args = zip(s_ticks, s_ticks, s_hums, s_temps, map(recorded.get, s_ticks, repeat("")))
+            self.event_counts[EventKind.SAMPLE_TAKEN] += len(s_ticks)
+            self.events_file.write((sample_line * len(s_ticks)) % tuple(chain.from_iterable(args)))
             if j == i:
                 temp = temps[i]
                 reading = None if temp == DROPPED else Reading(device, at, temp, hums[i])

@@ -322,7 +322,7 @@ class TestSimulate:
         assert main(["verify", "--ledger", str(out / "ledger.bin"), "--report", str(report)]) == 0
         assert "report verdict: Authentic" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("device", ["a,b", 'a"b', "a\rb", "a\nb"])
+    @pytest.mark.parametrize("device", ["a,b", 'a"b', "a\rb", "a\nb", "a%db", "%s%%"])
     def test_report_rows_quote_the_device_id(self, tmp_path, capsys, device):
         out = tmp_path / "run"
         assert main(["simulate", "--duration", "1h", "--device", device, "--out", str(out)]) == 0
@@ -331,6 +331,14 @@ class TestSimulate:
             header, *rows = csv.reader(f)
         assert header == REPORT_HEADER.split(",")
         assert rows and all(len(row) == 6 and row[1] == device for row in rows)
+        # The trace and event-log writers put the id into their row layouts.
+        with open(out / "trace.csv", encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert len(rows) == 120 and all(row[1] == device for row in rows)
+        docs = [json.loads(line) for line in (out / "events.log").read_text("utf-8").splitlines()]
+        readings = [doc["payload"].get("reading") or doc["payload"]["record"]["reading"]
+                    for doc in docs if doc["kind"] in ("SampleTaken", "LocalLogWritten")]
+        assert len(readings) == 120 + 3 and all(r["device_id"] == device for r in readings)
         capsys.readouterr()
         assert main(["verify", "--ledger", str(out / "ledger.bin"), "--report", str(report)]) == 0
         assert "report verdict: Authentic" in capsys.readouterr().out

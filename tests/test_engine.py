@@ -1,9 +1,12 @@
 import math
 from array import array
+from unittest import mock
 
+import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coldwatch import engine as engine_module
 from coldwatch.engine import MonitorEngine, MonitorMode, OutOfOrderSample, out_of_band
 from coldwatch.model import EventKind, MonitorEvent, Reading, Thresholds
 from coldwatch.sensor import DROPPED, Trace
@@ -438,18 +441,48 @@ class TestFold:
         assert (low, high) == (-399, -100)
         assert avg == sum(window) // len(window) == -250
 
+    def test_an_in_band_slice_holds_every_window_of_stepping(self):
+        # One fold takes 200 ticks and five records, each window a slice.
+        temps = [IN_TEMP + k % 7 - 3 for k in range(200)]
+        engine = MonitorEngine(TH, DEV, origin=0)
+        j, records = engine.fold(trace_of(temps), 0, math.inf)
+        assert (j, [rec[0] for rec in records]) == (200, [30, 1230, 2430, 3630, 4830])
+        stepped = [e.payload["record"] for e in by_kind(drive(temps)[1], EventKind.LOCAL_LOG_WRITTEN)]
+        assert records == stepped
+        assert cadence_state(engine) == cadence_state(drive(temps)[0])
+
+    def test_a_dropout_in_a_band_that_holds_dropped_is_no_reading(self):
+        # Neither band has a lower limit, so this one holds a dropped slot's
+        # values (DROPPED, 0); the slot must still stay out of every window.
+        th = Thresholds(temp_min_decic=-40000, hum_min_decip=0)
+        temps = [IN_TEMP + k % 7 - 3 for k in range(200)]
+        temps[77] = None
+        events = drive_folding(trace_of(temps, thresholds=th), th)
+        assert events == drive(temps, thresholds=th)[1]
+        records = [e.payload["record"] for e in by_kind(events, EventKind.LOCAL_LOG_WRITTEN)]
+        assert len(records) == 5 and min(rec[3] for rec in records) == IN_TEMP - 3
+
 
 @st.composite
 def stretches(draw):
     """Up to 600 ticks as (temperature or None, humidity edge, offset), in
     stretches that each cycle through a few temperatures from one range
     (any, above the band, below it) and humidities next to one edge: a
-    long breach reaches Critical mode."""
+    long breach reaches Critical mode. A stretch may also hold only
+    readings in the band [-40, 60] x [400, 650], which fold takes as
+    slices in Normal mode."""
     ticks = []
     for _ in range(draw(st.integers(1, 8))):
-        low, high = draw(st.sampled_from([(-60, 120), (61, 120), (-60, -41)]))
-        temps = draw(st.lists(st.one_of(st.none(), st.integers(low, high)), min_size=1, max_size=8))
-        edge, offsets = draw(st.integers(0, 4)), draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+        if draw(st.booleans()):  # in band: no dropout, offsets toward the inside
+            temps = draw(st.lists(st.integers(-40, 60), min_size=1, max_size=8))
+            edge = draw(st.sampled_from([0, 1, 4]))
+            offsets = draw(st.lists(st.integers(0, 1).map(lambda off: -off if edge == 1 else off),
+                                    min_size=1, max_size=3))
+        else:
+            low, high = draw(st.sampled_from([(-60, 120), (61, 120), (-60, -41)]))
+            temps = draw(st.lists(st.one_of(st.none(), st.integers(low, high)), min_size=1, max_size=8))
+            edge = draw(st.integers(0, 4))
+            offsets = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
         ticks += [
             (temps[k % len(temps)], edge, offsets[k % len(offsets)])
             for k in range(draw(st.integers(1, 150)))
@@ -483,7 +516,18 @@ def test_folding_gives_the_events_and_windows_of_stepping(
         batch_anchor_period=30 * anchor_every,
     )
     trace = trace_of(temps, hums, thresholds=th)
-    events = drive_folding(trace, th, stops)
+    real, slices = engine_module._all_in_band, []
+
+    def all_in_band(temps, hums, th):
+        slices.append(len(temps) if real(temps, hums, th) else 0)
+        return slices[-1] > 0
+
+    with mock.patch.object(engine_module, "_all_in_band", all_in_band):
+        events = drive_folding(trace, th, stops)
+    if any(slices):
+        hypothesis.event("fold took an in-band slice")
+    if max(slices, default=0) * th.sample_period > 2 * th.normal_log_period:
+        hypothesis.event("fold took an in-band slice across two record grid points")
     assert events == drive(temps, thresholds=th, hums=hums)[1]
     # A record's window is every reading after the previous record, up to its own.
     after = -math.inf

@@ -6,10 +6,12 @@ import tempfile
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coldwatch import sensor
 from coldwatch.engine import out_of_band
 from coldwatch.model import (
     HUM_MAX_DECIP,
@@ -431,7 +433,7 @@ def _trace(device: str, values: list[tuple[int, int] | None]) -> Trace:
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)  # CI's 1000
 @given(
     device=DEVICE_IDS,
     values=st.lists(
@@ -441,17 +443,21 @@ def _trace(device: str, values: list[tuple[int, int] | None]) -> Trace:
         ),
         max_size=12,
     ),
+    chunk=st.integers(1, 13),
 )
-@example(device="a,b", values=[(40, 520)])
-@example(device='say "hi"', values=[(40, 520)])
-@example(device="cr\rlf\n", values=[(40, 520), None, (41, 521)])
-@example(device="\r", values=[(40, 520)])
-@example(device="  leading", values=[(-400, 0)])
-@example(device="k\u00fchlschrank-\u2603", values=[(1250, 1000)])
-@example(device="fridge-\udcff", values=[(40, 520)])
-def test_trace_file_is_the_csv_modules_and_reads_back(device, values):
+@example(device="a,b", values=[(40, 520)], chunk=2880)
+@example(device='say "hi"', values=[(40, 520)], chunk=2880)
+@example(device="cr\rlf\n", values=[(40, 520), None, (41, 521)], chunk=2)
+@example(device="\r", values=[(40, 520)], chunk=2880)
+@example(device="  leading", values=[(-400, 0)], chunk=2880)
+@example(device="k\u00fchlschrank-\u2603", values=[(1250, 1000)], chunk=2880)
+@example(device="fridge-\udcff", values=[(40, 520)], chunk=2880)
+@example(device="a%d%%b", values=[(40, 520), None, None, (41, 521)], chunk=2)
+def test_trace_file_is_the_csv_modules_and_reads_back(device, values, chunk):
+    """Also with chunks of 1 to 13 slots, so that drawn dropouts fall on
+    either side of a chunk's edge."""
     trace = _trace(device, values)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sensor, "_TRACE_CHUNK", chunk):
         path = Path(tmp) / "trace.csv"
         utf8 = device.encode("utf-8", "replace").decode("utf-8") == device
         if not utf8:  # a lone surrogate: a UTF-8 trace cannot hold it
