@@ -47,6 +47,14 @@ def parse_duration(text: str) -> int:
     return sum(int(n) * _DURATION_UNITS[unit] for n, unit in _DURATION_PART_RE.findall(text))
 
 
+def _day(text: str, source: str) -> int:
+    """The UTC midnight of a YYYY-MM-DD day; `source` names its flag or file."""
+    try:
+        return date_to_ts(text)
+    except ValueError:
+        raise ValueError(f"{source}: {text!r} is not a calendar day (YYYY-MM-DD)") from None
+
+
 def _parse_fault(text: str, start: int) -> FaultSpec:
     parts = text.split(":")
     if len(parts) != 3:
@@ -99,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     cfg_file = load_config(args.config)
-    start = cfg_file.start if args.start is None else date_to_ts(args.start)
+    start = cfg_file.start if args.start is None else _day(args.start, "--start")
     horizon = parse_duration(args.duration)
     device = cfg_file.device_id if args.device is None else args.device
     faults = tuple(_parse_fault(f, start) for f in args.fault)
@@ -150,6 +158,13 @@ def cmd_verify(args) -> int:
     for flag, value in (("--day", args.day), ("--device", args.device)):
         if value is not None and args.report is None:
             raise ConfigError(f"{flag} applies to --report, which is not given")
+    day = None
+    if args.day is not None:
+        day = _day(args.day, "--day")
+    elif args.report is not None:
+        m = re.match(r"^(\d{4}-\d{2}-\d{2})\.csv$", args.report.name)
+        if m:
+            day = _day(m.group(1), f"--report {args.report}")
     try:
         entries = load_ledger_entries(args.ledger)
     except LedgerFileError as exc:
@@ -162,13 +177,6 @@ def cmd_verify(args) -> int:
     print(f"ledger ok: {len(entries)} entries")
 
     if args.report is not None:
-        day = None
-        if args.day is not None:
-            day = date_to_ts(args.day)
-        else:
-            m = re.match(r"^(\d{4}-\d{2}-\d{2})\.csv$", args.report.name)
-            if m:
-                day = date_to_ts(m.group(1))
         verdict = verify_report(args.report.read_bytes(), entries, day=day, device_id=args.device)
         print(f"report verdict: {verdict.value}")
         if verdict is not Verdict.AUTHENTIC:
@@ -178,13 +186,14 @@ def cmd_verify(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
+    day = None if args.day is None else _day(args.day, "--day")
     try:
         entries = load_ledger_entries(args.ledger)
     except LedgerFileError as exc:
         print(f"error: unreadable ledger: {exc}", file=sys.stderr)
         return EXIT_USAGE
     daily = daily_costs(entries, cfg.gas)
-    days = list(daily) if args.day is None else [date_to_ts(args.day)]
+    days = list(daily) if day is None else [day]
     print(f"{'day':<12} {'txs':>4} {'gas':>5} {'usd':>10}")
     for day in days:
         tally = daily.get(day, CostTally())
@@ -210,7 +219,7 @@ def cmd_energy(args) -> int:
     cfg = load_config(args.profile)
     start = end = None
     if args.day is not None:
-        start = date_to_ts(args.day)
+        start = _day(args.day, "--day")
         end = start + DAY_SECONDS
     # A log is swept as a stream, and read again only to be sorted; a file
     # that cannot be read twice, such as a pipe, is read into a list first.

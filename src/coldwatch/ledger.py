@@ -14,6 +14,7 @@ a quiet day of 12 transactions totals $0.0107.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import struct
@@ -144,7 +145,8 @@ class LedgerEntry(EntryRequest):
 class Layout:
     """A stored record layout: a big-endian struct format in which one `S`
     stands for a UTF-8 string, stored as its u16 byte length then its bytes.
-    Compiled once into a head (ending in that length) and a tail."""
+    Compiled once into a head (ending in that length) and a tail; bind
+    compiles all three for one given string."""
 
     def __init__(self, fmt: str):
         head, string, tail = fmt.partition("S")
@@ -162,6 +164,22 @@ class Layout:
             return self.head.pack(*values[:at], len(raw)) + raw + self.tail.pack(*values[at + 1 :])
         except struct.error as exc:
             raise MalformedPayload(f"field out of range: {exc}") from exc
+
+    def bind(self, text: str) -> struct.Struct:
+        """The head, `H{n}s` and tail as one struct for records whose string
+        is `text`, its length and bytes two fields. Big-endian standard sizes
+        add no padding, so the bytes are pack's; pack under field_widths."""
+        n = len(text.encode("utf-8"))
+        return struct.Struct(f"{self.head.format}{n}s{self.tail.format[1:]}")
+
+
+@contextlib.contextmanager
+def field_widths():
+    """A struct.error, of a field outside its width, as MalformedPayload."""
+    try:
+        yield
+    except struct.error as exc:
+        raise MalformedPayload(f"field out of range: {exc}") from exc
 
 
 class Cursor:

@@ -84,6 +84,21 @@ def csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+class Shared(dict):
+    """key -> convert(key), computed once and shared, for at most `limit`
+    keys; a key past the limit is converted at each lookup."""
+
+    def __init__(self, convert, limit: int):
+        super().__init__()
+        self.convert, self.limit = convert, limit
+
+    def __missing__(self, key):
+        value = self.convert(key)
+        if len(self) < self.limit:
+            self[key] = value
+        return value
+
+
 def check_reading(device_id: str, temp_decic: int, hum_decip: int) -> None:
     """The reading rule, for a Reading and a replayed trace row alike."""
     if not device_id:

@@ -7,6 +7,10 @@ is UTF-8, LF line endings, ISO-8601 UTC timestamps, exactly one decimal
 for temperature and humidity, and a trailing newline, so building the
 same day twice yields identical bytes and one SHA-256 digest.
 
+A device's rows are packed and read back through one struct bound to its
+id (Layout.bind); a row of any other shape is read by decode_row. A day
+is rendered with one `%` over the row line repeated once per row.
+
 Anchoring writes (day, digest, row_count) to the ledger; the verifier
 proves a report file against its on-ledger anchor without trusting the
 local store.
@@ -15,13 +19,18 @@ local store.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .engine import MonitorMode
-from .ledger import Cursor, Layout, LedgerEntry, LedgerKind
+from .ledger import Cursor, Layout, LedgerEntry, LedgerKind, field_widths
 from .model import (
     DAY_SECONDS,
+    TEMP_MAX_DECIC,
+    TEMP_MIN_DECIC,
+    Shared,
     Timestamp,
     csv_field,
     day_start,
@@ -49,12 +58,22 @@ class Verdict(enum.Enum):
 
 # Store layout of a row: timestamp, device id, temperature, humidity, mode, event.
 _ROW = Layout(">qShHBB")
+_bound_row = functools.lru_cache(maxsize=64)(_ROW.bind)  # per device id, as csv_field
+
+
+def encode_rows(device_id: str, mode: MonitorMode, records,
+                event: LedgerKind | None = None) -> list[bytes]:
+    """encode_row of each (at, temp, hum, ...) record, by the bound struct."""
+    pack, raw = _bound_row(device_id).pack, device_id.encode("utf-8")
+    n, m, e = len(raw), _MODE_CODES[mode], _EVENT_CODES[event]
+    with field_widths():
+        return [pack(at, n, raw, temp, hum, m, e) for at, temp, hum, *_ in records]
 
 
 def encode_row(at: Timestamp, device_id: str, temp_decic: int, hum_decip: int,
                mode: MonitorMode, event: LedgerKind | None = None) -> bytes:
     """Store encoding; starts with the i64 timestamp the store relies on."""
-    return _ROW.pack(at, device_id, temp_decic, hum_decip, _MODE_CODES[mode], _EVENT_CODES[event])
+    return encode_rows(device_id, mode, [(at, temp_decic, hum_decip)], event)[0]
 
 
 def decode_row(data: bytes) -> tuple[Timestamp, str, int, int, int, int]:
@@ -75,30 +94,43 @@ class DailyReport:
         return self.digest.hex()
 
 
+# A row's line, filled by one `%` per report; the tenths texts are shared,
+# and every humidity value is in the temperature envelope too.
+_LINE = "%sT%02d:%02d:%02dZ,%s,%s,%s,%s,%s\n"
+_TENTHS = Shared(format_tenths, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
+
+
 def render_csv(rows: list[tuple[Timestamp, str, int, int, int, int]]) -> bytes:
     # Each timestamp is ts_to_iso's text, built from the row's UTC date
     # (formatted once per day) and the seconds since that midnight.
-    lines = [REPORT_HEADER]
+    args = []
     midnight = date = None
     for at, device_id, temp, hum, mode, event in rows:
         since = at % DAY_SECONDS
         if at - since != midnight:
             midnight = at - since
             date = ts_to_date(midnight)
-        lines.append(
-            f"{date}T{since // 3600:02d}:{since // 60 % 60:02d}:{since % 60:02d}Z,"
-            f"{csv_field(device_id)},{format_tenths(temp)},{format_tenths(hum)},"
-            f"{_MODE_NAMES[mode]},{_EVENT_NAMES[event]}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        args += (date, since // 3600, since // 60 % 60, since % 60, csv_field(device_id),
+                 _TENTHS[temp], _TENTHS[hum], _MODE_NAMES[mode], _EVENT_NAMES[event])
+    return f"{REPORT_HEADER}\n{_LINE * len(rows) % tuple(args)}".encode("utf-8")
 
 
 def build_report(store: Outbox, day: Timestamp, device_id: str) -> DailyReport:
     """Canonical report for [day, day+1) from the local store. An empty day
-    yields a valid header-only report."""
-    rows = [decode_row(raw) for raw in store.rows(day, day + DAY_SECONDS)]
-    rows = [r for r in rows if r[1] == device_id]
-    rows.sort(key=lambda r: (r[0], r[5]))
+    yields a valid header-only report. A row of the device's length, id
+    length and id goes through its bound struct, any other through decode_row."""
+    row, raw = _bound_row(device_id), device_id.encode("utf-8")
+    unpack, size, n = row.unpack, row.size, len(raw)
+    rows = []
+    for data in store.rows(day, day + DAY_SECONDS):
+        if len(data) == size:
+            at, id_len, id_bytes, temp, hum, mode, event = unpack(data)
+            if id_len == n and id_bytes == raw:
+                rows.append((at, device_id, temp, hum, mode, event))
+                continue
+        if (decoded := decode_row(data))[1] == device_id:
+            rows.append(decoded)
+    rows.sort(key=itemgetter(0, 5))
     csv_bytes = render_csv(rows)
     return DailyReport(
         day=day,

@@ -81,6 +81,7 @@ from .model import (
     EventKind,
     MonitorEvent,
     Reading,
+    Shared,
     Thresholds,
     Timestamp,
     collector_paused,
@@ -90,7 +91,7 @@ from .model import (
     ts_to_date,
 )
 from .outbox import Outbox
-from .reports import build_report, encode_row, report_notice_text
+from .reports import build_report, encode_row, encode_rows, report_notice_text
 from .sensor import (
     DROPPED,
     FaultKind,
@@ -195,20 +196,6 @@ def events_from_log(path: Path) -> list[MonitorEvent]:
     return collector_paused(list, iter_events(path))
 
 
-class _Shared(dict):
-    """Read-back text -> its one shared value, with at most `limit` entries."""
-
-    def __init__(self, convert, limit: int):
-        super().__init__()
-        self.convert, self.limit = convert, limit
-
-    def __missing__(self, text: str):
-        value = self.convert(text)
-        if len(self) < self.limit:
-            self[text] = value
-        return value
-
-
 def iter_events(path: Path) -> Iterator[MonitorEvent]:
     """Every event of an events.log, in file order; ValueError names the
     first bad line, also one that holds a byte that is not UTF-8. The file
@@ -220,7 +207,7 @@ def iter_events(path: Path) -> Iterator[MonitorEvent]:
     device table is kept apart from the number table, so an id "0" stays
     text."""
     # Every humidity value is in the temperature envelope too.
-    devices, numbers = _Shared(str, 64), _Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
+    devices, numbers = Shared(str, 64), Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
     sample, lines, line_no = EventKind.SAMPLE_TAKEN, _LINE_RE.findall, 0
     # A byte that is not UTF-8 reads as a lone surrogate, for _event_from_json to name.
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
@@ -383,9 +370,7 @@ class _Run:
         device = self.cfg.device_id
         self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
         self.batch_pending.extend([Reading(device, at, temp, hum) for at, temp, hum, *_ in records])
-        self.outbox.add_rows([
-            encode_row(at, device, temp, hum, mode) for at, temp, hum, *_ in records
-        ])
+        self.outbox.add_rows(encode_rows(device, mode, records))
         device_json = _json_string(device)
         return {record[0]: _record_line(mode.value, device_json, *record) for record in records}
 

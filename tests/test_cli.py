@@ -644,6 +644,29 @@ class TestEnergy:
         assert display_j("--profile", str(ini)) == "572.4"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--start", "2025-02-30", "--out", "{tmp}/run"], "--start"),
+        (["energy", "--events", "{run}/events.log", "--day", "2025-02-30"], "--day"),
+        (["cost", "--ledger", "{run}/ledger.bin", "--day", "2025-13-01"], "--day"),
+        (["verify", "--ledger", "{run}/ledger.bin", "--report", "x/2025-02-30.csv"],
+         "--report x/2025-02-30.csv"),
+        (["verify", "--ledger", "{run}/ledger.bin", "--report", "{run}/reports/fridge-1/a.csv",
+          "--day", "2025-02-29"], "--day"),
+    ],
+    ids=["simulate-start", "energy-day", "cost-day", "verify-report-name", "verify-day"],
+)
+def test_a_date_that_is_no_calendar_day_is_named_before_any_output(
+    sim_dir, tmp_path, capsys, argv, named
+):
+    assert main([arg.format(run=sim_dir, tmp=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {named}: " in err and "is not a calendar day" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_internal_invariant_violation_exits_1(monkeypatch, capsys):
     def broken(args):
         raise AssertionError("seq went backwards")

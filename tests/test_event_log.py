@@ -28,6 +28,7 @@ from coldwatch.model import (
     EventKind,
     MonitorEvent,
     Reading,
+    Shared,
 )
 from coldwatch import cli, runner
 from coldwatch.energy import DutyPolicy, PowerProfile, energy_for_interval
@@ -375,7 +376,7 @@ def test_a_written_logs_samples_share_their_values(breach_run):
 
 
 def test_the_shared_tables_are_bounded():
-    table = runner._Shared(int, 3)
+    table = Shared(int, 3)
     assert [table[text] for text in ("7", "-0", "7", "12", "13", "14")] == [7, 0, 7, 12, 13, 14]
     assert table == {"7": 7, "-0": 0, "12": 12}
 

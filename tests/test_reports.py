@@ -1,4 +1,6 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +14,15 @@ from coldwatch.ledger import (
     ReportAnchorPayload,
     Unauthorized,
 )
-from coldwatch.model import DAY_SECONDS, date_to_ts, day_start, iso_to_ts, ts_to_iso
+from coldwatch.model import (
+    DAY_SECONDS,
+    csv_field,
+    date_to_ts,
+    day_start,
+    format_tenths,
+    iso_to_ts,
+    ts_to_iso,
+)
 from coldwatch.outbox import Outbox
 from coldwatch.reports import (
     REPORT_HEADER,
@@ -161,33 +171,48 @@ class TestCanonicalForm:
 
 # The instants a report can date: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
 INSTANTS = st.integers(date_to_ts("0001-01-01"), iso_to_ts("9999-12-31T23:59:59Z"))
+DEVICE_IDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8)
+# Every i16 temperature and u16 humidity, most of them outside the sensor
+# envelope that the rendered tenths texts are shared for.
+TEMPS = st.integers(-(2**15), 2**15 - 1)
+HUMS = st.integers(0, 2**16 - 1)
+MODES = st.sampled_from(list(MODE_CODES))
+EVENTS = st.sampled_from(list(EVENT_CODES))
+EVENT_NAMES = {None: "", LedgerKind.ALERT: "ALERT", LedgerKind.RESOLUTION: "RESOLVED"}
+PLAIN = (DEV, 40, 520, MonitorMode.NORMAL, None)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings().max_examples), deadline=None)  # CI's 1000
 @given(
     a=INSTANTS,
     b=INSTANTS,
     picks=st.lists(st.tuples(st.booleans(), st.integers(0, DAY_SECONDS - 1)), max_size=6),
+    fields=st.lists(st.tuples(DEVICE_IDS, TEMPS, HUMS, MODES, EVENTS), min_size=8, max_size=8),
 )
-@example(a=date_to_ts("0001-01-01"), b=iso_to_ts("9999-12-31T23:59:59Z"), picks=[])
-@example(a=-1, b=0, picks=[(False, 0), (True, DAY_SECONDS - 1)])
-@example(a=DAY - 1, b=DAY + 30, picks=[(False, 1), (True, 3599), (False, 86399)])
-def test_rendered_timestamps_are_ts_to_iso(a, b, picks):
+@example(a=date_to_ts("0001-01-01"), b=iso_to_ts("9999-12-31T23:59:59Z"), picks=[],
+         fields=[PLAIN] * 8)
+@example(a=-1, b=0, picks=[(False, 0), (True, DAY_SECONDS - 1)], fields=[PLAIN] * 8)
+@example(a=DAY - 1, b=DAY + 30, picks=[(False, 1), (True, 3599), (False, 86399)],
+         fields=[PLAIN] * 8)
+@example(a=DAY, b=DAY + 30, picks=[(False, 60)],
+         fields=[('%d,"%s', -32768, 65535, MonitorMode.CRITICAL, LedgerKind.ALERT)] * 8)
+def test_rendered_timestamps_are_ts_to_iso(a, b, picks, fields):
     """Rows of two days in one call, in any order: each timestamp renders
-    as ts_to_iso renders it, negative unix times included."""
+    as ts_to_iso renders it, negative unix times included, and each line
+    is that timestamp, the quoted device id, the two tenths texts, the
+    mode and the event, comma-joined."""
     instants = [a, b] + [day_start(b if other else a) + s for other, s in picks]
-    lines = render_csv([decoded(row(at)) for at in instants]).decode("utf-8").splitlines()
-    assert [line.split(",", 1)[0] for line in lines[1:]] == [ts_to_iso(at) for at in instants]
+    rows = [(at, *f) for at, f in zip(instants, fields)]
+    lines = [
+        ",".join([ts_to_iso(at), csv_field(device), format_tenths(temp), format_tenths(hum),
+                  mode.value, EVENT_NAMES[event]]) + "\n"
+        for at, device, temp, hum, mode, event in rows
+    ]
+    expected = REPORT_HEADER + "\n" + "".join(lines)
+    assert render_csv([decoded(r) for r in rows]).decode("utf-8") == expected
 
 
-ROWS = st.tuples(
-    st.integers(-(2**63), 2**63 - 1),
-    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
-    st.integers(-(2**15), 2**15 - 1),
-    st.integers(0, 2**16 - 1),
-    st.sampled_from(list(MODE_CODES)),
-    st.sampled_from(list(EVENT_CODES)),
-)
+ROWS = st.tuples(st.integers(-(2**63), 2**63 - 1), DEVICE_IDS, TEMPS, HUMS, MODES, EVENTS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,6 +225,54 @@ def test_every_proper_prefix_of_a_row_is_malformed(r):
     for cut in range(len(data)):
         with pytest.raises(MalformedPayload):
             decode_row(data[:cut])
+
+
+# Ids of another device: of the UTF-8 byte length of DEV, and of any length.
+OTHER_IDS = st.one_of(st.sampled_from(["fridge-2", "k\u00fchl-12"]), DEVICE_IDS)
+# Offsets from DAY: inside the day and on either side, often on a shared tick.
+OFFSETS = st.one_of(
+    st.integers(-DAY_SECONDS, 2 * DAY_SECONDS - 1), st.sampled_from([-1, 0, 30, DAY_SECONDS])
+)
+
+
+@settings(deadline=None)
+@given(
+    stored=st.lists(
+        st.tuples(st.one_of(st.just(DEV), OTHER_IDS), OFFSETS, TEMPS, HUMS, MODES, EVENTS),
+        max_size=12,
+    ),
+    pick=st.integers(0, 11),
+    cut=st.integers(0, 255),
+)
+@example(stored=[(DEV, 30, 40, 520, MonitorMode.NORMAL, None),
+                 ("fridge-2", 30, 41, 521, MonitorMode.NORMAL, None),
+                 ("k\u00fchl-12", 0, 42, 522, MonitorMode.CRITICAL, LedgerKind.ALERT),
+                 ("f", 60, 43, 523, MonitorMode.NORMAL, None)], pick=1, cut=0)
+def test_build_report_keeps_the_decoded_rows_of_its_device_and_day(stored, pick, cut):
+    """A store of rows of the report's device, of ids of its UTF-8 length
+    and of ids of other lengths, in any order and at instants inside and
+    outside the day: the report renders decode_row's rows of the device
+    and the day, sorted by instant and event. Then a proper prefix of a row
+    of the day, long enough to keep its timestamp for the store, makes
+    build_report raise MalformedPayload."""
+    rows = [(DAY + offset, device, temp, hum, mode, event)
+            for device, offset, temp, hum, mode, event in stored]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Outbox(Path(tmp) / "store.bin")
+        try:
+            populate(store, rows)
+            ours = [r for r in map(decode_row, store.rows(DAY, DAY + DAY_SECONDS)) if r[1] == DEV]
+            ours.sort(key=lambda r: (r[0], r[5]))
+            report = build_report(store, DAY, DEV)
+            assert (report.csv_bytes, report.row_count) == (render_csv(ours), len(ours))
+
+            day_rows = [r for r in rows if DAY <= r[0] < DAY + DAY_SECONDS] or [row(DAY + 30)]
+            data = encode_row(*day_rows[pick % len(day_rows)])
+            store.add_row(data[: 8 + cut % (len(data) - 8)])
+            with pytest.raises(MalformedPayload):
+                build_report(store, DAY, DEV)
+        finally:
+            store.close()
 
 
 class TestAnchorAndVerify:
