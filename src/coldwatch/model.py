@@ -182,19 +182,53 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MonitorEvent:
     """One observable fact emitted by the monitor pipeline.
 
     Payload keys are kind-specific; every kind except SAMPLE_TAKEN
-    references the reading or episode that caused it. Not frozen: the
-    payload dict leaves an event mutable and unhashable anyway, and a
+    references the reading or episode that caused it. Not frozen: a
     frozen __init__ costs a fifth of reading an events.log line back.
+    Events are equal by kind, instant and payload across subclasses, and
+    unhashable.
     """
 
     kind: EventKind
     at: Timestamp
     payload: dict = field(default_factory=dict)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonitorEvent):
+            return NotImplemented
+        return self.kind == other.kind and self.at == other.at and self.payload == other.payload
+
+
+_PAYLOAD = MonitorEvent.payload  # the slot, under SampleEvent's property
+
+
+class SampleEvent(MonitorEvent):
+    """A SampleTaken event read back from a log. Its payload slot holds a
+    reading tuple (instant, or None for the event's own; device id;
+    humidity; temperature), shared by the events of one reading, until
+    `payload` is first read; the dict built from it then takes the slot."""
+
+    __slots__ = ()
+
+    @property
+    def payload(self) -> dict:
+        value = _PAYLOAD.__get__(self)
+        if type(value) is tuple:
+            at, device_id, hum, temp = value
+            value = {"reading": {
+                "at": self.at if at is None else at,
+                "device_id": device_id,
+                "hum_decip": hum,
+                "temp_decic": temp,
+            }}
+            _PAYLOAD.__set__(self, value)
+        return value
+
+    payload = payload.setter(_PAYLOAD.__set__)
 
 
 def collector_paused(build, /, *args, **kwargs):

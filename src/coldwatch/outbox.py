@@ -44,6 +44,12 @@ def retry_delay(failures: int) -> int:
     30, 60, 120, then 120 per try (ledger submits and alert sends alike)."""
     return BACKOFF_SCHEDULE[min(failures, len(BACKOFF_SCHEDULE)) - 1]
 
+
+def _check_row_length(length: int) -> None:
+    if length < 8:
+        raise ValueError(f"a {length}-byte row is shorter than its 8-byte instant")
+
+
 _REC_ENQUEUE = 1
 _REC_MARK = 2
 _REC_ROW = 3
@@ -113,6 +119,11 @@ class Outbox:
                 if ItemState(state) is ItemState.CONFIRMED and item is not None:
                     item.state = ItemState.CONFIRMED
             elif rec_type == _REC_ROW:
+                if len(body) < 8:
+                    raise StoreFormatError(
+                        f"{self._file.path}: a {len(body)}-byte row at record {position}"
+                        " is shorter than its 8-byte instant"
+                    )
                 self._rows.append(body)
             elif rec_type == _REC_WATERMARK:
                 cur = Cursor(body)
@@ -166,12 +177,15 @@ class Outbox:
 
     def add_row(self, row: bytes) -> None:
         """Row payloads are opaque except for a leading big-endian i64
-        timestamp, which compaction and day filtering rely on."""
+        timestamp, which compaction and day filtering rely on; a row
+        shorter than that is a ValueError."""
+        _check_row_length(len(row))
         self._file.append(bytes([_REC_ROW]) + row)
         self._rows.append(row)
 
     def add_rows(self, rows: list[bytes]) -> None:
         """add_row for each row in turn, in one write to the record file."""
+        _check_row_length(min(map(len, rows), default=8))
         self._file.extend([bytes([_REC_ROW]) + row for row in rows])
         self._rows.extend(rows)
 

@@ -81,6 +81,7 @@ from .model import (
     EventKind,
     MonitorEvent,
     Reading,
+    SampleEvent,
     Shared,
     Thresholds,
     Timestamp,
@@ -201,13 +202,20 @@ def iter_events(path: Path) -> Iterator[MonitorEvent]:
     first bad line, also one that holds a byte that is not UTF-8. The file
     is matched a block of whole lines at a time, with one findall.
 
-    A SampleTaken line shares its repeated values with earlier ones: one
-    str per device id, one int per temperature or humidity text, and the
-    reading's `at` is the event's own when the two texts are equal. The
+    A SampleTaken line is a SampleEvent, which shares its reading tuple
+    with every line of the same reading text, the reading's instant
+    counting only where it is not the event's own; the tuples share one
+    str per device id and one int per temperature or humidity text. The
     device table is kept apart from the number table, so an id "0" stays
     text."""
     # Every humidity value is in the temperature envelope too.
     devices, numbers = Shared(str, 64), Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
+
+    def reading(key):
+        at, device_id, hum, temp = key
+        return None if at is None else int(at), devices[device_id], numbers[hum], numbers[temp]
+
+    readings = Shared(reading, 1 << 12)  # a 90-day normal run has 451
     sample, lines, line_no = EventKind.SAMPLE_TAKEN, _LINE_RE.findall, 0
     # A byte that is not UTF-8 reads as a lone surrogate, for _event_from_json to name.
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
@@ -219,14 +227,8 @@ def iter_events(path: Path) -> Iterator[MonitorEvent]:
                 if line:
                     yield _event_from_json(line, path, line_no)
                     continue
-                at = int(at_text)
-                reading = {
-                    "at": at if reading_at == at_text else int(reading_at),
-                    "device_id": devices[device_id],
-                    "hum_decip": numbers[hum],
-                    "temp_decic": numbers[temp],
-                }
-                yield MonitorEvent(sample, at, {"reading": reading})
+                key = None if reading_at == at_text else reading_at, device_id, hum, temp
+                yield SampleEvent(sample, int(at_text), readings[key])
 
 
 _KINDS = frozenset(kind.value for kind in EventKind)

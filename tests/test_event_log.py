@@ -15,6 +15,7 @@ import enum
 import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -166,13 +167,29 @@ def written_line(event):
 
 
 def assert_reads_like_reference(path):
+    """The reader gives the reference's events, equal from either side, or
+    rejects the reference's bad line. Each event is unhashable, and its
+    payload is one dict: a change to it, or a new one assigned before the
+    first read, stays."""
     try:
         expected = reference_events(path)
     except LineRejected as exc:
         with pytest.raises(ValueError, match=f": line {exc.line_no}: "):
             events_from_log(path)
-    else:
-        assert events_from_log(path) == expected
+        return
+    got = events_from_log(path)
+    assert got == expected and expected == got
+    for event in got:
+        with pytest.raises(TypeError):
+            hash(event)
+        payload = event.payload
+        assert event.payload is payload
+        payload["probe"] = event.at
+        assert event.payload is payload and payload["probe"] is event.at
+    for event in events_from_log(path):
+        payload = {"probe": event.at}
+        event.payload = payload
+        assert event.payload is payload
 
 
 @settings(max_examples=500, deadline=None)
@@ -200,6 +217,7 @@ def test_written_log_reads_back_like_json(tmp_path, events):
     lines = [written_line(event) for event in events]
     path.write_text("".join(lines), encoding="utf-8")
     assert_reads_like_reference(path)
+    assert [event_to_json(event) + "\n" for event in events_from_log(path)] == lines
     for event, line in zip(events, lines):
         if event.kind is EventKind.SAMPLE_TAKEN:
             # The reader's own layout covers every sample line without an escape.
@@ -373,6 +391,24 @@ def test_a_written_logs_samples_share_their_values(breach_run):
     assert all(r["at"] is event.at for r, event in zip(readings, samples))
     for field in ("hum_decip", "temp_decic"):
         assert len({id(r[field]) for r in readings}) == len({r[field] for r in readings})
+
+
+def test_a_read_back_log_holds_at_most_256_bytes_an_event(breach_run):
+    """The list of a day's events, as tracemalloc counts what it holds:
+    a sample event holds its instant and a reading tuple that events of
+    the same reading share, and builds its payload dict on first use."""
+    path = breach_run.out_dir / "events.log"
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = events_from_log(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held <= 256 * len(events)
 
 
 def test_the_shared_tables_are_bounded():

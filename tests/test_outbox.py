@@ -240,6 +240,30 @@ class TestRows:
         box.close()
         assert open_outbox().rows(0, 1000) == [self.row(100)]
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["add_row", "add_rows"])
+    def test_a_row_shorter_than_its_instant_is_refused(self, open_outbox, batch):
+        """A 7-byte row would be filed under the instant its bytes make
+        (unix 6780037 here), where no day's report looks for it."""
+        box = open_outbox()
+        short = self.row(1735689630)[:7]
+        with pytest.raises(ValueError, match="^a 7-byte row is shorter than its 8-byte instant$"):
+            box.add_rows([self.row(100), short]) if batch else box.add_row(short)
+        box.close()
+        assert open_outbox().rows(-(2**63), 2**63) == []
+
+    def test_a_stored_row_shorter_than_its_instant_is_a_format_error(self, tmp_path, open_outbox):
+        path = tmp_path / "outbox.bin"
+        box = open_outbox()
+        box.add_row(self.row(100))
+        box.close()
+        store = RecordFile(path)
+        store.append(bytes([3]) + self.row(1735689630)[:7])
+        store.close()
+        with pytest.raises(
+            StoreFormatError, match="a 7-byte row at record 1 is shorter than its 8-byte instant"
+        ):
+            Outbox(path)
+
 
 class TestCompaction:
     def test_compaction_drops_confirmed_and_old_rows(self, tmp_path, open_outbox):
