@@ -2,10 +2,10 @@
 
 Local actuator sinks deliver instantly; the messenger models remote
 push delivery with a seeded whole-second latency drawn uniformly from
-[2 s, 4 s]. Sinks are isolated: each has its own queue of sends, so one
-sink failing or being disabled never changes what the others deliver,
-and a failed send is retried only for the sink that missed it, on the
-outbox's 30/60/120 s backoff.
+[2 s, 4 s]. No sink can fail, so every send is delivered at the instant
+it is dispatched. Sinks are isolated: the messenger draws its latency
+from its own generator, so adding or removing another sink never changes
+what the messenger delivers.
 
 Message texts are byte-stable templates:
   ALERT|CRITICAL|dev=<id>|temp=<x.x>C|hum=<y.y>%|since=<iso8601>
@@ -19,23 +19,17 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .model import EventKind, MonitorEvent, Reading, Timestamp, format_tenths, ts_to_iso
-from .outbox import retry_delay
 
 MESSENGER_LATENCY_S = (2, 4)  # inclusive bounds of the seeded delivery latency
 NOTICE_SINKS = ("messenger",)  # the remote sinks, which get report notices
 
 
 class UnsupportedEvent(ValueError):
-    pass
-
-
-class SinkUnavailable(Exception):
     pass
 
 
@@ -78,8 +72,8 @@ def render_alert(event: MonitorEvent) -> AlertMessage:
 
 
 class Sink:
-    """A sink delivers message text at some latency; one that cannot
-    deliver raises SinkUnavailable."""
+    """A sink delivers message text at some latency, and always
+    delivers."""
 
     name = "sink"
 
@@ -98,8 +92,8 @@ class DisplaySink(Sink):
 
 class MessengerSink(Sink):
     """Offline messenger: records Telegram-shaped bodies instead of
-    performing network delivery. Latency is drawn per successful handoff
-    from its own seeded generator, so other sinks cannot perturb it."""
+    performing network delivery. Latency is drawn per handoff from its
+    own seeded generator, so other sinks cannot perturb it."""
 
     name = "messenger"
 
@@ -125,71 +119,28 @@ class MessengerSink(Sink):
         return len(ordered)
 
 
-@dataclass
-class _PendingSend:
-    text: str
-    message: AlertMessage | None
-    dispatched_at: Timestamp
-
-
 class AlertDispatcher:
-    """Fan-out with per-sink queues. Every send is queued and delivered by
-    flush(), so a send that fails stays at the head of its sink's queue and
-    is retried, in order, by a later flush. After its k-th failure in a row
-    a sink is not tried again for retry_delay(k) seconds. Dispatch never raises on sink failure."""
+    """Fan-out: each send goes to its sinks when it is dispatched, in sink
+    order, through flush. Only alert deliveries are recorded."""
 
     def __init__(self, sinks: list[Sink]):
         if not sinks:
             raise ValueError("at least one sink must be registered")
         self.sinks = sinks
         self.deliveries: list[DeliveryRecord] = []
-        self._pending: dict[str, list[_PendingSend]] = {s.name: [] for s in sinks}
-        self.queued = 0  # sends waiting in all queues; flush has work only if > 0
-        self._backoff: dict[str, tuple[int, Timestamp]] = {}  # failures in a row, next try
 
     def dispatch(self, message: AlertMessage, now: Timestamp) -> None:
-        for sink in self.sinks:
-            self._pending[sink.name].append(_PendingSend(message.text, message, now))
-        self.queued += len(self.sinks)
-        self.flush(now)
+        self.flush(message.text, message, self.sinks, now)
 
     def dispatch_notice(self, text: str, now: Timestamp) -> None:
         """Plain text to the remote sinks only (daily report notices)."""
-        for sink in self.sinks:
-            if sink.name in NOTICE_SINKS:
-                self._pending[sink.name].append(_PendingSend(text, None, now))
-                self.queued += 1
-        self.flush(now)
+        self.flush(text, None, [s for s in self.sinks if s.name in NOTICE_SINKS], now)
 
-    def next_try(self) -> Timestamp | float:
-        """The earliest instant a flush tries a queued send; math.inf if none
-        is queued. After any flush, every sink with sends queued is backing off."""
-        if not self.queued:
-            return math.inf
-        return min(self._backoff[name][1] for name, queue in self._pending.items() if queue)
-
-    def flush(self, now: Timestamp) -> None:
-        for sink in self.sinks:
-            queue = self._pending[sink.name]
-            if queue and now < self._backoff.get(sink.name, (0, now))[1]:
-                continue  # backing off after a failure
-            while queue:
-                send = queue[0]
-                try:
-                    delivered = sink.deliver(send.text, now)
-                except SinkUnavailable:
-                    streak = self._backoff.get(sink.name, (0, now))[0] + 1
-                    self._backoff[sink.name] = (streak, now + retry_delay(streak))
-                    break
-                self._backoff.pop(sink.name, None)
-                if send.message is not None:
-                    self.deliveries.append(
-                        DeliveryRecord(
-                            message=send.message,
-                            sink=sink.name,
-                            dispatched_at=send.dispatched_at,
-                            delivered_at=delivered,
-                        )
-                    )
-                queue.pop(0)
-                self.queued -= 1
+    def flush(self, text: str, message: AlertMessage | None, sinks: list[Sink],
+              now: Timestamp) -> None:
+        """Deliver `text` to each of `sinks` now; record each delivery of an
+        alert `message`."""
+        for sink in sinks:
+            delivered = sink.deliver(text, now)
+            if message is not None:
+                self.deliveries.append(DeliveryRecord(message, sink.name, now, delivered))

@@ -162,8 +162,9 @@ class Layout:
             at = self.at
             raw = values[at].encode("utf-8")
             return self.head.pack(*values[:at], len(raw)) + raw + self.tail.pack(*values[at + 1 :])
-        except struct.error as exc:
-            raise MalformedPayload(f"field out of range: {exc}") from exc
+        except struct.error:
+            with field_widths():  # only on failure: entering a `with` costs more than a pack
+                raise
 
     def bind(self, text: str) -> struct.Struct:
         """The head, `H{n}s` and tail as one struct for records whose string

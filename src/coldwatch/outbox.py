@@ -7,8 +7,8 @@ replaying after any crash point yields exactly one ledger effect per
 request. The same file retains the current day's report rows; older
 days are compacted away after their report is anchored.
 
-Retries after a ledger outage follow the clock-driven backoff of
-retry_delay: 30 s, 60 s, 120 s, then 120 s per attempt.
+Retries after a ledger outage follow a clock-driven backoff
+(BACKOFF_SCHEDULE): 30 s, 60 s, 120 s, then 120 s per attempt.
 
 The optional fault_hook is a test seam: it is invoked with a stage
 label at every durability boundary (enqueue/submit/confirm) and may
@@ -36,13 +36,7 @@ from .ledger import (
 from .model import Timestamp
 from .storage import RecordFile, StoreFormatError
 
-BACKOFF_SCHEDULE = (30, 60, 120)
-
-
-def retry_delay(failures: int) -> int:
-    """Seconds until the next try after `failures` failed tries in a row:
-    30, 60, 120, then 120 per try (ledger submits and alert sends alike)."""
-    return BACKOFF_SCHEDULE[min(failures, len(BACKOFF_SCHEDULE)) - 1]
+BACKOFF_SCHEDULE = (30, 60, 120)  # seconds to the next try after 1, 2, 3 or more failures
 
 
 def _check_row_length(length: int) -> None:
@@ -162,7 +156,8 @@ class Outbox:
             except LedgerOutage:
                 item.state = ItemState.PENDING
                 self._outage_streak += 1
-                return DrainResult(retry_at=now + retry_delay(self._outage_streak))
+                delay = BACKOFF_SCHEDULE[min(self._outage_streak, len(BACKOFF_SCHEDULE)) - 1]
+                return DrainResult(retry_at=now + delay)
             self._outage_streak = 0
             self._hook("confirm:pre", device_id, seq)
             self._file.append(MARK.pack(_REC_MARK, ItemState.CONFIRMED.value, *key))

@@ -26,12 +26,11 @@ reading, with the device's JSON text in the layout. Ticks for which the
 engine would emit no event but at most their record, in any mode, are
 taken a stretch at a time (MonitorEngine.fold); any other tick is a
 stretch of one, stepped after its line. A stretch ends at the next clock
-event's instant, included, before the alert dispatcher's next try and
-before the next crash. Every record, taken or stepped, goes through one
-writer (_Run._store_records): it queues the readings for the next batch
-and appends the report rows in one outbox write, and its lines are
-arguments of that `%`, each after its tick's sample line. So each row is
-durable before any crash point or drain.
+event's instant, included, before the next crash. Every record, taken or
+stepped, goes through one writer (_Run._store_records): it queues the
+readings for the next batch and appends the report rows in one outbox
+write, and its lines are arguments of that `%`, each after its tick's
+sample line. So each row is durable before any crash point or drain.
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -267,7 +266,8 @@ class _Run:
                 "(--start or [run] start, --duration)"
             )
         self.messenger = MessengerSink(seed=cfg.seed, chat_id=cfg.chat_id)
-        self._sinks = [BuzzerSink(), DisplaySink(), self.messenger]
+        # Deliveries leave the process at once, so a crash drops none of them.
+        self.dispatcher = AlertDispatcher([BuzzerSink(), DisplaySink(), self.messenger])
         # The trace, and with it a replay's device id, comes before the
         # output directory: a bad row or device id leaves nothing behind.
         if cfg.trace_path is not None:
@@ -306,7 +306,6 @@ class _Run:
         self.crash_times = sorted(
             f.start for f in self.faults if f.kind is FaultKind.PROCESS_CRASH
         )
-        self.deliveries: list[DeliveryRecord] = []
         self.event_counts: Counter[EventKind] = Counter()
         self._start_process()
         self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
@@ -319,7 +318,6 @@ class _Run:
         self.engine = MonitorEngine(
             cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed
         )
-        self.dispatcher = AlertDispatcher(list(self._sinks))
         self.batch_pending: list[Reading] = []
 
     # -- event plumbing ----------------------------------------------------
@@ -419,9 +417,6 @@ class _Run:
         while self.crash_times and at >= self.crash_times[0]:
             self.crash_times.pop(0)
             self.outbox.close()
-            # Already-dispatched deliveries survive (they left the process);
-            # sends still queued for a down sink are lost with the process.
-            self.deliveries.extend(self.dispatcher.deliveries)
             self._start_process()
             self.drain(at, clock)
 
@@ -430,7 +425,6 @@ class _Run:
             self._recover(at, clock)
             if tag == "retry":
                 self.drain(at, clock)
-                self.dispatcher.flush(at)
             else:  # day-end
                 self.day_end(at, clock)
 
@@ -464,7 +458,7 @@ class _Run:
             if clock.next_at < at:
                 self._clock_events(clock, at - 1)
             self._recover(at, clock)
-            stop = min([clock.next_at + 1, self.dispatcher.next_try(), *crash_times[:1]])
+            stop = min([clock.next_at + 1, *crash_times[:1]])
             j, records = self.engine.fold(trace, i, stop)
             k = max(j, i + 1)  # a tick that fold does not take is stepped alone
             recorded = self._store_records(self.engine.mode, records) if records else {}
@@ -482,8 +476,6 @@ class _Run:
                     queued = self.emit(event, at) or queued
                 if queued:
                     self.drain(at, clock)
-                if self.dispatcher.queued:
-                    self.dispatcher.flush(at)
             i = k
         self._clock_events(clock, end)
 
@@ -497,9 +489,7 @@ class _Run:
         retry_at: Timestamp | None = end
         while retry_at is not None:
             retry_at = self.outbox.drain(self.ledger, OWNER_KEY, retry_at).retry_at
-        self.dispatcher.flush(end)
 
-        self.deliveries.extend(self.dispatcher.deliveries)
         messages = self.messenger.write_capture(self.out / "messenger.jsonl")
         manifest = self._manifest(messages)
         with open(self.out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
@@ -509,7 +499,7 @@ class _Run:
             out_dir=self.out,
             manifest=manifest,
             ledger=self.ledger,
-            deliveries=self.deliveries,
+            deliveries=self.dispatcher.deliveries,
         )
 
     def _manifest(self, messages: int) -> dict:

@@ -388,6 +388,9 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("req", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
 def test_field_outside_its_width_is_malformed(tmp_path, req):
     assert_rejected(tmp_path, req, MalformedPayload)
+    with pytest.raises(MalformedPayload, match="^field out of range: ") as caught:
+        encode_request(req)
+    assert isinstance(caught.value.__cause__, struct.error)
     entry = LedgerEntry(**vars(req), index=0, prev_hash=ZERO_DIGEST, entry_hash=ZERO_DIGEST)
     report = verify_entries([entry])
     assert (report.ok, report.bad_index) == (False, 0)

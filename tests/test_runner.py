@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coldwatch import runner
-from coldwatch.alerts import MessengerSink, SinkUnavailable
 from coldwatch.cli import main
 from coldwatch.ledger import LedgerKind, load_ledger_entries
 from coldwatch.engine import MonitorEngine
@@ -25,7 +24,6 @@ from coldwatch.sensor import (
     ScenarioKind,
     ScenarioSpec,
     SpikeWindow,
-    breach_day,
     normal_day,
 )
 
@@ -121,25 +119,16 @@ class TestBreachDay:
         messenger = [d for d in critical if d.sink == "messenger"]
         assert 2 <= messenger[0].delivered_at - messenger[0].dispatched_at <= 4
 
-
-    def test_a_down_sink_is_retried_at_later_ticks(self, tmp_path, monkeypatch):
-        # The messenger is down for 45 s from the escalation at 08:40: the
-        # alert's send fails at once and on its 30 s retry, and goes out on
-        # the tick after the next 60 s backoff.
-        escalated = DEFAULT_START + 31200
-        deliver = MessengerSink.deliver
-
-        def flaky(sink, text, now):
-            if escalated <= now < escalated + 45:
-                raise SinkUnavailable("down")
-            return deliver(sink, text, now)
-
-        monkeypatch.setattr(MessengerSink, "deliver", flaky)
-        result = run(tmp_path, breach_day(DEFAULT_START, seed=7), seed=7)
-        alert = next(d for d in result.deliveries
-                     if d.sink == "messenger" and d.message.severity.value == "CRITICAL")
-        assert alert.dispatched_at == escalated
-        assert escalated + 90 + 2 <= alert.delivered_at <= escalated + 90 + 4
+    def test_each_alert_line_names_the_sinks_it_was_delivered_to(self, breach_run):
+        # The engine writes its own sink list into every AlertDispatched
+        # line; the run builds the dispatcher's. They must agree, in order.
+        dispatched = [e for e in events_from_log(breach_run.out_dir / "events.log")
+                      if e.kind is EventKind.ALERT_DISPATCHED]
+        assert dispatched
+        for event in dispatched:
+            sinks = [d.sink for d in breach_run.deliveries
+                     if d.message.severity.value == "CRITICAL" and d.dispatched_at == event.at]
+            assert event.payload["sinks"] == sinks
 
 
 class TestDeterminism:
@@ -369,17 +358,6 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
 # -- quiet stretches ---------------------------------------------------------
 
 
-class FlakyMessenger(MessengerSink):
-    """The offline messenger, unable to deliver inside `down` = [from, to)."""
-
-    down = (0, 0)
-
-    def deliver(self, text, now):
-        if self.down[0] <= now < self.down[1]:
-            raise SinkUnavailable("messenger down")
-        return super().deliver(text, now)
-
-
 def count_steps(monkeypatch) -> Counter:
     """Counts MonitorEngine.step calls by the mode each one starts in."""
     steps = Counter()
@@ -430,27 +408,10 @@ def test_a_breach_day_writes_its_critical_run_of_rows_at_once(tmp_path, monkeypa
     }
 
 
-def test_a_queued_send_is_stepped_only_at_its_tries(tmp_path, monkeypatch):
-    # The messenger is down for 12 h from the first midnight, so the report
-    # notice queued then is tried every 120 s: about 360 tries beside the
-    # 24 anchors of two quiet days (fold takes their 144 record ticks).
-    monkeypatch.setattr(runner, "MessengerSink", FlakyMessenger)
-    midnight = DEFAULT_START + DAY_SECONDS
-    monkeypatch.setattr(FlakyMessenger, "down", (midnight, midnight + 12 * 3600))
-    steps = count_steps(monkeypatch)
-    result = run(tmp_path, normal_day(seed=7), seed=7, horizon=2 * DAY_SECONDS)
-    assert steps == {"Normal": 386}
-    assert result.manifest["counters"]["samples"] == 5760
-    lines = (result.out_dir / "messenger.jsonl").read_text(encoding="utf-8").splitlines()
-    tried = [json.loads(line)["dispatched_at"] - midnight - 12 * 3600 for line in lines]
-    assert len(tried) == 2 and 0 <= tried[0] < 120  # the first try after the outage
-
-
 @st.composite
 def short_runs(draw):
-    """A run of at most a day off the default cadences, with spikes,
-    dropouts, ledger outages, process crashes and a messenger that misses
-    sends; and the messenger's down window."""
+    """The config of a run of at most a day off the default cadences, with
+    spikes, dropouts, ledger outages and process crashes."""
     period = draw(st.sampled_from([15, 30, 60]))
     thresholds = Thresholds(
         sample_period=period,
@@ -482,7 +443,7 @@ def short_runs(draw):
     )
     cfg = dict(scenario=scenario, horizon=horizon, start=start, seed=scenario.seed,
                thresholds=thresholds)
-    return cfg, window()
+    return cfg
 
 
 def _outcome(cfg: RunConfig):
@@ -499,11 +460,8 @@ def _outcome(cfg: RunConfig):
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(short_runs())
-def test_folding_quiet_stretches_changes_no_byte(case):
-    cfg, down = case
+def test_folding_quiet_stretches_changes_no_byte(cfg):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "MessengerSink", FlakyMessenger)
-        mp.setattr(FlakyMessenger, "down", down)
         folded = _outcome(RunConfig(out_dir=Path(tmp) / "folded", **cfg))
         # The reference steps every tick: its fold never takes one, nor
         # any record.
