@@ -7,9 +7,12 @@ Exit codes are stable: 0 success, 1 internal invariant violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator
 
@@ -26,7 +29,7 @@ from .ledger import (
 )
 from .model import DAY_SECONDS, MonitorEvent, date_to_ts, ts_to_date
 from .reports import Verdict, verify_report
-from .runner import RunConfig, events_from_log, iter_events, run_simulation
+from .runner import RunConfig, iter_events, run_simulation
 from .sensor import FaultKind, FaultSpec, ScenarioKind, scenario_for
 
 EXIT_OK = 0
@@ -221,10 +224,15 @@ def cmd_energy(args) -> int:
     if args.day is not None:
         start = _day(args.day, "--day")
         end = start + DAY_SECONDS
-    # A log is swept as a stream, and read again only to be sorted; a file
-    # that cannot be read twice, such as a pipe, is read into a list first.
-    events = _EventLog(args.events) if args.events.is_file() else events_from_log(args.events)
-    duty = energy_mod.energy_for_interval(events, cfg.power, cfg.duty, start, end)
+    # A log is swept as a stream, and read again only to be sorted; input
+    # that cannot be read twice, such as a pipe, is spooled to a file first.
+    with contextlib.ExitStack() as stack:
+        path = args.events
+        if not path.is_file():
+            path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / path.name
+            with open(args.events, "rb") as src, open(path, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+        duty = energy_mod.energy_for_interval(_EventLog(path), cfg.power, cfg.duty, start, end)
     if duty is None:
         print("error: empty event log and no --day given", file=sys.stderr)
         return EXIT_USAGE

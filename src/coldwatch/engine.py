@@ -85,8 +85,6 @@ RESOLVE_DEBOUNCE_SAMPLES = 2
 
 _EMPTY_WINDOW = (math.inf, -math.inf, 0, 0)  # a record window's min, max, sum and count
 
-ALERT_SINKS = ("buzzer", "display", "messenger")
-
 
 class MonitorMode(enum.Enum):
     NORMAL = "Normal"
@@ -95,7 +93,8 @@ class MonitorMode(enum.Enum):
 
 
 class MonitorEngine:
-    """One state machine per device. Single-threaded by contract."""
+    """One state machine per device. Single-threaded by contract. `sinks`
+    names the alert sinks, in delivery order, for AlertDispatched events."""
 
     def __init__(
         self,
@@ -103,11 +102,13 @@ class MonitorEngine:
         device_id: str,
         origin: Timestamp,
         image_seed: int = 0,
+        sinks: tuple[str, ...] = (),
     ):
         self.thresholds = thresholds
         self.device_id = device_id
         self.origin = origin
         self.image_seed = image_seed
+        self.sinks = sinks
         self.mode = MonitorMode.NORMAL
         self.episode_start: Timestamp | None = None
         self.consecutive_in_range = 0
@@ -256,7 +257,7 @@ class MonitorEngine:
                         {
                             "episode_id": episode,
                             "severity": "critical",
-                            "sinks": list(ALERT_SINKS),
+                            "sinks": list(self.sinks),
                             "reading": reading,
                         },
                     )

@@ -6,6 +6,13 @@ with a fixed canonical layout (big-endian fixed-width integers,
 length-prefixed strings) so digests are reproducible byte for byte, and
 each entry embeds the digest of its predecessor.
 
+A request is packed once, where it is queued (PackedRequest); the ledger
+checks a batch from those bytes, then hashes and stores them. Encoding a
+decoded request (EntryRequest) is where a batch holding a reading of
+another device is refused. A ledger keeps per entry its key, kind,
+instant and digest (StoredEntry) and decodes a payload at each read,
+from its file if it has one, else from the request bytes it keeps.
+
 Duplicate (device_id, seq) submissions are acknowledged as no-op
 successes returning the existing entry, which makes crash-recovery
 replay safe. Costs are exact rationals; the default fee is calibrated so
@@ -21,6 +28,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import Reading, Timestamp, day_start
 
@@ -120,8 +128,8 @@ Payload = (
 
 @dataclass(frozen=True)
 class EntryRequest:
-    """What a writer asks the contract to append; (device_id, seq) is the
-    idempotency key."""
+    """What a writer asks the contract to append, decoded; (device_id, seq)
+    is the idempotency key."""
 
     kind: LedgerKind
     device_id: str
@@ -132,11 +140,22 @@ class EntryRequest:
 
 @dataclass(frozen=True)
 class LedgerEntry(EntryRequest):
-    """An accepted request and its place in the chain."""
+    """An accepted request and its place in the chain, decoded."""
 
     index: int
     prev_hash: bytes
     entry_hash: bytes
+
+
+class PackedRequest(NamedTuple):
+    """A request as it is queued, hashed and stored: `data` is its
+    encode_request bytes; the other fields are its header's."""
+
+    kind: LedgerKind
+    device_id: str
+    seq: int
+    at: Timestamp
+    data: bytes
 
 
 # -- canonical encoding ------------------------------------------------------
@@ -217,7 +236,7 @@ class Cursor:
 
 _REQUEST = Layout(">BSQqI")  # kind, device id, seq, at, payload length
 COUNT = Layout(">H")  # the number of items that follow
-_READING = Layout(">qhH")  # one reading of a batch: at, temperature, humidity
+READING = Layout(">qhH")  # one reading of a batch: at, temperature, humidity
 _ENTRY_INDEX = Layout(">Q")
 
 # The other payloads: one layout per kind, fields in dataclass order.
@@ -229,12 +248,19 @@ _PAYLOADS = {
 }
 
 
-def encode_payload(kind: LedgerKind, payload: Payload) -> bytes:
+def batch_payload(readings: list[bytes]) -> bytes:
+    """A READING_BATCH payload of readings each packed with READING."""
+    return COUNT.pack(len(readings)) + b"".join(readings)
+
+
+def encode_payload(kind: LedgerKind, payload: Payload, device_id: str) -> bytes:
     if kind is LedgerKind.READING_BATCH:
         assert isinstance(payload, ReadingBatchPayload)
-        return COUNT.pack(len(payload.readings)) + b"".join(
-            [_READING.pack(r.at, r.temp_decic, r.hum_decip) for r in payload.readings]
-        )
+        # Stored as-is, a reading of another device would read back as device_id's.
+        if any(r.device_id != device_id for r in payload.readings):
+            raise MalformedPayload(f"batch for {device_id!r} holds another device")
+        readings = [READING.pack(r.at, r.temp_decic, r.hum_decip) for r in payload.readings]
+        return batch_payload(readings)
     layout, cls = _PAYLOADS[kind]
     assert isinstance(payload, cls)
     if kind is LedgerKind.REPORT_ANCHOR and len(payload.digest) != 32:
@@ -248,36 +274,55 @@ def decode_payload(kind: LedgerKind, data: bytes, device_id: str) -> Payload:
         (count,) = cur.read(COUNT)
         readings = []
         for _ in range(count):
-            at, temp, hum = cur.read(_READING)
+            at, temp, hum = cur.read(READING)
             readings.append(Reading(device_id=device_id, at=at, temp_decic=temp, hum_decip=hum))
         return ReadingBatchPayload(readings=tuple(readings))
     layout, cls = _PAYLOADS[kind]
     return cls(*cur.read(layout))
 
 
+def pack_request(kind: LedgerKind, device_id: str, seq: int, at: Timestamp, payload: bytes
+                 ) -> PackedRequest:
+    """Raises MalformedPayload for a header field outside its fixed width."""
+    head = _REQUEST.pack(kind.value, device_id, seq, at, len(payload))
+    return PackedRequest(kind, device_id, seq, at, head + payload)
+
+
 def encode_request(req: EntryRequest) -> bytes:
     """Raises MalformedPayload for any field outside its fixed width."""
-    payload = encode_payload(req.kind, req.payload)
-    return _REQUEST.pack(req.kind.value, req.device_id, req.seq, req.at, len(payload)) + payload
+    payload = encode_payload(req.kind, req.payload, req.device_id)
+    return pack_request(req.kind, req.device_id, req.seq, req.at, payload).data
 
 
-def _read_request(cur: Cursor) -> EntryRequest:
+def _read_head(cur: Cursor) -> tuple[LedgerKind, str, int, Timestamp, bytes]:
+    """A request's header fields and its payload's bytes."""
     kind_code, device_id, seq, at, n = cur.read(_REQUEST)
     try:
         kind = LedgerKind(kind_code)
     except ValueError as exc:
         raise MalformedPayload(f"unknown kind code {kind_code}") from exc
-    payload = decode_payload(kind, cur.take(n), device_id)
-    return EntryRequest(kind=kind, device_id=device_id, seq=seq, at=at, payload=payload)
+    return kind, device_id, seq, at, cur.take(n)
+
+
+def unpack_request(data: bytes) -> PackedRequest:
+    """The packed request that `data` begins with; its payload is not decoded."""
+    cur = Cursor(data)
+    kind, device_id, seq, at, _ = _read_head(cur)
+    return PackedRequest(kind, device_id, seq, at, data[: cur.pos])
+
+
+def _read_request(cur: Cursor) -> EntryRequest:
+    kind, device_id, seq, at, payload = _read_head(cur)
+    return EntryRequest(kind, device_id, seq, at, decode_payload(kind, payload, device_id))
 
 
 def decode_request(data: bytes) -> EntryRequest:
     return _read_request(Cursor(data))
 
 
-def entry_body(index: int, request: EntryRequest, prev_hash: bytes) -> bytes:
-    """The hashed bytes of a ledger entry."""
-    return _ENTRY_INDEX.pack(index) + encode_request(request) + prev_hash
+def entry_body(index: int, request: bytes, prev_hash: bytes) -> bytes:
+    """The hashed bytes of a ledger entry, of its packed request."""
+    return _ENTRY_INDEX.pack(index) + request + prev_hash
 
 
 def _decode_entry(body: bytes, entry_hash: bytes) -> LedgerEntry:
@@ -306,10 +351,10 @@ def verify_entries(entries: list[LedgerEntry]) -> ChainReport:
         if entry.prev_hash != prev:
             return ChainReport(False, i, "broken predecessor link")
         try:
-            recomputed = hashlib.sha256(entry_body(entry.index, entry, prev)).digest()
+            body = entry_body(entry.index, encode_request(entry), prev)
         except LedgerError as exc:
             return ChainReport(False, i, f"unencodable entry: {exc}")
-        if recomputed != entry.entry_hash:
+        if hashlib.sha256(body).digest() != entry.entry_hash:
             return ChainReport(False, i, "entry digest mismatch")
         prev = entry.entry_hash
     return ChainReport(True)
@@ -397,9 +442,35 @@ def annualized_usd(entries: list[LedgerEntry], gas: GasSchedule | None = None) -
 # -- the ledger ----------------------------------------------------------------
 
 
+class StoredEntry:
+    """An accepted request as a Ledger keeps it: its key, kind, instant,
+    place in the chain and digest. `payload` is decoded at each read, from
+    the request bytes a ledger without a file keeps in `stored`, or else
+    from the entry framed at offset `stored` in the file at `path`."""
+
+    __slots__ = ("kind", "device_id", "seq", "at", "index", "prev_hash", "entry_hash", "path",
+                 "stored")
+
+    def __init__(self, request: PackedRequest, index: int, prev_hash: bytes, entry_hash: bytes,
+                 path: Path | None, stored: bytes | int):
+        self.kind, self.device_id, self.seq, self.at, _ = request
+        self.index, self.prev_hash, self.entry_hash = index, prev_hash, entry_hash
+        self.path, self.stored = path, stored
+
+    @property
+    def payload(self) -> Payload:
+        if self.path is None:
+            return decode_request(self.stored).payload
+        with open(self.path, "rb") as f:
+            f.seek(self.stored)
+            (n,) = struct.unpack(">I", f.read(4))
+            record = f.read(n)  # the index, the request, then both digests
+        return _decode_entry(record[:-32], record[-32:]).payload
+
+
 class Ledger:
     """Single-writer contract state: submissions are serialized; reads may
-    snapshot the entry list freely (entries are immutable values). The
+    snapshot the entry list freely (entries are never changed). The
     owner writes everything; other writers are granted and revoked only
     through ADMIN_CHANGE entries."""
 
@@ -407,19 +478,19 @@ class Ledger:
         self.owner = owner
         self.writers: set[str] = set()
         self.fault_windows: list[tuple[Timestamp, Timestamp]] = []
-        self.entries: list[LedgerEntry] = []
+        self.entries: list[StoredEntry] = []
         self._by_key: dict[tuple[str, int], int] = {}
         self._path = path
         if path is not None:
             with open(path, "wb") as f:
-                f.write(LEDGER_MAGIC + bytes([LEDGER_VERSION]))
+                self._end = f.write(LEDGER_MAGIC + bytes([LEDGER_VERSION]))
 
     def set_fault_windows(self, windows: list[tuple[Timestamp, Timestamp]]) -> None:
         self.fault_windows = list(windows)
 
     def submit(
-        self, request: EntryRequest, credential: str, now: Timestamp | None = None
-    ) -> LedgerEntry:
+        self, request: PackedRequest | EntryRequest, credential: str, now: Timestamp | None = None
+    ) -> StoredEntry:
         now = request.at if now is None else now
         if any(s <= now < e for s, e in self.fault_windows):
             raise LedgerOutage(f"ledger unavailable at {now}")
@@ -427,15 +498,18 @@ class Ledger:
             raise Unauthorized(f"credential {credential!r} is not an authorized writer")
         if request.kind is LedgerKind.ADMIN_CHANGE and credential != self.owner:
             raise Unauthorized("authorization changes require the owner key")
-        if request.kind is LedgerKind.READING_BATCH:
-            readings = request.payload.readings
-            if not readings:
+        if isinstance(request, EntryRequest):
+            request = unpack_request(encode_request(request))
+        if request.kind is LedgerKind.READING_BATCH:  # checked from its bytes
+            cur = Cursor(request.data)
+            cur.read(_REQUEST)
+            (count,) = cur.read(COUNT)
+            if not count:
                 raise MalformedPayload("batch must be non-empty")
-            if len(readings) > BATCH_LIMIT:
-                raise BatchTooLarge(f"batch of {len(readings)} exceeds {BATCH_LIMIT}")
-            if any(r.device_id != request.device_id for r in readings):
-                raise MalformedPayload(f"batch for {request.device_id!r} holds another device")
-            if any(b.at < a.at for a, b in zip(readings, readings[1:])):
+            if count > BATCH_LIMIT:
+                raise BatchTooLarge(f"batch of {count} exceeds {BATCH_LIMIT}")
+            ats = [at for at, _, _ in READING.head.iter_unpack(cur.take(count * READING.head.size))]
+            if any(b < a for a, b in zip(ats, ats[1:])):
                 raise MalformedPayload("batch readings must be timestamp-ordered")
         key = (request.device_id, request.seq)
         existing = self._by_key.get(key)
@@ -443,22 +517,24 @@ class Ledger:
             return self.entries[existing]
         prev = self.entries[-1].entry_hash if self.entries else ZERO_DIGEST
         index = len(self.entries)
-        body = entry_body(index, request, prev)  # validates bounds
-        entry = LedgerEntry(
-            **vars(request), index=index, prev_hash=prev, entry_hash=hashlib.sha256(body).digest()
-        )
+        body = entry_body(index, request.data, prev)
+        digest = hashlib.sha256(body).digest()
+        stored: bytes | int = request.data
+        if self._path is not None:
+            record = body + digest
+            with open(self._path, "ab") as f:
+                f.write(struct.pack(">I", len(record)) + record)
+            stored, self._end = self._end, self._end + 4 + len(record)
+        entry = StoredEntry(request, index, prev, digest, self._path, stored)
         self.entries.append(entry)
         self._by_key[key] = index
         if request.kind is LedgerKind.ADMIN_CHANGE:
-            assert isinstance(request.payload, AdminChangePayload)
-            if request.payload.action is AdminAction.GRANT:
-                self.writers.add(request.payload.key)
+            change = decode_request(request.data).payload
+            assert isinstance(change, AdminChangePayload)
+            if change.action is AdminAction.GRANT:
+                self.writers.add(change.key)
             else:
-                self.writers.discard(request.payload.key)
-        if self._path is not None:
-            record = body + entry.entry_hash
-            with open(self._path, "ab") as f:
-                f.write(struct.pack(">I", len(record)) + record)
+                self.writers.discard(change.key)
         return entry
 
     def verify_chain(self) -> ChainReport:

@@ -1,10 +1,11 @@
 """Crash-safe outbox plus the local day store, in one record file.
 
-Every ledger write request is durably recorded as Pending before any
-submission attempt; items are confirmed only after the ledger
-acknowledges. Combined with the ledger's (device_id, seq) idempotency,
-replaying after any crash point yields exactly one ledger effect per
-request. The same file retains the current day's report rows; older
+Every ledger write request is packed once, at enqueue, and durably
+recorded as Pending before any submission attempt; replay, compaction
+and the ledger reuse those bytes. Items are confirmed only after the
+ledger acknowledges. Combined with the ledger's (device_id, seq)
+idempotency, replaying after any crash point yields exactly one ledger
+effect per request. The same file retains the current day's report rows; older
 days are compacted away after their report is anchored.
 
 Retries after a ledger outage follow a clock-driven backoff
@@ -26,12 +27,15 @@ from typing import Callable
 from .ledger import (
     COUNT,
     Cursor,
-    EntryRequest,
     Layout,
     Ledger,
+    LedgerKind,
     LedgerOutage,
-    decode_request,
-    encode_request,
+    PackedRequest,
+    Payload,
+    encode_payload,
+    pack_request,
+    unpack_request,
 )
 from .model import Timestamp
 from .storage import RecordFile, StoreFormatError
@@ -60,7 +64,7 @@ class ItemState(enum.Enum):
 
 @dataclass
 class OutboxItem:
-    request: EntryRequest
+    request: PackedRequest
     state: ItemState
 
     @property
@@ -102,7 +106,7 @@ class Outbox:
             rec_type = payload[0]
             body = payload[1:]
             if rec_type == _REC_ENQUEUE:
-                request = decode_request(body)
+                request = unpack_request(body)
                 item = OutboxItem(request=request, state=ItemState.PENDING)
                 self._items[item.key] = item
                 nxt = self._next_seq.get(request.device_id, 0)
@@ -131,11 +135,16 @@ class Outbox:
 
     # -- outbox ------------------------------------------------------------
 
-    def enqueue(self, kind, device_id: str, at: Timestamp, payload) -> OutboxItem:
+    def enqueue(self, kind: LedgerKind, device_id: str, at: Timestamp,
+                payload: Payload | bytes) -> OutboxItem:
+        """Queue a request with a decoded payload, or with its payload's
+        bytes (the runner packs a batch's readings as it records them)."""
         seq = self._next_seq.get(device_id, 0)
-        request = EntryRequest(kind=kind, device_id=device_id, seq=seq, at=at, payload=payload)
+        if not isinstance(payload, bytes):
+            payload = encode_payload(kind, payload, device_id)
+        request = pack_request(kind, device_id, seq, at, payload)
         self._hook("enqueue:pre", device_id, seq)
-        self._file.append(bytes([_REC_ENQUEUE]) + encode_request(request))
+        self._file.append(bytes([_REC_ENQUEUE]) + request.data)
         self._next_seq[device_id] = seq + 1
         item = OutboxItem(request=request, state=ItemState.PENDING)
         self._items[item.key] = item
@@ -201,7 +210,7 @@ class Outbox:
         for key, item in self._items.items():
             if item.state is ItemState.CONFIRMED:
                 continue
-            payloads.append(bytes([_REC_ENQUEUE]) + encode_request(item.request))
+            payloads.append(bytes([_REC_ENQUEUE]) + item.request.data)
             item.state = ItemState.PENDING
             kept_items[key] = item
         kept_rows = self.rows(keep_rows_from, math.inf)

@@ -27,10 +27,13 @@ engine would emit no event but at most their record, in any mode, are
 taken a stretch at a time (MonitorEngine.fold); any other tick is a
 stretch of one, stepped after its line. A stretch ends at the next clock
 event's instant, included, before the next crash. Every record, taken or
-stepped, goes through one writer (_Run._store_records): it queues the
-readings for the next batch and appends the report rows in one outbox
-write, and its lines are arguments of that `%`, each after its tick's
-sample line. So each row is durable before any crash point or drain.
+stepped, goes through one writer (_Run._store_records): it packs each
+record's reading for the next batch, builds no Reading for it, and
+appends the report rows in one outbox write, and its lines are arguments
+of that `%`, each after its tick's sample line. So each row is durable
+before any crash point or drain. A batch's payload is those packed
+readings behind their count; the outbox packs each ledger request once,
+and the ledger hashes and stores those bytes (see ledger).
 
 A ProcessCrash fault drops all in-memory state at its start time and
 recovers from the store: confirmed outbox marks stick, submitted items
@@ -64,13 +67,14 @@ from .clock import VirtualClock
 from .engine import MonitorEngine, MonitorMode
 from .ledger import (
     BATCH_LIMIT,
+    READING,
     AlertPayload,
     GasSchedule,
     Ledger,
     LedgerKind,
-    ReadingBatchPayload,
     ReportAnchorPayload,
     ResolutionPayload,
+    batch_payload,
 )
 from .model import (
     DAY_SECONDS,
@@ -315,10 +319,11 @@ class _Run:
         store: at start-up and again after a crash."""
         cfg = self.cfg
         self.outbox = Outbox(self.out / "outbox.bin")
+        sinks = tuple(sink.name for sink in self.dispatcher.sinks)
         self.engine = MonitorEngine(
-            cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed
+            cfg.thresholds, cfg.device_id, origin=cfg.start, image_seed=cfg.seed, sinks=sinks
         )
-        self.batch_pending: list[Reading] = []
+        self.batch_pending: list[bytes] = []  # each record's reading, packed for its batch
 
     # -- event plumbing ----------------------------------------------------
 
@@ -351,12 +356,12 @@ class _Run:
             if now % DAY_SECONDS == 0:
                 # Midnight: the daily report anchor replaces this batch; its
                 # digest covers the pending records of the closing day.
-                self.batch_pending = [r for r in self.batch_pending if r.at >= now]
+                unpack = READING.head.unpack
+                self.batch_pending = [r for r in self.batch_pending if unpack(r)[0] >= now]
             elif self.batch_pending:
                 # More than BATCH_LIMIT records go out as consecutive batches.
                 for k in range(0, len(self.batch_pending), BATCH_LIMIT):
-                    chunk = self.batch_pending[k : k + BATCH_LIMIT]
-                    payload = ReadingBatchPayload(tuple(chunk))
+                    payload = batch_payload(self.batch_pending[k : k + BATCH_LIMIT])
                     self.outbox.enqueue(LedgerKind.READING_BATCH, self.cfg.device_id, now, payload)
                 self.batch_pending = []
                 return True
@@ -364,12 +369,12 @@ class _Run:
 
     def _store_records(self, mode: MonitorMode, records: list[tuple]) -> dict[Timestamp, str]:
         """Count the records taken in `mode`, each (at, temp, hum, window
-        min, max, floor average), queue their readings for the next batch
-        and append their report rows in one outbox write; return their
+        min, max, floor average), queue their readings, packed, for the next
+        batch and append their report rows in one outbox write; return their
         events.log lines by instant."""
-        device = self.cfg.device_id
+        device, pack = self.cfg.device_id, READING.head.pack
         self.event_counts[EventKind.LOCAL_LOG_WRITTEN] += len(records)
-        self.batch_pending.extend([Reading(device, at, temp, hum) for at, temp, hum, *_ in records])
+        self.batch_pending.extend([pack(at, temp, hum) for at, temp, hum, _, _, _ in records])
         self.outbox.add_rows(encode_rows(device, mode, records))
         device_json = _json_string(device)
         return {record[0]: _record_line(mode.value, device_json, *record) for record in records}

@@ -553,10 +553,19 @@ class TestEnergy:
         assert tables[1] == tables[0]
         assert "1036800.0" in tables[0]  # the controller's baseline over two days
 
-    def test_a_pipe_is_read_into_a_list(self, sim_dir, tmp_path, capsys):
-        """A pipe can be read neither from its end nor twice."""
+    def test_a_pipe_is_spooled_to_a_file_and_swept(self, sim_dir, tmp_path, capsys, monkeypatch):
+        """A pipe can be read neither from its end nor twice, so it is
+        copied to a file, which is swept as a stream like any other."""
         assert main(["energy", "--events", str(sim_dir / "events.log")]) == 0
         expected = capsys.readouterr().out
+        swept = []
+        read_events = cli.iter_events
+
+        def recorded(path):
+            swept.append(Path(path).is_file())
+            return read_events(path)
+
+        monkeypatch.setattr(cli, "iter_events", recorded)
         read, write = os.pipe()
 
         def feed():  # the 24 h log overfills a pipe's buffer
@@ -571,6 +580,7 @@ class TestEnergy:
             os.close(read)
             thread.join()
         assert capsys.readouterr().out == expected
+        assert swept == [True]
 
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2

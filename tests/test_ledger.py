@@ -1,12 +1,16 @@
 import dataclasses
 import struct
+import tempfile
 from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldwatch.ledger import (
     BATCH_LIMIT,
+    READING,
     AdminAction,
     AdminChangePayload,
     AlertPayload,
@@ -27,6 +31,7 @@ from coldwatch.ledger import (
     Unauthorized,
     ZERO_DIGEST,
     annualized_usd,
+    batch_payload,
     cost_report,
     daily_costs,
     decode_request,
@@ -36,10 +41,20 @@ from coldwatch.ledger import (
     observed_days,
     verify_entries,
 )
-from coldwatch.model import DAY_SECONDS, Reading
+from coldwatch.model import (
+    DAY_SECONDS,
+    HUM_MAX_DECIP,
+    HUM_MIN_DECIP,
+    TEMP_MAX_DECIC,
+    TEMP_MIN_DECIC,
+    Reading,
+)
+from coldwatch.outbox import Outbox
 
 OWNER = "owner-key"
 DEV = "fridge-1"
+# The fields of an entry, decoded (LedgerEntry) or as a ledger keeps it (StoredEntry).
+ENTRY = attrgetter("kind", "device_id", "seq", "at", "payload", "index", "prev_hash", "entry_hash")
 
 
 def rd(at, temp=40, hum=520):
@@ -103,12 +118,12 @@ class TestChain:
         ledger = Ledger(OWNER)
         for seq in range(1000):
             ledger.submit(alert_request(seq, at=1000 + seq), OWNER)
-        bad = dataclasses.replace(
-            ledger.entries[500],
-            payload=AlertPayload(episode_id=1500, temp_decic=86, hum_decip=520),
-        )
+        e = ledger.entries[500]
+        bad = AlertPayload(episode_id=1500, temp_decic=86, hum_decip=520)
         entries = list(ledger.entries)
-        entries[500] = bad
+        entries[500] = LedgerEntry(
+            e.kind, e.device_id, e.seq, e.at, bad, e.index, e.prev_hash, e.entry_hash
+        )
         report = verify_entries(entries)
         assert not report.ok
         assert report.bad_index == 500
@@ -325,7 +340,7 @@ class TestFile:
         for seq in range(20):
             ledger.submit(alert_request(seq, at=1000 + seq), OWNER)
         loaded = load_ledger_entries(path)
-        assert loaded == ledger.entries
+        assert list(map(ENTRY, loaded)) == list(map(ENTRY, ledger.entries))
         assert verify_entries(loaded).ok
 
     @pytest.mark.parametrize("kind", list(LedgerKind), ids=lambda kind: kind.name)
@@ -463,3 +478,56 @@ def test_chain_verifies_after_any_submit_sequence(specs):
             OWNER,
         )
     assert len(ledger.entries) == length
+
+
+I64, U32 = st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def decoded_requests(draw):
+    """A request of any kind with every field within its width, and its
+    payload as it is handed to the outbox: decoded, or a batch's bytes as
+    the runner packs them record by record."""
+    kind = draw(st.sampled_from(list(LedgerKind)))
+    device = draw(st.text(min_size=1, max_size=12))
+    temps = st.integers(TEMP_MIN_DECIC, TEMP_MAX_DECIC)
+    hums = st.integers(HUM_MIN_DECIP, HUM_MAX_DECIP)
+    if kind is LedgerKind.READING_BATCH:
+        rows = sorted(draw(st.lists(st.tuples(I64, temps, hums), min_size=1, max_size=40)))
+        payload = ReadingBatchPayload(tuple(Reading(device, *row) for row in rows))
+    elif kind is LedgerKind.ALERT:
+        payload = AlertPayload(draw(I64), draw(temps), draw(hums))
+    elif kind is LedgerKind.RESOLUTION:
+        payload = ResolutionPayload(draw(I64), draw(U32), draw(temps), draw(hums))
+    elif kind is LedgerKind.REPORT_ANCHOR:
+        digest = draw(st.binary(min_size=32, max_size=32))
+        payload = ReportAnchorPayload(draw(I64), digest, draw(U32))
+    else:
+        payload = AdminChangePayload(draw(st.sampled_from(AdminAction)), draw(st.text(max_size=12)))
+    request = EntryRequest(kind, device, 0, draw(I64), payload)
+    if kind is LedgerKind.READING_BATCH and draw(st.booleans()):
+        payload = batch_payload([READING.head.pack(*row) for row in rows])
+    return request, payload
+
+
+@settings(deadline=None)
+@given(decoded_requests())
+def test_stored_request_bytes_are_the_encoding_of_their_decoded_view(drawn):
+    """The bytes the outbox packs at enqueue, replays and hands to the
+    ledger, which hashes and stores them, are encode_request's of the
+    decoded request, and decode back to it."""
+    view, payload = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        box = Outbox(Path(tmp) / "outbox.bin")
+        request = box.enqueue(view.kind, view.device_id, view.at, payload).request
+        box.close()
+        assert request.data == encode_request(view)
+        assert decode_request(request.data) == view
+        box = Outbox(Path(tmp) / "outbox.bin")
+        assert [item.request for item in box.items()] == [request]
+        box.close()
+        ledger = Ledger(OWNER, path=Path(tmp) / "ledger.bin")
+        entry = ledger.submit(request, OWNER)
+        [loaded] = load_ledger_entries(Path(tmp) / "ledger.bin")
+        assert ENTRY(loaded) == ENTRY(entry)  # the entry's payload, read from the file
+    assert ENTRY(loaded)[:5] == (view.kind, view.device_id, view.seq, view.at, view.payload)

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coldwatch import runner
+from coldwatch import ledger, outbox, runner
 from coldwatch.cli import main
-from coldwatch.ledger import LedgerKind, load_ledger_entries
+from coldwatch.ledger import Ledger, LedgerKind, LedgerOutage, load_ledger_entries
 from coldwatch.engine import MonitorEngine
-from coldwatch.model import DAY_SECONDS, EventKind, Thresholds, iso_to_ts, ts_to_date
+from coldwatch.model import DAY_SECONDS, EventKind, Reading, Thresholds, iso_to_ts, ts_to_date
 from coldwatch.outbox import ItemState, Outbox
 from coldwatch.reports import Verdict, verify_report
 from coldwatch.runner import DEFAULT_START, RunConfig, events_from_log, run_simulation
@@ -24,6 +24,7 @@ from coldwatch.sensor import (
     ScenarioKind,
     ScenarioSpec,
     SpikeWindow,
+    breach_day,
     normal_day,
 )
 
@@ -120,8 +121,8 @@ class TestBreachDay:
         assert 2 <= messenger[0].delivered_at - messenger[0].dispatched_at <= 4
 
     def test_each_alert_line_names_the_sinks_it_was_delivered_to(self, breach_run):
-        # The engine writes its own sink list into every AlertDispatched
-        # line; the run builds the dispatcher's. They must agree, in order.
+        # The engine writes the dispatcher's sink names into every
+        # AlertDispatched line. They must agree, in order.
         dispatched = [e for e in events_from_log(breach_run.out_dir / "events.log")
                       if e.kind is EventKind.ALERT_DISPATCHED]
         assert dispatched
@@ -129,6 +130,87 @@ class TestBreachDay:
             sinks = [d.sink for d in breach_run.deliveries
                      if d.message.severity.value == "CRITICAL" and d.dispatched_at == event.at]
             assert event.payload["sinks"] == sinks
+
+    def test_alert_lines_follow_the_order_of_the_runs_sinks(self, tmp_path, monkeypatch):
+        class Reversed(runner.AlertDispatcher):
+            def __init__(self, sinks):
+                super().__init__(sinks[::-1])
+
+        monkeypatch.setattr(runner, "AlertDispatcher", Reversed)
+        scenario = dataclasses.replace(breach_day(DEFAULT_START, seed=7), noise=NoiseModel(0, 0))
+        result = run(tmp_path, scenario, seed=7)
+        dispatched = [e for e in events_from_log(result.out_dir / "events.log")
+                      if e.kind is EventKind.ALERT_DISPATCHED]
+        assert dispatched
+        for event in dispatched:
+            assert event.payload["sinks"] == ["messenger", "display", "buzzer"]
+            sinks = [d.sink for d in result.deliveries
+                     if d.message.severity.value == "CRITICAL" and d.dispatched_at == event.at]
+            assert sinks == event.payload["sinks"]
+
+
+def test_each_request_is_packed_once_and_no_record_builds_a_reading(tmp_path, monkeypatch):
+    """A day of twelve escalating excursions, a ledger outage and a crash
+    inside it, so pending requests are retried, replayed and compacted.
+    Each ledger request is packed once, at enqueue, and a Reading is built
+    only for a stepped tick, not for each record."""
+    day = DEFAULT_START
+    spikes = tuple(
+        SpikeWindow(day + k * 7200 + 600, day + k * 7200 + 4200, temp_delta_decic=45)
+        for k in range(12)
+    )
+    scenario = ScenarioSpec(
+        kind=ScenarioKind.BREACH_DAY, seed=1, spike_windows=spikes,
+        faults=(FaultSpec(FaultKind.LEDGER_OUTAGE, day + 35_000, day + 44_000),
+                FaultSpec(FaultKind.PROCESS_CRASH, day + 40_000, day + 40_030)),
+    )
+    calls = Counter()
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # Every request is packed through pack_request, which the outbox imports by name.
+    counted(ledger, "pack_request", "packs")
+    counted(outbox, "pack_request", "packs")
+    counted(outbox, "unpack_request", "replayed")
+    counted(Reading, "__post_init__", "readings")
+    enqueue, step, submit = outbox.Outbox.enqueue, MonitorEngine.step, Ledger.submit
+
+    def enqueued(self, *args):
+        packs = calls["packs"]
+        item = enqueue(self, *args)
+        calls["enqueues"] += 1
+        calls["packs at enqueue"] += calls["packs"] - packs
+        return item
+
+    def stepped(self, reading, now):
+        calls["stepped readings"] += reading is not None
+        return step(self, reading, now)
+
+    def submitted(self, *args, **kwargs):
+        try:
+            return submit(self, *args, **kwargs)
+        except LedgerOutage:
+            calls["outages"] += 1
+            raise
+
+    monkeypatch.setattr(outbox.Outbox, "enqueue", enqueued)
+    monkeypatch.setattr(MonitorEngine, "step", stepped)
+    monkeypatch.setattr(Ledger, "submit", submitted)
+    result = run(tmp_path, scenario, seed=1)
+    counts = dict(calls)
+    assert counts["outages"] > 0 and counts["replayed"] > 0
+    assert counts["packs"] == counts["packs at enqueue"] == counts["enqueues"]
+    assert counts["enqueues"] == len(result.ledger.entries)
+    records = result.manifest["counters"]["local_records"]
+    assert counts["readings"] == counts["stepped readings"] < records
+    assert result.ledger.verify_chain().ok
 
 
 class TestDeterminism:

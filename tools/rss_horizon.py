@@ -9,8 +9,8 @@ peak resident set size in MiB. With --replay it then replays that run's
 trace.csv (`--scenario replay --trace`) in another fresh process, and with
 --energy it runs `coldwatch energy` over the run's events.log in another,
 and once more with the log fed by `cat` through a pipe (`--events
-/dev/stdin`, which energy reads into a list, as it cannot read a pipe
-twice); each prints one more line. Each child is reaped with os.wait4, so
+/dev/stdin`, which energy copies to a temporary file, as it cannot read
+a pipe twice); each prints one more line. Each child is reaped with os.wait4, so
 each line's peak is that child's own (resource.getrusage(RUSAGE_CHILDREN)
 would fold every child reaped so far into one maximum). With --repeat N each command
 runs N times, each in a fresh process, and its line gives the minimum
