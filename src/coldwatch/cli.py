@@ -213,9 +213,10 @@ class _EventLog:
     """The events of an events.log, read from the file at each iteration."""
 
     path: Path
+    name: Path | None = None  # what a bad line is named after; the path by default
 
     def __iter__(self) -> Iterator[MonitorEvent]:
-        return iter_events(self.path)
+        return iter_events(self.path, self.name)
 
 
 def cmd_energy(args) -> int:
@@ -232,7 +233,8 @@ def cmd_energy(args) -> int:
             path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / path.name
             with open(args.events, "rb") as src, open(path, "wb") as dst:
                 shutil.copyfileobj(src, dst)
-        duty = energy_mod.energy_for_interval(_EventLog(path), cfg.power, cfg.duty, start, end)
+        events = _EventLog(path, args.events)  # a bad line is named as given, not as spooled
+        duty = energy_mod.energy_for_interval(events, cfg.power, cfg.duty, start, end)
     if duty is None:
         print("error: empty event log and no --day given", file=sys.stderr)
         return EXIT_USAGE

@@ -103,9 +103,11 @@ def load_config(path: Path | None) -> AppConfig:
         for option in parser.options("gas"):
             if option == "fee_per_gas_usd":
                 fee = _get(parser, "gas", option, Fraction, "expected decimal")
-            else:
-                kind = _kind_for(option)
+            elif option.upper() in LedgerKind.__members__:
+                kind = LedgerKind[option.upper()]
                 units[kind] = _get(parser, "gas", option, int, "expected integer")
+            else:
+                raise ConfigError(f"[gas] unknown option {option!r}")
         try:
             cfg.gas = GasSchedule(gas=units, fee_per_gas_usd=fee)
         except ValueError as exc:
@@ -132,10 +134,3 @@ def load_config(path: Path | None) -> AppConfig:
         cfg.duty = _section(parser, "duty", DutyPolicy)
 
     return cfg
-
-
-def _kind_for(option: str) -> LedgerKind:
-    try:
-        return LedgerKind[option.upper()]
-    except KeyError:
-        raise ConfigError(f"[gas] unknown option {option!r}") from None

@@ -481,9 +481,10 @@ class Ledger:
         self.entries: list[StoredEntry] = []
         self._by_key: dict[tuple[str, int], int] = {}
         self._path = path
-        if path is not None:
-            with open(path, "wb") as f:
-                self._end = f.write(LEDGER_MAGIC + bytes([LEDGER_VERSION]))
+        self._file = None if path is None else open(path, "wb")  # kept for every append; see close
+        if self._file is not None:
+            self._file.write(LEDGER_MAGIC + bytes([LEDGER_VERSION]))
+            self._file.flush()
 
     def set_fault_windows(self, windows: list[tuple[Timestamp, Timestamp]]) -> None:
         self.fault_windows = list(windows)
@@ -520,11 +521,10 @@ class Ledger:
         body = entry_body(index, request.data, prev)
         digest = hashlib.sha256(body).digest()
         stored: bytes | int = request.data
-        if self._path is not None:
-            record = body + digest
-            with open(self._path, "ab") as f:
-                f.write(struct.pack(">I", len(record)) + record)
-            stored, self._end = self._end, self._end + 4 + len(record)
+        if self._file is not None:  # the entry is in the file when submit returns
+            stored = self._file.tell()
+            self._file.write(struct.pack(">I", len(body) + len(digest)) + body + digest)
+            self._file.flush()
         entry = StoredEntry(request, index, prev, digest, self._path, stored)
         self.entries.append(entry)
         self._by_key[key] = index
@@ -539,6 +539,10 @@ class Ledger:
 
     def verify_chain(self) -> ChainReport:
         return verify_entries(self.entries)
+
+    def close(self) -> None:  # entries still read their payloads from the file
+        if self._file is not None:
+            self._file.close()
 
 
 # -- file format ---------------------------------------------------------------

@@ -208,9 +208,9 @@ _PAYLOAD = MonitorEvent.payload  # the slot, under SampleEvent's property
 
 class SampleEvent(MonitorEvent):
     """A SampleTaken event read back from a log. Its payload slot holds a
-    reading tuple (instant, or None for the event's own; device id;
-    humidity; temperature), shared by the events of one reading, until
-    `payload` is first read; the dict built from it then takes the slot."""
+    reading tuple (device id, humidity, temperature), shared by the events
+    of one reading, until `payload` is first read; the dict built from it,
+    with the event's instant as the reading's, then takes the slot."""
 
     __slots__ = ()
 
@@ -218,12 +218,9 @@ class SampleEvent(MonitorEvent):
     def payload(self) -> dict:
         value = _PAYLOAD.__get__(self)
         if type(value) is tuple:
-            at, device_id, hum, temp = value
+            device_id, hum, temp = value
             value = {"reading": {
-                "at": self.at if at is None else at,
-                "device_id": device_id,
-                "hum_decip": hum,
-                "temp_decic": temp,
+                "at": self.at, "device_id": device_id, "hum_decip": hum, "temp_decic": temp,
             }}
             _PAYLOAD.__set__(self, value)
         return value

@@ -166,14 +166,13 @@ _RECORD_LINE = (
     '{"at":%d,"device_id":%s,"hum_decip":%d,"temp_decic":%d},"window_avg_temp_decic":%d,'
     '"window_max_temp_decic":%d,"window_min_temp_decic":%d}}}\n'
 )
-_INT = r"(-?(?:0|[1-9][0-9]*))"  # a JSON integer; \d would take any Unicode digit
-_STR = r'"([^"\\\x00-\x1f\udc80-\udcff]*)"'  # no escapes, no byte that is not UTF-8
-# One match per line: a sample line's five fields, or any other line whole
+_INT = r"-?(?:0|[1-9][0-9]*)"  # a JSON integer; \d would take any Unicode digit
+_STR = r'"[^"\\\x00-\x1f\udc80-\udcff]*"'  # no escapes, no byte that is not UTF-8
+# One match per line, a sample line as iter_events says or any other line whole
 # (from any line start, so findall skips no character). A sample ends at its
 # line's end, so a sample with trailing junk is one line, not two.
-_LINE_RE = re.compile(
-    re.escape(_SAMPLE_LINE).replace("%d", _INT).replace("%s", _STR) + r"(?:\n|\Z)|(.*\n|.+)"
-)
+_LINE_RE = re.compile(re.escape(_SAMPLE_LINE).replace("%d", "%s") % (
+    f"({_INT})", rf"(?:\1|({_INT}))(", _STR, _INT, _INT + ")") + r"(?:\n|\Z)|(.*\n|.+)")
 _BLOCK_CHARS = 1 << 14  # text per findall, extended to a line end; tests shrink it
 
 
@@ -200,38 +199,40 @@ def events_from_log(path: Path) -> list[MonitorEvent]:
     return collector_paused(list, iter_events(path))
 
 
-def iter_events(path: Path) -> Iterator[MonitorEvent]:
-    """Every event of an events.log, in file order; ValueError names the
-    first bad line, also one that holds a byte that is not UTF-8. The file
-    is matched a block of whole lines at a time, with one findall.
+def iter_events(path: Path, name: Path | None = None) -> Iterator[MonitorEvent]:
+    """Every event of an events.log, in file order, matched a block of whole
+    lines at a time with one findall; ValueError names the first bad line
+    after `name` (the path by default), also one with a byte not UTF-8.
 
-    A SampleTaken line is a SampleEvent, which shares its reading tuple
-    with every line of the same reading text, the reading's instant
-    counting only where it is not the event's own; the tuples share one
-    str per device id and one int per temperature or humidity text. The
-    device table is kept apart from the number table, so an id "0" stays
-    text."""
-    # Every humidity value is in the temperature envelope too.
+    A SampleTaken line without an escape is matched as its instant, its
+    reading's instant where that is not the event's own, and its reading's
+    text from ',"device_id":' on. Its SampleEvent holds the reading tuple
+    (device id, humidity, temperature) of that text, converted once and
+    shared, with one str per device id and one int per number text. Every
+    other line is read through json.loads."""
+    # Two tables, so an id "0" stays text; every humidity is in the temperature envelope too.
     devices, numbers = Shared(str, 64), Shared(int, TEMP_MAX_DECIC - TEMP_MIN_DECIC + 1)
 
-    def reading(key):
-        at, device_id, hum, temp = key
-        return None if at is None else int(at), devices[device_id], numbers[hum], numbers[temp]
+    def reading(text):  # ,"device_id":"<id>","hum_decip":<hum>,"temp_decic":<temp>
+        _, _, _, device_id, _, _, hum, _, temp = text.split('"')
+        return devices[device_id], numbers[hum[1:-1]], numbers[temp[1:]]
 
     readings = Shared(reading, 1 << 12)  # a 90-day normal run has 451
-    sample, lines, line_no = EventKind.SAMPLE_TAKEN, _LINE_RE.findall, 0
+    sample, lines, line_no, name = EventKind.SAMPLE_TAKEN, _LINE_RE.findall, 0, name or path
     # A byte that is not UTF-8 reads as a lone surrogate, for _event_from_json to name.
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         while block := f.read(_BLOCK_CHARS):
             if block[-1] != "\n":
                 block += f.readline()
-            for at_text, reading_at, device_id, hum, temp, line in lines(block):
+            for at_text, reading_at, text, line in lines(block):
                 line_no += 1
                 if line:
-                    yield _event_from_json(line, path, line_no)
+                    yield _event_from_json(line, name, line_no)
                     continue
-                key = None if reading_at == at_text else reading_at, device_id, hum, temp
-                yield SampleEvent(sample, int(at_text), readings[key])
+                event = SampleEvent(sample, int(at_text), readings[text])
+                if reading_at:  # not the event's own instant
+                    event.payload["reading"]["at"] = int(reading_at)
+                yield event
 
 
 _KINDS = frozenset(kind.value for kind in EventKind)
@@ -307,9 +308,7 @@ class _Run:
         self.ledger.set_fault_windows(
             [(f.start, f.end) for f in self.faults if f.kind is FaultKind.LEDGER_OUTAGE]
         )
-        self.crash_times = sorted(
-            f.start for f in self.faults if f.kind is FaultKind.PROCESS_CRASH
-        )
+        self.crash_times = sorted(f.start for f in self.faults if f.kind is FaultKind.PROCESS_CRASH)
         self.event_counts: Counter[EventKind] = Counter()
         self._start_process()
         self.events_file = open(self.out / "events.log", "w", encoding="utf-8", newline="\n")
@@ -439,6 +438,7 @@ class _Run:
         finally:
             self.events_file.close()
             self.outbox.close()
+            self.ledger.close()
 
     def _run(self) -> RunResult:
         cfg = self.cfg

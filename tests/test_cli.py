@@ -520,9 +520,9 @@ class TestEnergy:
         reads = []
         read = runner.iter_events
 
-        def counted(path):
+        def counted(path, *name):
             reads.append(path)
-            return read(path)
+            return read(path, *name)
 
         monkeypatch.setattr(runner, "iter_events", counted)  # events_from_log's
         monkeypatch.setattr(cli, "iter_events", counted)
@@ -561,9 +561,9 @@ class TestEnergy:
         swept = []
         read_events = cli.iter_events
 
-        def recorded(path):
+        def recorded(path, *name):
             swept.append(Path(path).is_file())
-            return read_events(path)
+            return read_events(path, *name)
 
         monkeypatch.setattr(cli, "iter_events", recorded)
         read, write = os.pipe()
@@ -581,6 +581,20 @@ class TestEnergy:
             thread.join()
         assert capsys.readouterr().out == expected
         assert swept == [True]
+
+    def test_a_bad_line_over_a_pipe_is_named_by_the_path_given(self, capsys):
+        """The pipe is spooled to a temporary file, which is gone when the
+        command exits, so the message names the path on the command line."""
+        read, write = os.pipe()
+        with open(write, "wb") as f:
+            f.write(b'{"at":1,"kind":"Nope","payload":{}}\n')
+        try:
+            assert main(["energy", "--events", f"/dev/fd/{read}"]) == 2
+        finally:
+            os.close(read)
+        assert capsys.readouterr().err == (
+            f"error: /dev/fd/{read}: line 1: unknown event kind 'Nope'\n"
+        )
 
     def test_missing_events_is_usage_error(self, tmp_path):
         assert main(["energy", "--events", str(tmp_path / "missing.log")]) == 2

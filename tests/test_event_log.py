@@ -16,6 +16,7 @@ import gc
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -31,7 +32,7 @@ from coldwatch.model import (
     Reading,
     Shared,
 )
-from coldwatch import cli, runner
+from coldwatch import cli, model, runner
 from coldwatch.energy import DutyPolicy, PowerProfile, energy_for_interval
 from coldwatch.runner import _LINE_RE, event_to_json, events_from_log
 
@@ -317,10 +318,14 @@ def sample_line(at="1735689630", device_id="fridge-1", end="\n"):
         (sample_line(end="x\n"), None),
         (sample_line(at="true"), None),
         ('{"at":1735689630,"kind":"SampleTaken","payload":[]}\n', None),
+        (sample_line(at="1735689660"), ("at", 1735689660)),
+        (sample_line(at="173568963"), ("at", 173568963)),
+        (sample_line(device_id="fridge\\u00e91"), ("device_id", "fridge\xe91")),
     ],
     ids=["raw-non-ascii", "raw-del", "minus-zero", "leading-zero", "unicode-digits",
          "trailing-unicode-digit", "no-final-newline", "space-after-a-sample",
-         "junk-after-a-sample", "bool-at", "payload-not-an-object"],
+         "junk-after-a-sample", "bool-at", "payload-not-an-object", "reading-of-another-instant",
+         "reading-instant-extends-the-events", "escaped-device-id"],
 )
 def test_hand_written_lines(tmp_path, line, expected):
     path = tmp_path / "events.log"
@@ -391,6 +396,31 @@ def test_a_written_logs_samples_share_their_values(breach_run):
     assert all(r["at"] is event.at for r, event in zip(readings, samples))
     for field in ("hum_decip", "temp_decic"):
         assert len({id(r[field]) for r in readings}) == len({r[field] for r in readings})
+
+
+def test_each_reading_text_is_converted_once_into_one_shared_tuple(breach_run, monkeypatch):
+    """Every sample event of one reading text (the line from ',"device_id":'
+    on) holds the same (device id, humidity, temperature) tuple, and the
+    reader converts each distinct text once."""
+    misses = Counter()
+
+    class Counted(Shared):
+        def __missing__(self, key):
+            misses[key] += 1
+            return super().__missing__(key)
+
+    monkeypatch.setattr(runner, "Shared", Counted)
+    path = breach_run.out_dir / "events.log"
+    events = events_from_log(path)
+    tuples = {}
+    for event, line in zip(events, path.read_text(encoding="utf-8").splitlines()):
+        if event.kind is EventKind.SAMPLE_TAKEN:
+            held = model._PAYLOAD.__get__(event)  # before payload builds the dict
+            assert held is tuples.setdefault(line[line.index(',"device_id":') : -3], held)
+            r = json.loads(line)["payload"]["reading"]
+            assert held == (r["device_id"], r["hum_decip"], r["temp_decic"])
+    assert 1 < len(tuples) < 2880
+    assert {text: misses[text] for text in tuples} == dict.fromkeys(tuples, 1)
 
 
 def test_a_read_back_log_holds_at_most_256_bytes_an_event(breach_run):

@@ -151,6 +151,7 @@ class TestIdempotency:
         before = path.read_bytes()
         ledger.submit(alert_request(0), OWNER)
         assert path.read_bytes() == before
+        ledger.close()
 
 
 class TestAuthorization:
@@ -259,6 +260,7 @@ class TestCost:
             payload=ReportAnchorPayload(day=0, digest=bytes(32), row_count=72),
         )
         ledger.submit(anchor, OWNER)
+        ledger.close()
         return ledger
 
     def test_quiet_day_costs_0_0107(self):
@@ -339,6 +341,7 @@ class TestFile:
         ledger = Ledger(OWNER, path=path)
         for seq in range(20):
             ledger.submit(alert_request(seq, at=1000 + seq), OWNER)
+        ledger.close()
         loaded = load_ledger_entries(path)
         assert list(map(ENTRY, loaded)) == list(map(ENTRY, ledger.entries))
         assert verify_entries(loaded).ok
@@ -364,6 +367,7 @@ class TestFile:
         for seq, kind in enumerate(LedgerKind):
             request = EntryRequest(kind, DEV, seq, 200 + seq, ONE_PAYLOAD_PER_KIND[kind])
             ledger.submit(request, OWNER)
+        ledger.close()
         data, pos = path.read_bytes(), len(LEDGER_MAGIC) + 1
         assert data[:pos] == LEDGER_MAGIC + bytes([LEDGER_VERSION])
         while pos < len(data):
@@ -528,6 +532,7 @@ def test_stored_request_bytes_are_the_encoding_of_their_decoded_view(drawn):
         box.close()
         ledger = Ledger(OWNER, path=Path(tmp) / "ledger.bin")
         entry = ledger.submit(request, OWNER)
+        ledger.close()
         [loaded] = load_ledger_entries(Path(tmp) / "ledger.bin")
         assert ENTRY(loaded) == ENTRY(entry)  # the entry's payload, read from the file
     assert ENTRY(loaded)[:5] == (view.kind, view.device_id, view.seq, view.at, view.payload)

@@ -435,6 +435,28 @@ def test_a_run_that_raises_closes_its_files(tmp_path, monkeypatch):
     [failed] = runs
     assert failed.events_file.closed
     assert failed.outbox._file._f.closed
+    assert failed.ledger._file.closed
+
+
+def test_a_run_opens_its_ledger_file_for_writing_once(tmp_path, monkeypatch):
+    """The ledger writes its header and every entry through one handle,
+    flushed at each submit and closed with the run; afterwards each entry
+    still reads its payload from the file."""
+    opened = []
+
+    def recorded(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        opened.append((Path(file).name, mode, handle))
+        return handle
+
+    monkeypatch.setattr(ledger, "open", recorded, raising=False)
+    result = run(tmp_path, breach_day(DEFAULT_START, seed=7), seed=7)
+    writes = [mode for name, mode, _ in opened if name == "ledger.bin" and mode != "rb"]
+    assert writes == ["wb"]
+    assert all(handle.closed for _, _, handle in opened)
+    decoded = load_ledger_entries(result.out_dir / "ledger.bin")
+    assert len(decoded) == len(result.ledger.entries) > 12
+    assert [e.payload for e in result.ledger.entries] == [e.payload for e in decoded]
 
 
 # -- quiet stretches ---------------------------------------------------------
